@@ -22,7 +22,7 @@ from .identity import (DEFAULT_POLICY, Account, BusinessDetails, CredentialSet,
                        EvidenceDetails, PersonalDetails, PolicyConfig,
                        ProfileTier, Registry, classify_profile, initial_trust,
                        normalize_identity)
-from .ratings import EbayScore, Feedback, Rating, RatingStore, normalize_scope
+from .ratings import Rating, RatingStore, normalize_scope
 from .sim import (BallotStuffing, BuyerPolicy, BuyerSpec, ComparisonReport,
                   Honest, IdentityReset, Scenario, SellerSpec, SimReport,
                   ValueImbalance, compare_variants, run_scenario)

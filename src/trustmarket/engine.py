@@ -11,6 +11,7 @@ Two computation modes exist: DTC always reads fresh store state, ATC may
 serve a cached opinion until `invalidate` drops it.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import SelfQuery
@@ -54,23 +55,22 @@ class EngineConfig:
     low_max: float = 0.15
     med_max: float = 0.5
     max_delivery_days: float = 14.0
-    include_neutral_in_percent: bool = False
     pair_global_replacement: bool = False
     use_weights: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.c_half <= 0:
-            raise ValueError(f"c_half must be positive, got {self.c_half}")
+        if not 0.0 < self.c_half < math.inf:
+            raise ValueError(f"c_half must lie in (0, inf), got {self.c_half}")
         if not 0.0 < self.w_min < 1.0:
             raise ValueError(f"w_min must lie in (0, 1), got {self.w_min}")
         if not 0.0 <= self.low_max < self.med_max <= 1.0:
             raise ValueError(
                 f"need 0 <= low_max < med_max <= 1, got "
                 f"{self.low_max}, {self.med_max}")
-        if self.max_delivery_days < 0:
-            raise ValueError("max_delivery_days must be non-negative")
+        if not 0.0 <= self.max_delivery_days < math.inf:
+            raise ValueError("max_delivery_days must lie in [0, inf)")
 
 
 DEFAULT_ENGINE = EngineConfig()
@@ -86,10 +86,10 @@ class ListingContext:
     deliverable: bool = True
 
     def __post_init__(self):
-        if self.price < 0:
-            raise ValueError(f"price must be non-negative, got {self.price}")
-        if self.delivery_days < 0:
-            raise ValueError("delivery_days must be non-negative")
+        if not 0.0 <= self.price < math.inf:
+            raise ValueError(f"price must lie in [0, inf), got {self.price}")
+        if not 0.0 <= self.delivery_days < math.inf:
+            raise ValueError("delivery_days must lie in [0, inf)")
         object.__setattr__(self, "scope", normalize_scope(self.scope))
 
 
@@ -154,10 +154,10 @@ def rater_weight(rater: str, store, registry,
     weighted by its tier's initial trust so fresh markets can bootstrap.
     """
     account = registry.get(rater)
-    received = store.latest_ratings_for(rater)
-    if not received:
+    total, count = store.received_totals(rater)
+    if not count:
         return max(config.epsilon, initial_trust(account.tier, config.policy))
-    global_rep = sum(r.value for r in received) / len(received)
+    global_rep = total / count
     return max(config.epsilon, (global_rep + 1.0) / 2.0)
 
 
@@ -192,7 +192,7 @@ def direct_trust(buyer: str, seller: str, scope: str, store):
     cross_scope; None when the two never dealt.
     """
     wanted = normalize_scope(scope)
-    mine = [r for r in store.latest_ratings_for(seller) if r.rater == buyer]
+    mine = store.ratings_between(buyer, seller)
     if not mine:
         return None
     for rating in mine:
@@ -229,7 +229,7 @@ def compute_opinion(buyer: str, seller: str, listing: ListingContext,
 
     score = weighted_reputation(seller, listing.scope, store, registry, config)
     if score is None:
-        if store.latest_ratings_for(seller):
+        if store.received_totals(seller)[1]:
             advisories.add(ADVISORY_NEW_IN_SCOPE)
         else:
             advisories.add(ADVISORY_NEW_SELLER)

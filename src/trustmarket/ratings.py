@@ -7,17 +7,13 @@ scratch in the car category.  A pair-global mode collapses the key to
 (rater, ratee) for experiments with cross-scope replacement.
 """
 
-from collections import defaultdict
+import math
 from dataclasses import dataclass
-from enum import IntEnum
+from operator import attrgetter
 
 from .errors import SelfRating, StaleTimestamp, UnknownAccount
 
-
-class Feedback(IntEnum):
-    POSITIVE = 1
-    NEUTRAL = 0
-    NEGATIVE = -1
+_BY_RATER = attrgetter("rater")
 
 
 def normalize_scope(scope: str) -> str:
@@ -43,26 +39,25 @@ class Rating:
     at: int
 
     def __post_init__(self):
-        if self.value not in (1, 0, -1):
-            raise ValueError(f"rating value must be +1, 0 or -1, got {self.value}")
-        if self.cost < 0:
-            raise ValueError(f"cost must be non-negative, got {self.cost}")
+        # True and 1.0 equal 1, but the store's running sums need an int
+        if type(self.value) is not int or self.value not in (1, 0, -1):
+            raise ValueError(
+                f"rating value must be the int +1, 0 or -1, got {self.value!r}")
+        if not 0 <= self.cost < math.inf:
+            raise ValueError(f"cost must lie in [0, inf), got {self.cost}")
         object.__setattr__(self, "scope", normalize_scope(self.scope))
 
 
-@dataclass(frozen=True)
-class EbayScore:
-    """Classic net-score aggregate over a ratee's latest ratings."""
+class _Received:
+    """One ratee's latest ratings, {scope: {rater: Rating}}, and the running
+    sum and count of their values, so rater weights need no scan."""
 
-    net: int
-    percent_positive: float | None
-    positive: int
-    neutral: int
-    negative: int
+    __slots__ = ("scopes", "total", "count")
 
-    @property
-    def counts(self) -> tuple:
-        return (self.positive, self.neutral, self.negative)
+    def __init__(self):
+        self.scopes: dict[str, dict[str, Rating]] = {}
+        self.total = 0
+        self.count = 0
 
 
 class RatingStore:
@@ -73,14 +68,13 @@ class RatingStore:
     """
 
     def __init__(self, pair_global_replacement: bool = False):
-        self._by_key: dict[tuple, Rating] = {}
-        self._by_ratee: dict[str, set] = defaultdict(set)
-        self._pair_latest: dict[tuple, tuple] = {}   # (rater, ratee) -> live key
+        self._received: dict[str, _Received] = {}
+        self._size = 0
         self._pair_global = pair_global_replacement
         self.revision = 0
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return self._size
 
     @property
     def pair_global_replacement(self) -> bool:
@@ -99,27 +93,31 @@ class RatingStore:
             for account_id in (rating.rater, rating.ratee):
                 if account_id not in registry:
                     raise UnknownAccount(f"no account {account_id!r}")
-        pair = (rating.rater, rating.ratee)
-        key = (rating.rater, rating.ratee, rating.scope)
+        received = self._received.get(rating.ratee)
+        if received is None:
+            received = self._received[rating.ratee] = _Received()
         if self._pair_global:
-            prior_key = self._pair_latest.get(pair)
-            if prior_key is not None:
-                prior = self._by_key[prior_key]
-                if prior.at >= rating.at:
-                    raise StaleTimestamp(
-                        f"rating at t={rating.at} not newer than stored t={prior.at} "
-                        f"for pair {pair}")
-                del self._by_key[prior_key]
-                self._by_ratee[rating.ratee].discard(prior_key)
+            # the pair holds at most one live rating, in some scope
+            prior = next((bucket[rating.rater]
+                          for bucket in received.scopes.values()
+                          if rating.rater in bucket), None)
         else:
-            prior = self._by_key.get(key)
-            if prior is not None and prior.at >= rating.at:
-                raise StaleTimestamp(
-                    f"rating at t={rating.at} not newer than stored t={prior.at} "
-                    f"for key {key}")
-        self._by_key[key] = rating
-        self._by_ratee[rating.ratee].add(key)
-        self._pair_latest[pair] = key
+            bucket = received.scopes.get(rating.scope)
+            prior = None if bucket is None else bucket.get(rating.rater)
+        if prior is not None and prior.at >= rating.at:
+            where = (f"pair {(rating.rater, rating.ratee)}" if self._pair_global
+                     else f"key {(rating.rater, rating.ratee, rating.scope)}")
+            raise StaleTimestamp(
+                f"rating at t={rating.at} not newer than stored t={prior.at} "
+                f"for {where}")
+        if prior is None:
+            received.count += 1
+            self._size += 1
+        else:
+            received.total -= prior.value
+            del received.scopes[prior.scope][rating.rater]
+        received.total += rating.value
+        received.scopes.setdefault(rating.scope, {})[rating.rater] = rating
         self.revision += 1
 
     def latest_ratings_for(self, ratee: str, scope: str | None = None) -> list:
@@ -128,34 +126,34 @@ class RatingStore:
         Sorted by (rater, scope) so iteration order is deterministic.
         """
         wanted = None if scope is None else normalize_scope(scope)
-        out = [self._by_key[key] for key in self._by_ratee.get(ratee, ())
-               if wanted is None or key[2] == wanted]
+        received = self._received.get(ratee)
+        if received is None:
+            return []
+        if wanted is not None:
+            return sorted(received.scopes.get(wanted, {}).values(), key=_BY_RATER)
+        out = [rating for bucket in received.scopes.values()
+               for rating in bucket.values()]
         out.sort(key=lambda r: (r.rater, r.scope))
         return out
 
-    def ebay_score(self, ratee: str, include_neutral: bool = False) -> EbayScore:
-        """Net positive-minus-negative score over all scopes.
+    def received_totals(self, ratee: str) -> tuple[int, int]:
+        """(sum of values, count) over the ratee's latest ratings."""
+        received = self._received.get(ratee)
+        return (0, 0) if received is None else (received.total, received.count)
 
-        percent_positive is pos/(pos+neg), or pos/(pos+neu+neg) when
-        neutrals are configured into the denominator; absent when the
-        denominator is zero.
-        """
-        pos = neu = neg = 0
-        for rating in self.latest_ratings_for(ratee):
-            if rating.value > 0:
-                pos += 1
-            elif rating.value < 0:
-                neg += 1
-            else:
-                neu += 1
-        denom = pos + neg + (neu if include_neutral else 0)
-        percent = pos / denom if denom else None
-        return EbayScore(net=pos - neg, percent_positive=percent,
-                         positive=pos, neutral=neu, negative=neg)
+    def ratings_between(self, rater: str, ratee: str) -> list:
+        """The rater's latest rating of the ratee in each scope, by scope."""
+        received = self._received.get(ratee)
+        scopes = {} if received is None else received.scopes
+        return [scopes[scope][rater] for scope in sorted(scopes)
+                if rater in scopes[scope]]
 
     def snapshot(self) -> dict:
         """Copy of the key -> rating map, for comparison and replay checks."""
-        return dict(self._by_key)
+        return {(rater, ratee, scope): rating
+                for ratee, received in self._received.items()
+                for scope, bucket in received.scopes.items()
+                for rater, rating in bucket.items()}
 
 
-__all__ = ["Feedback", "Rating", "RatingStore", "EbayScore", "normalize_scope"]
+__all__ = ["Rating", "RatingStore", "normalize_scope"]

@@ -140,6 +140,18 @@ def test_failed_rate_writes_nothing(capsys, log):
     assert log.read_text() == before
 
 
+def test_rate_with_nan_cost_writes_nothing(capsys, log):
+    run(capsys, *register_args(log, "seller"))
+    run(capsys, *register_args(log, "buyer"))
+    size = log.stat().st_size
+    code, _, err = run(capsys, "rate", "--log", str(log),
+                       "--rater", "A000002", "--ratee", "A000001",
+                       "--scope", "laptops", "--value", "1", "--cost", "nan")
+    assert code == 1
+    assert "error:" in err
+    assert log.stat().st_size == size
+
+
 def test_avoid_delivery_advisory(capsys, log):
     run(capsys, *register_args(log, "seller"))
     run(capsys, *register_args(log, "buyer"))

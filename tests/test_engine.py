@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +43,15 @@ def test_cost_weight_monotone_above_floor():
 def test_cost_weight_rejects_negative():
     with pytest.raises(ValueError):
         cost_weight(-1.0)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"price": math.nan}, {"price": math.inf},
+    {"delivery_days": math.nan}, {"delivery_days": math.inf},
+])
+def test_listing_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError):
+        ListingContext(**{"scope": "laptops", "price": 100.0, **kwargs})
 
 
 def test_rater_weight_from_received_ratings(market):
@@ -149,6 +159,14 @@ def test_direct_trust_cross_scope_picks_most_recent(market):
     record(store, registry, ids, "b1", "seller", 1, 100.0, 2, scope="books")
     direct = direct_trust(ids["b1"], ids["seller"], "phones", store)
     assert (direct.value, direct.scope) == (1, "books")
+
+
+def test_direct_trust_cross_scope_tie_takes_first_scope(market):
+    registry, store, ids = market
+    record(store, registry, ids, "b1", "seller", -1, 100.0, 5, scope="cars")
+    record(store, registry, ids, "b1", "seller", 1, 100.0, 5, scope="boats")
+    direct = direct_trust(ids["b1"], ids["seller"], "laptops", store)
+    assert (direct.value, direct.scope, direct.cross_scope) == (1, "boats", True)
 
 
 # ------------------------------------------------------------------
@@ -289,6 +307,8 @@ def test_mode_validated(market):
     {"epsilon": 0.0}, {"epsilon": 1.0}, {"c_half": 0.0},
     {"w_min": 1.5}, {"low_max": 0.6, "med_max": 0.5},
     {"max_delivery_days": -1.0},
+    {"c_half": math.nan}, {"c_half": math.inf},
+    {"max_delivery_days": math.nan}, {"max_delivery_days": math.inf},
 ])
 def test_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):

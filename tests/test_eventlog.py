@@ -170,6 +170,23 @@ def test_malformed_rating_payload():
         apply_event(record, MarketState(), line_no=2)
 
 
+@pytest.mark.parametrize("fields", ['"value":1,"cost":NaN',
+                                    '"value":true,"cost":100'],
+                         ids=["nan-cost", "bool-value"])
+def test_replay_refuses_hostile_rating_values(tmp_path, fields):
+    path = tmp_path / "m.jsonl"
+    log = EventLog(path)
+    for tag in ("a", "b"):
+        log.append(KIND_REGISTER, register_payload(tag))
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"seq":3,"kind":"rating","at":3,"payload":'
+                     '{"rater":"A000002","ratee":"A000001","scope":"laptops",'
+                     + fields + '}}\n')
+    with pytest.raises(CorruptLog) as excinfo:
+        replay(path)
+    assert excinfo.value.line_no == 3
+
+
 def test_trace_kinds_are_inert():
     state = MarketState()
     for kind in (KIND_LISTING, KIND_DEAL):

@@ -1,4 +1,4 @@
-import random
+import math
 
 import pytest
 from hypothesis import given
@@ -31,6 +31,18 @@ def test_value_must_be_tri_valued():
         rating("a", "b", value=2)
     with pytest.raises(ValueError):
         rating("a", "b", cost=-1.0)
+
+
+@pytest.mark.parametrize("value", [True, False, 1.0, -1.0])
+def test_value_must_be_a_true_int(value):
+    with pytest.raises(ValueError):
+        rating("a", "b", value=value)
+
+
+@pytest.mark.parametrize("cost", [math.nan, math.inf])
+def test_cost_must_be_finite(cost):
+    with pytest.raises(ValueError):
+        rating("a", "b", cost=cost)
 
 
 def test_latest_replaces_prior(store):
@@ -106,59 +118,6 @@ def test_pair_global_stale_is_per_pair():
 
 
 # ------------------------------------------------------------------
-# baseline aggregate
-# ------------------------------------------------------------------
-
-def test_ebay_score_counts():
-    store = RatingStore()
-    values = [1, 1, 1, -1, 0]
-    for i, (who, value) in enumerate(zip("cdefg", values)):
-        store.record(rating(who, "b", value=value, at=i + 1))
-    score = store.ebay_score("b")
-    assert score.net == 2
-    assert score.percent_positive == pytest.approx(3 / 4)
-    assert score.counts == (3, 1, 1)
-
-
-def test_ebay_score_neutral_convention():
-    store = RatingStore()
-    for i, (who, value) in enumerate(zip("cdefg", [1, 1, 1, -1, 0])):
-        store.record(rating(who, "b", value=value, at=i + 1))
-    assert store.ebay_score("b", include_neutral=True).percent_positive \
-        == pytest.approx(3 / 5)
-
-
-def test_ebay_score_empty():
-    score = RatingStore().ebay_score("b")
-    assert score.net == 0
-    assert score.percent_positive is None
-
-
-def test_ebay_score_all_positive():
-    store = RatingStore()
-    for i, who in enumerate("cdefgh"):
-        store.record(rating(who, "b", value=1, at=i + 1))
-    score = store.ebay_score("b")
-    assert score.net == 6
-    assert score.percent_positive == 1.0
-
-
-def test_ebay_net_order_invariant_over_distinct_keys():
-    events = [rating(who, "b", value=v, at=i + 1)
-              for i, (who, v) in enumerate(zip("cdefgh", [1, -1, 1, 0, 1, -1]))]
-    rng = random.Random(7)
-    nets = set()
-    for _ in range(20):
-        shuffled = events[:]
-        rng.shuffle(shuffled)
-        store = RatingStore()
-        for event in shuffled:
-            store.record(event)
-        nets.add(store.ebay_score("b").net)
-    assert nets == {1}
-
-
-# ------------------------------------------------------------------
 # latest-only property against a brute-force oracle
 # ------------------------------------------------------------------
 
@@ -168,6 +127,27 @@ event_strategy = st.lists(
               st.sampled_from([1, 0, -1]),
               st.integers(min_value=1, max_value=60)),
     max_size=40)
+
+
+def assert_index_matches(store, oracle):
+    """Every read of the store agrees with a brute-force scan of the
+    key -> rating oracle."""
+    assert store.snapshot() == oracle
+    assert len(store) == len(oracle)
+    for ratee in "efgh":
+        received = [r for r in oracle.values() if r.ratee == ratee]
+        assert store.latest_ratings_for(ratee) == sorted(
+            received, key=lambda r: (r.rater, r.scope))
+        for scope in ("laptops", "cars"):
+            assert store.latest_ratings_for(ratee, scope) == sorted(
+                (r for r in received if r.scope == scope),
+                key=lambda r: r.rater)
+        assert store.received_totals(ratee) == (
+            sum(r.value for r in received), len(received))
+        for rater in "abcd":
+            assert store.ratings_between(rater, ratee) == sorted(
+                (r for r in received if r.rater == rater),
+                key=lambda r: r.scope)
 
 
 @given(event_strategy)
@@ -184,8 +164,23 @@ def test_store_matches_max_timestamp_oracle(events):
             assert key in oracle and oracle[key].at >= at
             continue
         oracle[key] = candidate
-    assert store.snapshot() == oracle
-    for ratee in "efgh":
-        expected = sorted((r for r in oracle.values() if r.ratee == ratee),
-                          key=lambda r: (r.rater, r.scope))
-        assert store.latest_ratings_for(ratee) == expected
+    assert_index_matches(store, oracle)
+
+
+@given(event_strategy)
+def test_pair_global_store_matches_oracle(events):
+    store = RatingStore(pair_global_replacement=True)
+    oracle: dict = {}
+    for rater, ratee, scope, value, at in events:
+        candidate = Rating(rater=rater, ratee=ratee, scope=scope,
+                           value=value, cost=50.0, at=at)
+        prior = [key for key in oracle if key[:2] == (rater, ratee)]
+        try:
+            store.record(candidate)
+        except StaleTimestamp:
+            assert prior and oracle[prior[0]].at >= at
+            continue
+        for key in prior:
+            del oracle[key]
+        oracle[rater, ratee, scope] = candidate
+    assert_index_matches(store, oracle)
