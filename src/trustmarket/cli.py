@@ -1,8 +1,9 @@
 """Command-line front end: ledger operations, simulation, statistics.
 
 Ledger subcommands (register, rate, opinion, replay) work against an
-append-only event log; nothing is written unless the operation passed
-every domain check against the replayed state.  simulate and compare
+append-only event log; a writing command replays, validates and appends
+under one exclusive lock, and writes nothing unless the operation passed
+every domain check against that state.  simulate and compare
 run scenario files, stats covers the survey arithmetic.  Exit codes:
 0 success, 1 domain error, 2 usage error.
 """
@@ -69,18 +70,17 @@ def _credentials_from_args(args) -> CredentialSet:
 
 
 def cmd_register(args) -> int:
-    path = _log_path(args)
     credentials = _credentials_from_args(args)
-    state = replay(path)
-    account = state.registry.register(
-        credentials, is_seller=not args.buyer_only,
-        is_buyer=not args.seller_only)
-    log = EventLog(path)
-    log.append(KIND_REGISTER, {
-        "credentials": credentials.to_dict(),
-        "is_seller": account.is_seller,
-        "is_buyer": account.is_buyer,
-    })
+    log = EventLog(_log_path(args))
+    with log.locked() as state:
+        account = state.registry.register(
+            credentials, is_seller=not args.buyer_only,
+            is_buyer=not args.seller_only)
+        log.append(KIND_REGISTER, {
+            "credentials": credentials.to_dict(),
+            "is_seller": account.is_seller,
+            "is_buyer": account.is_buyer,
+        })
     trust = initial_trust(account.tier)
     _emit(args,
           {"account_id": account.account_id, "tier": account.tier.label,
@@ -91,16 +91,16 @@ def cmd_register(args) -> int:
 
 
 def cmd_rate(args) -> int:
-    path = _log_path(args)
-    state = replay(path)
-    log = EventLog(path)
-    at = log.last_seq + 1
-    rating = Rating(rater=args.rater, ratee=args.ratee, scope=args.scope,
-                    value=args.value, cost=args.cost, at=at)
-    state.store.record(rating, registry=state.registry)
-    log.append(KIND_RATING, {
-        "rater": rating.rater, "ratee": rating.ratee, "scope": rating.scope,
-        "value": rating.value, "cost": rating.cost, "at": at}, at=at)
+    log = EventLog(_log_path(args))
+    with log.locked() as state:
+        at = state.last_seq + 1
+        rating = Rating(rater=args.rater, ratee=args.ratee, scope=args.scope,
+                        value=args.value, cost=args.cost, at=at)
+        state.store.record(rating, registry=state.registry)
+        log.append(KIND_RATING, {
+            "rater": rating.rater, "ratee": rating.ratee,
+            "scope": rating.scope, "value": rating.value,
+            "cost": rating.cost, "at": at}, at=at)
     _emit(args,
           {"rater": rating.rater, "ratee": rating.ratee,
            "scope": rating.scope, "value": rating.value, "at": at},
@@ -162,6 +162,9 @@ def cmd_opinion(args) -> int:
 
 def cmd_replay(args) -> int:
     state = replay(args.logfile)
+    if state.torn_line is not None:
+        print(f"warning: line {state.torn_line} is an unterminated (torn) "
+              f"write and was skipped", file=sys.stderr)
     described = state.describe()
     lines = [
         f"accounts: {len(described['accounts'])}",

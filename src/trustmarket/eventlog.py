@@ -1,16 +1,22 @@
 """Append-only JSONL event log and deterministic state replay.
 
 One JSON object per line, UTF-8, strictly increasing sequence numbers.
-A single process owns the log for writing (advisory lock around each
-append); any number of readers may scan it.  Replay feeds the events
-back through the registry and rating store: structural damage stops the
-scan with the offending line number, while domain rejections (duplicate
-identity, stale rating and so on) are collected per event exactly as
-the original writer would have seen them.
+Every command reads the log in one pass: replay takes a shared lock,
+and a writing command holds an exclusive lock (`EventLog.locked`) for
+the whole cycle of replay, validation, append and fsync, so its checks
+and its sequence number come from the state it appends to.  Replay
+feeds the events back through the registry and rating store:
+structural damage stops the scan with the offending line number, while
+domain rejections (duplicate identity, stale rating and so on) are
+collected per event exactly as the original writer would have seen
+them.  An unterminated last line is a torn write, for instance from a
+crash mid-append: reads skip and report it, the next write cuts it off.
 """
 
 import fcntl
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,36 +68,66 @@ def _parse_line(line: str, line_no: int) -> EventRecord:
     return EventRecord(seq=seq, kind=kind, at=at, payload=payload)
 
 
+class _Scan:
+    """One pass over a log file opened in binary mode, from its start.
+
+    Iterating yields (line_no, record) for every complete line and checks
+    structure; `last_seq` follows the records.  An unterminated last line
+    is a torn write: it is skipped, and afterwards `torn_line` and
+    `torn_bytes` name it.
+    """
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.last_seq = 0
+        self.torn_line = None
+        self.torn_bytes = 0
+
+    def __iter__(self):
+        for line_no, raw in enumerate(self.handle, 1):
+            if not raw.endswith(b"\n"):
+                self.torn_line, self.torn_bytes = line_no, len(raw)
+                return
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorruptLog("not valid UTF-8", line_no) from exc
+            if not line.strip():
+                raise CorruptLog("blank line", line_no)
+            record = _parse_line(line, line_no)
+            if record.seq <= self.last_seq:
+                raise CorruptLog(
+                    f"sequence {record.seq} not greater than previous "
+                    f"{self.last_seq}", line_no)
+            self.last_seq = record.seq
+            yield line_no, record
+
+
 class EventLog:
     """Reader/writer handle on one log file.
 
-    Appends take an exclusive advisory lock for the duration of the
-    write, so a stray second writer blocks instead of interleaving.
+    Opening a handle reads nothing.  `locked()` holds the log for one
+    replay-validate-append cycle.  A bare `append` takes the exclusive
+    lock for its own write and rescans the log only when the file is not
+    the size this handle last left it, so a second writer cannot make it
+    reuse a sequence number.
     """
 
     def __init__(self, path):
         self.path = Path(path)
-        self._last_seq = 0
-        if self.path.exists():
-            for _, record in self.scan():
-                self._last_seq = record.seq
+        self._last_seq = None    # unknown until the log is read
+        self._size = None        # file size at which _last_seq is exact
+        self._pending = None     # lines appended inside locked()
 
     def scan(self):
-        """Yield (line_no, record) pairs, validating structure."""
-        if not self.path.exists():
+        """Yield (line_no, record) pairs, checking structure; a torn last
+        line is skipped."""
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
             return
-        last_seq = 0
-        with open(self.path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, 1):
-                if not line.strip():
-                    raise CorruptLog("blank line", line_no)
-                record = _parse_line(line, line_no)
-                if record.seq <= last_seq:
-                    raise CorruptLog(
-                        f"sequence {record.seq} not greater than previous "
-                        f"{last_seq}", line_no)
-                last_seq = record.seq
-                yield line_no, record
+        with handle:
+            yield from _Scan(handle)
 
     def records(self):
         for _, record in self.scan():
@@ -99,23 +135,76 @@ class EventLog:
 
     @property
     def last_seq(self) -> int:
+        if self._last_seq is None:
+            last_seq = 0
+            for _, record in self.scan():
+                last_seq = record.seq
+            self._last_seq = last_seq
         return self._last_seq
+
+    @contextmanager
+    def locked(self):
+        """Hold the log exclusively for one replay-validate-append cycle.
+
+        Yields the replayed MarketState.  Appends inside the block number
+        on from it and are written when the block exits cleanly, after a
+        torn last line is cut off, with one write and one fsync.  An
+        exception inside the block writes nothing.
+        """
+        with open(self.path, "a+b") as handle:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+            handle.seek(0)
+            state, torn_bytes = _replay(handle)
+            size = os.fstat(handle.fileno()).st_size
+            self._last_seq, self._size, self._pending = state.last_seq, None, []
+            try:
+                yield state
+            except BaseException:
+                self._last_seq = None
+                raise
+            finally:
+                lines, self._pending = self._pending, None
+            if lines:
+                self._write(handle, size, size - torn_bytes, "".join(lines))
+                os.fsync(handle.fileno())
 
     def append(self, kind: str, payload: dict, at: int | None = None) -> EventRecord:
         if kind not in KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
-        seq = self._last_seq + 1
-        record = EventRecord(seq=seq, kind=kind,
-                             at=seq if at is None else at, payload=payload)
-        with open(self.path, "a", encoding="utf-8") as handle:
+        if self._pending is not None:
+            record = self._next_record(kind, payload, at)
+            self._pending.append(record.to_json() + "\n")
+            self._last_seq = record.seq
+            return record
+        with open(self.path, "a+b") as handle:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            try:
-                handle.write(record.to_json() + "\n")
-                handle.flush()
-            finally:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        self._last_seq = seq
+            size = end = os.fstat(handle.fileno()).st_size
+            if size != self._size:
+                # Another writer appended, or a crash left a torn line.
+                handle.seek(0)
+                scan = _Scan(handle)
+                for _ in scan:
+                    pass
+                self._last_seq, end = scan.last_seq, size - scan.torn_bytes
+            record = self._next_record(kind, payload, at)
+            self._write(handle, size, end, record.to_json() + "\n")
+            self._last_seq = record.seq
         return record
+
+    def _next_record(self, kind, payload, at) -> EventRecord:
+        seq = self._last_seq + 1
+        return EventRecord(seq=seq, kind=kind,
+                           at=seq if at is None else at, payload=payload)
+
+    def _write(self, handle, size, end, text):
+        """Write text at byte `end` of the exclusively locked log, first
+        cutting off the torn line that runs from there to `size`."""
+        if end != size:
+            handle.truncate(end)
+        data = text.encode("utf-8")
+        handle.write(data)
+        handle.flush()
+        self._size = end + len(data)
 
 
 # ------------------------------------------------------------------
@@ -130,6 +219,7 @@ class MarketState:
     store: RatingStore = field(default_factory=RatingStore)
     rejections: list = field(default_factory=list)   # (line_no, seq, message)
     last_seq: int = 0
+    torn_line: int | None = None    # unterminated last line, skipped
 
     def describe(self) -> dict:
         """Canonical snapshot for state-equality comparisons."""
@@ -177,19 +267,33 @@ def apply_event(record: EventRecord, state: MarketState, line_no: int = 0):
                          line_no) from exc
 
 
-def replay(path) -> MarketState:
-    """Rebuild market state from a log, collecting domain rejections."""
+def _replay(handle):
+    """Replay an open binary log from its start: (state, torn bytes)."""
     state = MarketState()
-    log = EventLog(path)
-    for line_no, record in log.scan():
+    scan = _Scan(handle)
+    for line_no, record in scan:
         try:
             apply_event(record, state, line_no)
         except CorruptLog:
             raise
         except TrustMarketError as exc:
             state.rejections.append((line_no, record.seq, str(exc)))
-        state.last_seq = record.seq
-    return state
+    state.last_seq, state.torn_line = scan.last_seq, scan.torn_line
+    return state, scan.torn_bytes
+
+
+def replay(path) -> MarketState:
+    """Rebuild market state from a log, collecting domain rejections.
+
+    Reads the log once under a shared lock; a missing log is empty.
+    """
+    try:
+        handle = open(path, "rb")
+    except FileNotFoundError:
+        return MarketState()
+    with handle:
+        fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
+        return _replay(handle)[0]
 
 
 __all__ = [

@@ -1,10 +1,14 @@
+import fcntl
+import hashlib
 import json
+import threading
 from pathlib import Path
 
 import pytest
 
+from trustmarket import eventlog
 from trustmarket.cli import main
-from trustmarket.eventlog import replay
+from trustmarket.eventlog import KIND_LISTING, EventLog, replay
 from trustmarket.sim import Scenario, run_scenario
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
@@ -175,9 +179,104 @@ def test_replay_summary(capsys, log):
     assert "rejections: 0" in out
 
 
+def rate_args(log, *extra):
+    return ["rate", "--log", str(log), "--rater", "A000002",
+            "--ratee", "A000001", "--scope", "laptops", "--value", "1",
+            *extra]
+
+
+def test_each_ledger_command_parses_every_line_once(capsys, log, monkeypatch):
+    run(capsys, *register_args(log, "seller"))
+    run(capsys, *register_args(log, "buyer"))
+    for _ in range(3):
+        run(capsys, *rate_args(log))
+    parsed = []
+    parse = eventlog._parse_line
+    monkeypatch.setattr(eventlog, "_parse_line",
+                        lambda line, line_no: parsed.append(line_no)
+                        or parse(line, line_no))
+    for argv in (["opinion", "--log", str(log), "--buyer", "A000002",
+                  "--seller", "A000001", "--scope", "laptops",
+                  "--price", "100"],
+                 rate_args(log),
+                 register_args(log, "third")):
+        lines = len(log.read_text().splitlines())
+        parsed.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert sorted(parsed) == list(range(1, lines + 1)), argv[0]
+
+
+def test_rate_validates_and_numbers_under_the_lock(capsys, log, monkeypatch):
+    run(capsys, *register_args(log, "seller"))
+    run(capsys, *register_args(log, "buyer"))
+    holder = EventLog(log)
+    waiting = threading.Event()
+    flock = fcntl.flock
+
+    def signalling_flock(fd, operation):
+        if threading.current_thread() is not threading.main_thread():
+            waiting.set()             # the helper is about to take a lock
+        return flock(fd, operation)
+    monkeypatch.setattr(fcntl, "flock", signalling_flock)
+    codes = []
+    with holder.locked():
+        helper = threading.Thread(target=lambda: codes.append(
+            main(rate_args(log, "--format", "json"))))
+        helper.start()
+        assert waiting.wait(10)
+        holder.append(KIND_LISTING, {"scope": "laptops"})
+    helper.join(10)
+    assert not helper.is_alive()
+    assert codes == [0]
+    assert json.loads(capsys.readouterr().out)["at"] == 4
+    state = replay(log)
+    assert state.last_seq == 4 and state.rejections == []
+
+
+def test_rate_after_a_torn_tail_leaves_a_clean_log(capsys, log):
+    run(capsys, *register_args(log, "seller"))
+    run(capsys, *register_args(log, "buyer"))
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write('{"seq":3,"kind":"rat')          # a crash mid-append
+    code, out, err = run(capsys, "replay", str(log))
+    assert code == 0
+    assert "accounts: 2" in out
+    assert "warning: line 3 is an unterminated (torn) write" in err
+    code, out, _ = run(capsys, *rate_args(log, "--format", "json"))
+    assert code == 0
+    assert json.loads(out)["at"] == 3
+    assert log.read_text().endswith("\n")
+    code, _, err = run(capsys, "replay", str(log))
+    assert code == 0 and err == ""
+    assert replay(log).last_seq == 3
+
+
 # ------------------------------------------------------------------
 # simulation
 # ------------------------------------------------------------------
+
+# sha256 of `compare --format json` stdout for each bundled scenario,
+# pinned so refactors that claim to keep behaviour cannot drift.
+COMPARE_DIGESTS = {
+    "onboarding":
+        "f84d5c534f5417f7552a488f62f68a3d6580652b52f2edb232c868f48979e06c",
+    "whitewash":
+        "153177717847328c5d71c1f5e0d2ac74d8d81283bb1379ba88f93420f44fafaa",
+    "value_imbalance":
+        "d0a9d9e2a2ac7dd1ecc446502f2e9ee0b2420cfa7300d164bd76bd6d9d01a6e3",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_DIGESTS))
+def test_bundled_compare_output_is_pinned(capsys, name):
+    code, out, _ = run(capsys, "compare",
+                       str(DATA_DIR / "scenarios" / f"{name}.json"),
+                       "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == COMPARE_DIGESTS[name]
+
 
 def test_simulate_text_output(capsys):
     code, out, _ = run(capsys, "simulate", str(ONBOARDING))

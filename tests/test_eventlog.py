@@ -1,12 +1,12 @@
-import json
-
 import pytest
 
 from conftest import credentials_for
-from trustmarket.errors import CorruptLog
+from trustmarket import eventlog
+from trustmarket.errors import CorruptLog, UnknownAccount
 from trustmarket.eventlog import (KIND_DEAL, KIND_LISTING, KIND_RATING,
                                   KIND_REGISTER, EventLog, EventRecord,
                                   MarketState, apply_event, replay)
+from trustmarket.ratings import Rating
 
 
 def register_payload(tag, tier="high", **roles):
@@ -70,11 +70,47 @@ def test_missing_file_scans_empty(tmp_path):
 ])
 def test_structural_damage(tmp_path, lines, expected_line, fragment):
     path = write_lines(tmp_path / "m.jsonl", lines)
-    with pytest.raises(CorruptLog) as excinfo:
-        EventLog(path)        # constructor scans for the last sequence
-    assert excinfo.value.line_no == expected_line
-    assert fragment in str(excinfo.value)
-    assert f"line {expected_line}:" in str(excinfo.value)
+    for read in (replay, lambda p: list(EventLog(p).scan())):
+        with pytest.raises(CorruptLog) as excinfo:
+            read(path)
+        assert excinfo.value.line_no == expected_line
+        assert fragment in str(excinfo.value)
+        assert f"line {expected_line}:" in str(excinfo.value)
+
+
+def test_opening_a_handle_reads_nothing(tmp_path):
+    path = write_lines(tmp_path / "m.jsonl", ["{oops"])
+    log = EventLog(path)
+    with pytest.raises(CorruptLog):
+        log.last_seq
+
+
+def test_two_handles_interleave_appends(tmp_path):
+    path = tmp_path / "m.jsonl"
+    first, second = EventLog(path), EventLog(path)
+    for log in (first, second, first, second):
+        log.append(KIND_DEAL, {"price": 10})
+    assert [record.seq for record in EventLog(path).records()] == [1, 2, 3, 4]
+    assert replay(path).last_seq == 4
+    assert (first.last_seq, second.last_seq) == (3, 4)
+
+
+def test_bare_append_rescans_only_after_a_foreign_write(tmp_path, monkeypatch):
+    path = tmp_path / "m.jsonl"
+    log = EventLog(path)
+    log.append(KIND_DEAL, {"price": 10})
+    parsed = []
+    parse = eventlog._parse_line
+    monkeypatch.setattr(eventlog, "_parse_line",
+                        lambda line, line_no: parsed.append(line_no)
+                        or parse(line, line_no))
+    for _ in range(3):
+        log.append(KIND_DEAL, {"price": 10})
+    assert parsed == []                  # the log is as this handle left it
+    EventLog(path).append(KIND_DEAL, {"price": 20})
+    parsed.clear()
+    assert log.append(KIND_DEAL, {"price": 30}).seq == 6
+    assert parsed == [1, 2, 3, 4, 5]
 
 
 def test_record_serialization_is_stable():
@@ -193,3 +229,75 @@ def test_trace_kinds_are_inert():
         record = EventRecord(seq=1, kind=kind, at=1, payload={"anything": 1})
         assert apply_event(record, state) is None
     assert state.describe()["accounts"] == {}
+
+
+# ------------------------------------------------------------------
+# locked cycle and torn tail
+# ------------------------------------------------------------------
+
+def test_locked_numbers_on_from_the_replayed_state(tmp_path):
+    log = build_log(tmp_path)
+    with log.locked() as state:
+        assert state.last_seq == 2
+        assert len(state.registry.accounts) == 2
+        assert log.append(KIND_LISTING, {"scope": "laptops"}).seq == 3
+        assert log.append(KIND_DEAL, {"price": 10}).seq == 4
+        assert log.path.read_text().count("\n") == 2    # written on exit
+    assert [record.seq for record in log.records()] == [1, 2, 3, 4]
+    assert log.append(KIND_DEAL, {"price": 20}).seq == 5
+
+
+def test_error_inside_locked_writes_nothing(tmp_path):
+    log = build_log(tmp_path)
+    before = log.path.read_bytes()
+    with pytest.raises(UnknownAccount):
+        with log.locked() as state:
+            log.append(KIND_LISTING, {"scope": "laptops"})
+            state.store.record(
+                Rating("A000009", "A000001", "laptops", 1, 10, 3),
+                registry=state.registry)
+    assert log.path.read_bytes() == before
+    assert log.append(KIND_DEAL, {"price": 10}).seq == 3
+
+
+TORN = '{"seq":3,"kind":"rating","at":3,"payload":{"rater":"A0'
+
+
+def torn_log(tmp_path):
+    log = build_log(tmp_path)
+    clean = log.path.read_bytes()
+    with open(log.path, "a", encoding="utf-8") as handle:
+        handle.write(TORN)                # a crash mid-append
+    return log.path, clean
+
+
+def test_replay_skips_and_reports_a_torn_tail(tmp_path):
+    path, _ = torn_log(tmp_path)
+    state = replay(path)
+    assert state.torn_line == 3
+    assert state.last_seq == 2
+    assert len(state.registry.accounts) == 2
+    assert "torn_line" not in state.describe()
+    assert [line_no for line_no, _ in EventLog(path).scan()] == [1, 2]
+
+
+@pytest.mark.parametrize("locked", [True, False], ids=["locked", "bare"])
+def test_next_append_cuts_off_a_torn_tail(tmp_path, locked):
+    path, clean = torn_log(tmp_path)
+    log = EventLog(path)
+    if locked:
+        with log.locked() as state:
+            assert state.torn_line == 3
+            record = log.append(KIND_DEAL, {"price": 10})
+    else:
+        record = log.append(KIND_DEAL, {"price": 10})
+    assert record.seq == 3
+    assert path.read_bytes() == clean + (record.to_json() + "\n").encode()
+    assert replay(path).torn_line is None
+
+
+def test_locked_without_append_leaves_a_torn_tail_alone(tmp_path):
+    path, clean = torn_log(tmp_path)
+    with EventLog(path).locked():
+        pass
+    assert path.read_bytes() == clean + TORN.encode()
