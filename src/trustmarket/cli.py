@@ -128,7 +128,7 @@ def _opinion_payload(opinion) -> dict:
 
 
 def cmd_opinion(args) -> int:
-    state = replay(_log_path(args))
+    state = EventLog(_log_path(args)).read_state()
     config = DEFAULT_ENGINE
     if args.max_delivery_days is not None:
         config = replace(config, max_delivery_days=args.max_delivery_days)
@@ -208,10 +208,12 @@ def _report_lines(report) -> list:
 
 
 def _write_trace(scenario: Scenario, path) -> None:
-    """Write a replayable trace of the run's final state."""
+    """Write a replayable trace of the run's final state, replacing any
+    file already at `path`."""
     world = build_world(scenario)
     for _ in range(scenario.horizon):
         step(world)
+    open(path, "wb").close()
     log = EventLog(path)
     for account in world.registry.accounts.values():
         log.append(KIND_REGISTER, {

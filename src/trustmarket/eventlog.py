@@ -11,9 +11,23 @@ domain rejections (duplicate identity, stale rating and so on) are
 collected per event exactly as the original writer would have seen
 them.  An unterminated last line is a torn write, for instance from a
 crash mid-append: reads skip and report it, the next write cuts it off.
+
+A writing command also keeps a checkpoint beside the log, `<log>.ckpt`:
+one JSON object holding the state that the replay of the log's first
+`offset` bytes (`lines` complete lines) produced, with the sha256 of
+those bytes, `last_seq`, the store revision, the rejections, the
+accounts in registration order and the latest ratings in `at` order.
+`locked()` and `EventLog.read_state()` hash the log's prefix and, when
+the hash and every field check out, rebuild that state through the
+registry and the rating store and replay only the lines past `offset`.
+A missing, stale or damaged checkpoint is ignored and the whole log is
+replayed, so the file is safe to delete.  It is derived data, trusted
+as far as the log's directory is: the hash catches a changed log, not a
+forged checkpoint.  `replay()` never reads it.
 """
 
 import fcntl
+import hashlib
 import json
 import os
 from contextlib import contextmanager
@@ -69,24 +83,26 @@ def _parse_line(line: str, line_no: int) -> EventRecord:
 
 
 class _Scan:
-    """One pass over a log file opened in binary mode, from its start.
+    """One pass over a log file opened in binary mode, from its current
+    position, which follows `lines` complete lines ending in `last_seq`.
 
     Iterating yields (line_no, record) for every complete line and checks
-    structure; `last_seq` follows the records.  An unterminated last line
-    is a torn write: it is skipped, and afterwards `torn_line` and
-    `torn_bytes` name it.
+    structure; `lines`, `last_seq` and `end`, the byte offset past the
+    last complete line, follow the records.  An unterminated last line is
+    a torn write: it is skipped, and afterwards `torn_line` names it.
     """
 
-    def __init__(self, handle):
+    def __init__(self, handle, lines=0, last_seq=0):
         self.handle = handle
-        self.last_seq = 0
+        self.start = self.end = handle.tell()
+        self.lines = lines
+        self.last_seq = last_seq
         self.torn_line = None
-        self.torn_bytes = 0
 
     def __iter__(self):
-        for line_no, raw in enumerate(self.handle, 1):
+        for line_no, raw in enumerate(self.handle, self.lines + 1):
             if not raw.endswith(b"\n"):
-                self.torn_line, self.torn_bytes = line_no, len(raw)
+                self.torn_line = line_no
                 return
             try:
                 line = raw.decode("utf-8")
@@ -99,7 +115,8 @@ class _Scan:
                 raise CorruptLog(
                     f"sequence {record.seq} not greater than previous "
                     f"{self.last_seq}", line_no)
-            self.last_seq = record.seq
+            self.lines, self.last_seq = line_no, record.seq
+            self.end += len(raw)
             yield line_no, record
 
 
@@ -107,14 +124,16 @@ class EventLog:
     """Reader/writer handle on one log file.
 
     Opening a handle reads nothing.  `locked()` holds the log for one
-    replay-validate-append cycle.  A bare `append` takes the exclusive
-    lock for its own write and rescans the log only when the file is not
-    the size this handle last left it, so a second writer cannot make it
-    reuse a sequence number.
+    replay-validate-append cycle and `read_state()` replays it for a
+    reader, both from the checkpoint on.  A bare `append` takes the
+    exclusive lock for its own write and rescans the log only when the
+    file is not the size this handle last left it, so a second writer
+    cannot make it reuse a sequence number.
     """
 
     def __init__(self, path):
         self.path = Path(path)
+        self.checkpoint = self.path.with_name(self.path.name + ".ckpt")
         self._last_seq = None    # unknown until the log is read
         self._size = None        # file size at which _last_seq is exact
         self._pending = None     # lines appended inside locked()
@@ -142,19 +161,34 @@ class EventLog:
             self._last_seq = last_seq
         return self._last_seq
 
+    def read_state(self) -> "MarketState":
+        """The log's state, replayed once under a shared lock from the
+        checkpoint on; a missing log is empty.  Writes nothing."""
+        try:
+            handle = open(self.path, "rb")
+        except FileNotFoundError:
+            return MarketState()
+        with handle:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
+            return _replay(handle, self.checkpoint)[0]
+
     @contextmanager
     def locked(self):
         """Hold the log exclusively for one replay-validate-append cycle.
 
-        Yields the replayed MarketState.  Appends inside the block number
-        on from it and are written when the block exits cleanly, after a
-        torn last line is cut off, with one write and one fsync.  An
-        exception inside the block writes nothing.
+        Yields the MarketState replayed from the checkpoint on, after
+        saving a new checkpoint when any line was replayed.  Appends
+        inside the block number on from it and are written when the block
+        exits cleanly, after a torn last line is cut off, with one write
+        and one fsync.  An exception inside the block writes nothing.
         """
         with open(self.path, "a+b") as handle:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            handle.seek(0)
-            state, torn_bytes = _replay(handle)
+            state, scan, prefix = _replay(handle, self.checkpoint)
+            if scan.end > scan.start:
+                handle.seek(scan.start)
+                prefix.update(handle.read(scan.end - scan.start))
+                _save_checkpoint(self.checkpoint, state, scan, prefix)
             size = os.fstat(handle.fileno()).st_size
             self._last_seq, self._size, self._pending = state.last_seq, None, []
             try:
@@ -165,7 +199,7 @@ class EventLog:
             finally:
                 lines, self._pending = self._pending, None
             if lines:
-                self._write(handle, size, size - torn_bytes, "".join(lines))
+                self._write(handle, size, scan.end, "".join(lines))
                 os.fsync(handle.fileno())
 
     def append(self, kind: str, payload: dict, at: int | None = None) -> EventRecord:
@@ -185,7 +219,7 @@ class EventLog:
                 scan = _Scan(handle)
                 for _ in scan:
                     pass
-                self._last_seq, end = scan.last_seq, size - scan.torn_bytes
+                self._last_seq, end = scan.last_seq, scan.end
             record = self._next_record(kind, payload, at)
             self._write(handle, size, end, record.to_json() + "\n")
             self._last_seq = record.seq
@@ -267,10 +301,20 @@ def apply_event(record: EventRecord, state: MarketState, line_no: int = 0):
                          line_no) from exc
 
 
-def _replay(handle):
-    """Replay an open binary log from its start: (state, torn bytes)."""
-    state = MarketState()
-    scan = _Scan(handle)
+def _replay(handle, checkpoint=None):
+    """Replay an open binary log: (state, scan, prefix).
+
+    Given the path of a checkpoint that is valid for this log, the state
+    is restored from it and the scan starts at its offset; otherwise at
+    byte 0.  `prefix` is the sha256 of the bytes before the scan.
+    """
+    restored = None if checkpoint is None else _restore(handle, checkpoint)
+    if restored is None:
+        handle.seek(0)
+        state, prefix, lines = MarketState(), hashlib.sha256(), 0
+    else:
+        state, prefix, lines = restored
+    scan = _Scan(handle, lines, state.last_seq)
     for line_no, record in scan:
         try:
             apply_event(record, state, line_no)
@@ -279,7 +323,93 @@ def _replay(handle):
         except TrustMarketError as exc:
             state.rejections.append((line_no, record.seq, str(exc)))
     state.last_seq, state.torn_line = scan.last_seq, scan.torn_line
-    return state, scan.torn_bytes
+    return state, scan, prefix
+
+
+# ------------------------------------------------------------------
+# checkpoint
+# ------------------------------------------------------------------
+
+CHECKPOINT_VERSION = 1
+
+
+def _save_checkpoint(path, state, scan, prefix):
+    """Write the state replayed from the log's first `scan.end` bytes.
+
+    Goes through a temporary file and a rename, so a reader sees the old
+    checkpoint or the new one; no fsync, since a lost checkpoint only
+    costs a full replay.  Failing to write it is not an error.
+    """
+    try:
+        ratings = sorted(state.store.snapshot().values(), key=lambda r: r.at)
+    except TypeError:       # a hand-written `at` that is not a number
+        return
+    data = {
+        "version": CHECKPOINT_VERSION, "offset": scan.end,
+        "lines": scan.lines, "sha256": prefix.hexdigest(),
+        "last_seq": state.last_seq, "revision": state.store.revision,
+        "rejections": state.rejections,
+        "accounts": [
+            {"id": account.account_id,
+             "credentials": account.credentials.to_dict(),
+             "is_seller": account.is_seller, "is_buyer": account.is_buyer}
+            for account in state.registry.accounts.values()],
+        "ratings": [[r.rater, r.ratee, r.scope, r.value, r.cost, r.at]
+                    for r in ratings],
+    }
+    temporary = path.with_name(path.name + ".tmp")
+    try:
+        temporary.write_text(json.dumps(data, separators=(",", ":")),
+                             encoding="utf-8")
+        os.replace(temporary, path)
+    except OSError:
+        temporary.unlink(missing_ok=True)
+
+
+def _natural(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _restore(handle, path):
+    """(state, prefix hash, lines) from the checkpoint at `path` when it
+    is valid for the open log, else None; leaves the handle at its
+    offset.
+
+    Valid means: it parses, has this version, its sha256 is that of the
+    log's first `offset` bytes, and its accounts and ratings pass every
+    check of the registry and the rating store, with each account
+    getting back its own id.
+    """
+    try:
+        with open(path, "rb") as source:
+            data = json.loads(source.read())
+        offset, lines = data["offset"], data["lines"]
+        if (data["version"] != CHECKPOINT_VERSION or not _natural(offset)
+                or not _natural(lines) or not _natural(data["last_seq"])
+                or not _natural(data["revision"])):
+            return None
+        if offset > os.fstat(handle.fileno()).st_size:
+            return None
+        handle.seek(0)
+        prefix = hashlib.sha256(handle.read(offset))
+        if prefix.hexdigest() != data["sha256"]:
+            return None
+        state = MarketState(last_seq=data["last_seq"])
+        for entry in data["accounts"]:
+            account = state.registry.register(
+                CredentialSet.from_dict(entry["credentials"]),
+                is_seller=entry["is_seller"], is_buyer=entry["is_buyer"])
+            if account.account_id != entry["id"]:
+                return None
+        for fields in data["ratings"]:
+            state.store.record(Rating(*fields), registry=state.registry)
+        state.store.revision = data["revision"]
+        state.rejections = [(line_no, seq, message)
+                            for line_no, seq, message in data["rejections"]]
+    except (OSError, ValueError, LookupError, TypeError, AttributeError,
+            TrustMarketError):
+        return None
+    return state, prefix, lines
 
 
 def replay(path) -> MarketState:

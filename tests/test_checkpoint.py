@@ -1,0 +1,325 @@
+"""The ledger checkpoint: checkpoint plus tail equals a full replay, and a
+checkpoint that is stale or damaged is ignored without a trace in the
+output."""
+
+import io
+import json
+import shutil
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import credentials_for
+from trustmarket import eventlog
+from trustmarket.cli import main
+from trustmarket.eventlog import (KIND_DEAL, KIND_RATING, KIND_REGISTER,
+                                  EventLog, EventRecord, replay)
+from trustmarket.identity import CredentialSet, PersonalDetails
+
+
+def run(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([str(arg) for arg in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class counted_parse:
+    """Collects the line numbers the log's line parser is handed."""
+
+    def __enter__(self):
+        self.lines = []
+        parse = eventlog._parse_line
+        self._patch = mock.patch.object(
+            eventlog, "_parse_line",
+            lambda line, line_no: self.lines.append(line_no)
+            or parse(line, line_no))
+        self._patch.start()
+        return self.lines
+
+    def __exit__(self, *exc):
+        self._patch.stop()
+
+
+def checkpoint_of(path):
+    return path.with_name(path.name + ".ckpt")
+
+
+def same_state(state, full):
+    assert state.describe() == full.describe()
+    assert state.registry.accounts == full.registry.accounts
+    assert state.store.snapshot() == full.store.snapshot()
+    assert (state.last_seq, state.torn_line) == (full.last_seq, full.torn_line)
+
+
+# ------------------------------------------------------------------
+# checkpoint plus tail equals a full replay
+# ------------------------------------------------------------------
+
+ACCOUNTS = ["A000001", "A000002", "A000003", "A000099"]   # last: unknown
+INCOMPLETE = CredentialSet(personal=PersonalDetails()).to_dict()
+OPENING = [(KIND_REGISTER, {"credentials": credentials_for(tag).to_dict()})
+           for tag in "abc"]
+
+registrations = st.builds(
+    lambda tag, tier, seller, buyer: (KIND_REGISTER, {
+        "credentials": (INCOMPLETE if tier == "none"
+                        else credentials_for(tag, tier).to_dict()),
+        "is_seller": seller, "is_buyer": buyer}),
+    st.sampled_from("abcd"), st.sampled_from(["low", "medium", "high", "none"]),
+    st.booleans(), st.booleans())
+PAIRS = sorted(((rater, ratee) for rater in ACCOUNTS for ratee in ACCOUNTS),
+               key=lambda pair: (pair[0] == pair[1], "A000099" in pair))
+
+
+def rating_event(pair, scope, value, cost, at):
+    payload = {"rater": pair[0], "ratee": pair[1], "scope": scope,
+               "value": value, "cost": cost}
+    if at is not None:                  # else the record's own, rising at
+        payload["at"] = at
+    return KIND_RATING, payload
+
+
+ratings = st.builds(
+    rating_event, st.sampled_from(PAIRS),
+    st.sampled_from(["books", "Books ", "garden"]), st.sampled_from([1, 0, -1]),
+    st.one_of(st.integers(0, 500), st.floats(0, 500)),
+    st.one_of(st.none(), st.integers(1, 12)))
+deals = st.builds(lambda price: (KIND_DEAL, {"price": price}),
+                  st.integers(1, 99))
+
+
+@settings(deadline=None)
+@given(events=st.lists(st.one_of(registrations, ratings, ratings, ratings,
+                                 deals), max_size=40),
+       cut=st.floats(0, 1), torn=st.booleans(),
+       buyer=st.sampled_from(ACCOUNTS), seller=st.sampled_from(ACCOUNTS))
+def test_checkpoint_plus_tail_equals_full_replay(events, cut, torn, buyer,
+                                                 seller):
+    lines = [EventRecord(seq=seq, kind=kind, at=seq, payload=payload)
+             .to_json() + "\n"
+             for seq, (kind, payload) in enumerate(OPENING + events, 1)]
+    covered = int(cut * len(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.jsonl"
+        log = EventLog(path)
+        path.write_text("".join(lines[:covered]), encoding="utf-8")
+        with log.locked():
+            pass                                 # checkpoints the prefix
+        assert checkpoint_of(path).exists() == (covered > 0)
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("".join(lines[covered:]))
+            if torn:
+                handle.write('{"seq":99,"kind":"de')
+        full = replay(path)
+        with counted_parse() as parsed:
+            same_state(log.read_state(), full)
+        assert parsed == list(range(covered + 1, len(lines) + 1))
+
+        opinion = ["opinion", "--log", path, "--buyer", buyer,
+                   "--seller", seller, "--scope", "books", "--price", "50",
+                   "--format", "json"]
+        with_checkpoint = run(*opinion)
+        checkpoint_of(path).unlink(missing_ok=True)
+        assert run(*opinion) == with_checkpoint
+
+        with log.locked() as state:              # full replay, checkpoints
+            same_state(state, full)
+        with counted_parse() as parsed, log.locked() as state:
+            same_state(state, full)
+        assert parsed == []
+
+
+# ------------------------------------------------------------------
+# a bad checkpoint is ignored
+# ------------------------------------------------------------------
+
+def register_args(log, tag):
+    return ["register", "--log", log, "--full-name", f"{tag} holder",
+            "--address", f"1 {tag} way", "--phone", f"tel-{tag}",
+            "--city", "Lund", "--country", "SE", "--national-id", f"nid-{tag}",
+            "--bank-or-card", f"card-{tag}", "--business-phone", f"biz-{tag}",
+            "--business-address", f"2 {tag} way"]
+
+
+def rate_args(log, rater, ratee, value, cost=120):
+    return ["rate", "--log", log, "--rater", rater, "--ratee", ratee,
+            "--scope", "laptops", "--value", value, "--cost", cost,
+            "--format", "json"]
+
+
+def opinion_args(log, buyer):
+    return ["opinion", "--log", log, "--buyer", buyer, "--seller", "A000001",
+            "--scope", "laptops", "--price", "100", "--format", "json"]
+
+
+@pytest.fixture
+def ledger(tmp_path):
+    """A five-account ledger whose checkpoint covers all but its last line,
+    and a copy of it from before the last two ratings."""
+    log = tmp_path / "live" / "market.jsonl"
+    log.parent.mkdir()
+    for tag in ("seller", "b2", "b3", "b4", "b5"):
+        assert run(*register_args(log, tag))[0] == 0
+    for rater, value in (("A000002", 1), ("A000003", -1), ("A000004", 1)):
+        assert run(*rate_args(log, rater, "A000001", value))[0] == 0
+    shutil.copyfile(log, tmp_path / "early.jsonl")
+    assert run(*rate_args(log, "A000001", "A000002", 1))[0] == 0
+    assert run(*rate_args(log, "A000005", "A000001", 0))[0] == 0
+    assert json.loads(checkpoint_of(log).read_text())["lines"] == 9
+    return log
+
+
+def edit_checkpoint(change):
+    def damage(log, early):
+        data = json.loads(checkpoint_of(log).read_text())
+        change(data)
+        checkpoint_of(log).write_text(json.dumps(data))
+    return damage
+
+
+def write_checkpoint(text):
+    def damage(log, early):
+        checkpoint_of(log).write_text(text(checkpoint_of(log).read_text()))
+    return damage
+
+
+def edit_one_byte(log, early):
+    # the second rating's -1 becomes -0, which reads as 0: a new history
+    data = log.read_bytes()
+    at = data.index(b'"value":-1') + len(b'"value":-')
+    log.write_bytes(data[:at] + b"0" + data[at + 1:])
+
+
+def set_rating_field(index, value):
+    def change(data):
+        data["ratings"][0][index] = value
+    return change
+
+
+def self_rating(data):
+    data["ratings"][0][0] = data["ratings"][0][1]
+
+
+DAMAGES = {
+    "log overwritten by a shorter copy":
+        lambda log, early: shutil.copyfile(early, log),
+    "one byte of the prefix edited": edit_one_byte,
+    "checkpoint truncated": write_checkpoint(lambda text: text[:len(text) // 2]),
+    "checkpoint not JSON": write_checkpoint(lambda text: "checkpoint"),
+    "wrong version": edit_checkpoint(lambda data: data.update(version=2)),
+    "offset past the end": edit_checkpoint(lambda data: data.update(offset=10**15)),
+    "rating value true": edit_checkpoint(set_rating_field(3, True)),
+    "rating cost NaN": edit_checkpoint(set_rating_field(4, float("nan"))),
+    "self-rating": edit_checkpoint(self_rating),
+    "rating from an unknown account": edit_checkpoint(
+        set_rating_field(0, "A000099")),
+    "account id out of order": edit_checkpoint(
+        lambda data: data["accounts"].reverse()),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGES))
+def test_bad_checkpoint_falls_back_to_a_full_replay(ledger, tmp_path, damage):
+    DAMAGES[damage](ledger, tmp_path / "early.jsonl")
+    reference = tmp_path / "reference" / "market.jsonl"
+    reference.parent.mkdir()
+    shutil.copyfile(ledger, reference)           # the same log, no checkpoint
+    lines = len(ledger.read_text().splitlines())
+    outputs = {}
+    for log in (ledger, reference):
+        with counted_parse() as parsed:
+            first = run(*opinion_args(log, "A000002"))
+        assert parsed == list(range(1, lines + 1))
+        outputs[log] = [first,
+                        run(*rate_args(log, "A000003", "A000001", 1)),
+                        run(*opinion_args(log, "A000003")),
+                        run("replay", log, "--format", "json")]
+        assert first[0] == 0
+    assert outputs[ledger] == outputs[reference]
+    assert ledger.read_bytes() == reference.read_bytes()
+    assert checkpoint_of(ledger).read_bytes() \
+        == checkpoint_of(reference).read_bytes()
+
+
+def test_ratings_that_cannot_be_ordered_are_not_checkpointed(tmp_path):
+    log = tmp_path / "market.jsonl"
+    for tag in ("seller", "b2", "b3"):
+        assert run(*register_args(log, tag))[0] == 0
+    covered = json.loads(checkpoint_of(log).read_text())["lines"]
+    for rater, at in (("A000002", "noon"), ("A000003", 5)):   # hand-written
+        EventLog(log).append(KIND_RATING, {
+            "rater": rater, "ratee": "A000001", "scope": "laptops",
+            "value": 1, "cost": 10, "at": at})
+    assert run(*rate_args(log, "A000001", "A000002", 1))[0] == 0
+    assert json.loads(checkpoint_of(log).read_text())["lines"] == covered
+    opinion = run(*opinion_args(log, "A000002"))
+    assert opinion[0] == 0 and json.loads(opinion[1])["revision"] == 3
+    checkpoint_of(log).unlink()
+    assert run(*opinion_args(log, "A000002")) == opinion
+
+
+def test_unwritable_checkpoint_is_not_an_error(tmp_path):
+    log = tmp_path / "market.jsonl"
+    checkpoint_of(log).mkdir()                   # cannot be read or replaced
+    for tag in ("seller", "buyer"):
+        assert run(*register_args(log, tag))[0] == 0
+    assert run(*rate_args(log, "A000002", "A000001", 1))[0] == 0
+    code, out, _ = run(*opinion_args(log, "A000002"))
+    assert code == 0 and json.loads(out)["recommended"] == 1.0
+    assert checkpoint_of(log).is_dir()
+    assert not log.with_name(log.name + ".ckpt.tmp").exists()
+
+
+# ------------------------------------------------------------------
+# what gets written, and when
+# ------------------------------------------------------------------
+
+def test_replay_ignores_the_checkpoint(ledger):
+    full = replay(ledger)
+    checkpoint_of(ledger).write_text("checkpoint")
+    with counted_parse() as parsed:
+        same_state(replay(ledger), full)
+    assert parsed == list(range(1, full.last_seq + 1))
+
+
+def test_checkpoint_is_saved_only_after_a_non_empty_tail(ledger):
+    log = EventLog(ledger)
+    with log.locked():
+        pass
+    saved = checkpoint_of(ledger).stat()
+    assert json.loads(checkpoint_of(ledger).read_text())["lines"] == 10
+    with log.locked():
+        pass
+    log.read_state()
+    assert checkpoint_of(ledger).stat().st_ino == saved.st_ino
+
+
+def test_checkpoint_is_the_log_not_the_callers_state(ledger):
+    log = EventLog(ledger)
+    with log.locked() as state:                 # saves before it yields
+        state.registry.register(credentials_for("ghost"))
+        log.append(KIND_DEAL, {"price": 5})
+    with pytest.raises(RuntimeError):
+        with log.locked() as state:
+            state.registry.register(credentials_for("phantom"))
+            raise RuntimeError("abandon the block")
+    same_state(log.read_state(), replay(ledger))
+    assert len(log.read_state().registry) == 5
+
+
+def test_checkpoint_does_not_cover_a_torn_tail(ledger):
+    with open(ledger, "a", encoding="utf-8") as handle:
+        handle.write('{"seq":11,"kind":"rat')
+    log = EventLog(ledger)
+    with log.locked() as state:
+        assert state.torn_line == 11
+    data = json.loads(checkpoint_of(ledger).read_text())
+    assert (data["lines"], data["last_seq"]) == (10, 10)
+    assert data["offset"] == len(ledger.read_bytes()) - len('{"seq":11,"kind":"rat')
+    same_state(log.read_state(), replay(ledger))

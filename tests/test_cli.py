@@ -185,26 +185,50 @@ def rate_args(log, *extra):
             *extra]
 
 
-def test_each_ledger_command_parses_every_line_once(capsys, log, monkeypatch):
+def opinion_args(log, *extra):
+    return ["opinion", "--log", str(log), "--buyer", "A000002",
+            "--seller", "A000001", "--scope", "laptops", "--price", "100",
+            *extra]
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Line numbers handed to the log's line parser, in call order."""
+    seen = []
+    parse = eventlog._parse_line
+    monkeypatch.setattr(eventlog, "_parse_line",
+                        lambda line, line_no: seen.append(line_no)
+                        or parse(line, line_no))
+    return seen
+
+
+def checkpoint_of(log):
+    return log.with_name(log.name + ".ckpt")
+
+
+def test_each_ledger_command_parses_every_line_once(capsys, log, parsed):
     run(capsys, *register_args(log, "seller"))
     run(capsys, *register_args(log, "buyer"))
     for _ in range(3):
         run(capsys, *rate_args(log))
-    parsed = []
-    parse = eventlog._parse_line
-    monkeypatch.setattr(eventlog, "_parse_line",
-                        lambda line, line_no: parsed.append(line_no)
-                        or parse(line, line_no))
-    for argv in (["opinion", "--log", str(log), "--buyer", "A000002",
-                  "--seller", "A000001", "--scope", "laptops",
-                  "--price", "100"],
-                 rate_args(log),
-                 register_args(log, "third")):
+    commands = (opinion_args(log), rate_args(log), register_args(log, "third"))
+    for argv in commands:
+        checkpoint_of(log).unlink(missing_ok=True)
         lines = len(log.read_text().splitlines())
         parsed.clear()
         code, _, err = run(capsys, *argv)
         assert code == 0, err
         assert sorted(parsed) == list(range(1, lines + 1)), argv[0]
+    # With a valid checkpoint, a command parses exactly the lines past it.
+    run(capsys, *rate_args(log))
+    for argv in commands[:2] + (register_args(log, "fourth"),):
+        covered = json.loads(checkpoint_of(log).read_text())["lines"]
+        lines = len(log.read_text().splitlines())
+        assert 0 < covered < lines
+        parsed.clear()
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        assert parsed == list(range(covered + 1, lines + 1)), argv[0]
 
 
 def test_rate_validates_and_numbers_under_the_lock(capsys, log, monkeypatch):
@@ -310,6 +334,18 @@ def test_trace_replays_cleanly(capsys, tmp_path):
     code, out, _ = run(capsys, "replay", str(trace))
     assert code == 0
     assert "rejections: 0" in out
+
+
+def test_trace_replaces_an_existing_file(capsys, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    lengths = []
+    for _ in range(2):
+        code, _, _ = run(capsys, "simulate", str(ONBOARDING),
+                         "--trace", str(trace))
+        assert code == 0
+        lengths.append(len(trace.read_text().splitlines()))
+    assert lengths[1] == lengths[0]
+    assert replay(trace).rejections == []
 
 
 def test_compare_selected_variants(capsys):
