@@ -216,24 +216,23 @@ def label_for(unit_score: float, config: EngineConfig = DEFAULT_ENGINE) -> str:
 # opinion assembly
 # ------------------------------------------------------------------
 
-def compute_opinion(buyer: str, seller: str, listing: ListingContext,
-                    store, registry,
-                    config: EngineConfig = DEFAULT_ENGINE) -> TrustOpinion:
-    """Fresh opinion straight from current store state (DTC path)."""
-    if buyer == seller:
-        raise SelfQuery(f"{buyer} cannot ask for an opinion about itself")
-    registry.get(buyer)
-    seller_account = registry.get(seller)
-    revision = store.revision
-    advisories = set()
+def listing_view(seller: str, listing: ListingContext, store, registry,
+                 config: EngineConfig = DEFAULT_ENGINE):
+    """The buyer-independent part of an opinion about one listing.
 
+    Returns (recommended, source, unit_score, advisories): the scoped
+    reputation, or the tier's initial trust flagged new-seller or
+    new-in-scope, its [0, 1] unit score, and the delivery advisory.
+    Every buyer sees the same view until the store or registry changes.
+    """
+    advisories = set()
     score = weighted_reputation(seller, listing.scope, store, registry, config)
     if score is None:
         if store.received_totals(seller)[1]:
             advisories.add(ADVISORY_NEW_IN_SCOPE)
         else:
             advisories.add(ADVISORY_NEW_SELLER)
-        recommended = initial_trust(seller_account.tier, config.policy)
+        recommended = initial_trust(registry.get(seller).tier, config.policy)
         source = SOURCE_INITIAL_TRUST
         unit = recommended
     else:
@@ -243,7 +242,20 @@ def compute_opinion(buyer: str, seller: str, listing: ListingContext,
 
     if listing.delivery_days > config.max_delivery_days or not listing.deliverable:
         advisories.add(ADVISORY_AVOID_DELIVERY)
+    return recommended, source, unit, frozenset(advisories)
 
+
+def compute_opinion(buyer: str, seller: str, listing: ListingContext,
+                    store, registry,
+                    config: EngineConfig = DEFAULT_ENGINE) -> TrustOpinion:
+    """Fresh opinion straight from current store state (DTC path)."""
+    if buyer == seller:
+        raise SelfQuery(f"{buyer} cannot ask for an opinion about itself")
+    registry.get(buyer)
+    seller_account = registry.get(seller)
+    revision = store.revision
+    recommended, source, unit, advisories = listing_view(
+        seller, listing, store, registry, config)
     return TrustOpinion(
         seller=seller,
         scope=listing.scope,
@@ -254,7 +266,7 @@ def compute_opinion(buyer: str, seller: str, listing: ListingContext,
         label=label_for(unit, config),
         tier=seller_account.tier,
         direct=direct_trust(buyer, seller, listing.scope, store),
-        advisories=frozenset(advisories),
+        advisories=advisories,
         revision=revision,
     )
 
@@ -306,7 +318,8 @@ class TrustEngine:
 __all__ = [
     "EngineConfig", "DEFAULT_ENGINE", "ListingContext", "DirectExperience",
     "TrustOpinion", "TrustEngine", "cost_weight", "rater_weight",
-    "weighted_reputation", "direct_trust", "label_for", "compute_opinion",
+    "weighted_reputation", "direct_trust", "label_for", "listing_view",
+    "compute_opinion",
     "MODE_ATC", "MODE_DTC", "SOURCE_RATINGS", "SOURCE_INITIAL_TRUST",
     "ADVISORY_NEW_SELLER", "ADVISORY_NEW_IN_SCOPE", "ADVISORY_AVOID_DELIVERY",
     "LABEL_LOW", "LABEL_MEDIUM", "LABEL_HIGH",

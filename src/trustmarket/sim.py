@@ -20,11 +20,14 @@ from dataclasses import dataclass, field, fields, replace
 
 from .engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                      ADVISORY_NEW_SELLER, DEFAULT_ENGINE, EngineConfig,
-                     ListingContext, compute_opinion, weighted_reputation)
+                     ListingContext, listing_view)
+# Unused here; perfbench's test_traced_run_restores_every_original still
+# reads them as attributes of this module.
+from .engine import compute_opinion, weighted_reputation  # noqa: F401
 from .errors import DuplicateIdentity, InvalidScenario
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, PolicyConfig, ProfileTier,
-                       Registry, initial_trust)
+                       Registry)
 from .ratings import Rating, RatingStore
 from .stats import midranks
 
@@ -64,6 +67,19 @@ def int_draw(seed: int, low: int, high: int, *key) -> int:
 # strategies and rosters
 # ------------------------------------------------------------------
 
+def _is_int(value) -> bool:
+    """True for a real int: bools and floats (NaN and inf among them)
+    fail."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_counts(**counts) -> None:
+    for name, value in counts.items():
+        if not _is_int(value) or value < 0:
+            raise ValueError(
+                f"{name} must be a non-negative int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Honest:
     """Delivers with probability `quality`; a delivered deal is merely
@@ -89,10 +105,8 @@ class ValueImbalance:
     defect_cost: int = 500
 
     def __post_init__(self):
-        if self.honest_phase < 0:
-            raise ValueError("honest_phase must be non-negative")
-        if self.low_cost < 0 or self.defect_cost < 0:
-            raise ValueError("costs must be non-negative")
+        _check_counts(honest_phase=self.honest_phase, low_cost=self.low_cost,
+                      defect_cost=self.defect_cost)
 
 
 @dataclass(frozen=True)
@@ -108,8 +122,7 @@ class IdentityReset:
     fresh_ids: bool = False
 
     def __post_init__(self):
-        if self.defect_after < 0:
-            raise ValueError("defect_after must be non-negative")
+        _check_counts(defect_after=self.defect_after)
 
 
 @dataclass(frozen=True)
@@ -122,8 +135,7 @@ class BallotStuffing:
     quality: float = 0.5
 
     def __post_init__(self):
-        if self.fake_raters < 0:
-            raise ValueError("fake_raters must be non-negative")
+        _check_counts(fake_raters=self.fake_raters)
         if not 0.0 <= self.quality <= 1.0:
             raise ValueError("quality must lie in [0, 1]")
 
@@ -217,8 +229,11 @@ class Scenario:
     engine: EngineConfig = field(default_factory=lambda: DEFAULT_ENGINE)
 
     def validate(self) -> None:
-        if self.horizon < 1:
-            raise InvalidScenario(f"horizon must be >= 1, got {self.horizon}")
+        if not _is_int(self.seed):
+            raise InvalidScenario(f"seed must be an int, got {self.seed!r}")
+        if not _is_int(self.horizon) or self.horizon < 1:
+            raise InvalidScenario(
+                f"horizon must be an int >= 1, got {self.horizon!r}")
         if not self.sellers:
             raise InvalidScenario("roster needs at least one seller")
         if self.variant not in VARIANTS:
@@ -236,11 +251,12 @@ class Scenario:
                 raise InvalidScenario(
                     f"buyer {buyer.name!r} colludes with unknown seller "
                     f"{buyer.colludes_with!r}")
-        for low, high, label in (
-                (*self.price_range, "price_range"),
-                (*self.delivery_range, "delivery_range")):
-            if low < 0 or high < low:
-                raise InvalidScenario(f"bad {label}: ({low}, {high})")
+        for bounds, label in ((self.price_range, "price_range"),
+                              (self.delivery_range, "delivery_range")):
+            if len(bounds) != 2 or not all(map(_is_int, bounds)) \
+                    or bounds[0] < 0 or bounds[1] < bounds[0]:
+                raise InvalidScenario(f"bad {label}: {bounds!r}, need two "
+                                      f"ints with 0 <= low <= high")
 
     def to_dict(self) -> dict:
         engine_overrides = {}
@@ -301,8 +317,8 @@ class Scenario:
                          for label, value in data["initial_trust"].items()}
                 engine_kwargs["policy"] = PolicyConfig(initial_trust=table)
             scenario = cls(
-                seed=int(data["seed"]),
-                horizon=int(data["horizon"]),
+                seed=data["seed"],
+                horizon=data["horizon"],
                 sellers=sellers,
                 buyers=buyers,
                 scopes=tuple(data.get("scopes", ("general",))),
@@ -544,35 +560,39 @@ def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
 
 def score_view(world: World, seller_name: str, scope: str) -> float:
     """Unit-interval decision score a generic buyer would see."""
-    state = world.sellers[seller_name]
     if world.scenario.variant == VARIANT_EBAY:
         pos, neg = world.ebay_tally[seller_name]
         return pos / (pos + neg) if pos + neg else 0.0
-    score = weighted_reputation(state.account_id, scope, world.store,
-                                world.registry, world.config)
-    if score is None:
-        tier = world.registry.get(state.account_id).tier
-        return initial_trust(tier, world.config.policy)
-    return (score + 1.0) / 2.0
+    return listing_view(world.sellers[seller_name].account_id,
+                        ListingContext(scope=scope, price=0),
+                        world.store, world.registry, world.config)[2]
 
 
-def _consider(world: World, buyer: BuyerSpec, listing: _Listing):
-    """Effective score for the threshold rule, or None to pass."""
+def _consider(world: World, buyer: BuyerSpec, listing: _Listing,
+              views: dict, index: int):
+    """Effective score for the threshold rule, or None to pass.
+
+    `views` holds each listing's buyer-independent (unit score,
+    advisories) by index; the caller empties it whenever the store
+    changes.
+    """
     if buyer.colludes_with == listing.seller:
         return 2.0     # shill buys from its partner unconditionally
     if world.scenario.variant == VARIANT_EBAY:
         return score_view(world, listing.seller, listing.scope)
-    opinion = compute_opinion(
-        world.accounts[buyer.name],
-        world.sellers[listing.seller].account_id,
-        ListingContext(scope=listing.scope, price=listing.price,
-                       delivery_days=listing.delivery_days),
-        world.store, world.registry, world.config)
+    view = views.get(index)
+    if view is None:
+        view = views[index] = listing_view(
+            world.sellers[listing.seller].account_id,
+            ListingContext(scope=listing.scope, price=listing.price,
+                           delivery_days=listing.delivery_days),
+            world.store, world.registry, world.config)[2:]
+    unit, advisories = view
     if buyer.policy.refuse_on_avoid_delivery \
-            and ADVISORY_AVOID_DELIVERY in opinion.advisories:
+            and ADVISORY_AVOID_DELIVERY in advisories:
         return None
-    effective = opinion.unit_score
-    if opinion.advisories & {ADVISORY_NEW_SELLER, ADVISORY_NEW_IN_SCOPE}:
+    effective = unit
+    if advisories & {ADVISORY_NEW_SELLER, ADVISORY_NEW_IN_SCOPE}:
         effective -= buyer.policy.new_seller_discount
     return effective
 
@@ -639,6 +659,9 @@ def step(world: World) -> World:
         listings.append(_post_listing(world, state))
 
     deals = successes = failures = 0
+    # Listing views hold until a deal's two ratings, the only writes to the
+    # store or registry inside the buyer loop.
+    views = {}
     # arrival order rotates so repeat business spreads over raters
     arrival = sorted(
         world.scenario.buyers,
@@ -649,7 +672,7 @@ def step(world: World) -> World:
         for index, listing in enumerate(listings):
             if listing.sold or listing.seller == buyer.name:
                 continue
-            effective = _consider(world, buyer, listing)
+            effective = _consider(world, buyer, listing, views, index)
             if effective is None or effective < buyer.policy.threshold:
                 continue
             candidates.append((-effective, index))
@@ -675,6 +698,7 @@ def step(world: World) -> World:
         state.deals_done += 1
         world.first_sale.setdefault(listing.seller, world.round)
         _record_cross_ratings(world, buyer, state, listing, outcome)
+        views.clear()
 
     for name in world.sellers:
         world.trajectories[name].append(

@@ -1,10 +1,18 @@
+import itertools
 import json
+import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from trustmarket import sim
+from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
+                                ADVISORY_NEW_SELLER, EngineConfig,
+                                ListingContext, compute_opinion)
 from trustmarket.errors import InvalidScenario
-from trustmarket.sim import (VARIANT_EBAY, VARIANT_INTEGRATED,
+from trustmarket.ratings import Rating
+from trustmarket.sim import (STRATEGY_KINDS, VARIANT_EBAY, VARIANT_INTEGRATED,
                              VARIANT_UNWEIGHTED, VARIANTS, BallotStuffing,
                              BuyerPolicy, BuyerSpec, Honest, IdentityReset,
                              Scenario, SellerSpec, ValueImbalance,
@@ -61,10 +69,23 @@ def test_int_draw_covers_inclusive_range():
     {"scopes": ()},
     {"price_range": (100, 50)},
     {"delivery_range": (-1, 3)},
+    {"price_range": (float("nan"), 300)},
+    {"price_range": (50.0, 200)},
+    {"price_range": (50, float("inf"))},
+    {"price_range": (True, 200)},
+    {"price_range": (50, 100, 200)},
+    {"delivery_range": (1, float("nan"))},
+    {"delivery_range": (1.5, 7)},
+    {"horizon": True},
+    {"horizon": 12.0},
+    {"seed": True},
+    {"seed": 1.5},
 ])
 def test_invalid_scenarios(override):
     with pytest.raises(InvalidScenario):
         basic_scenario(**override).validate()
+    with pytest.raises(InvalidScenario):
+        Scenario.from_dict({**basic_scenario().to_dict(), **override})
 
 
 def test_duplicate_roster_names_rejected():
@@ -106,10 +127,24 @@ def test_bundled_scenario_files_parse():
 @pytest.mark.parametrize("kwargs", [
     {"quality": 1.5},
     {"marginal_rate": -0.1},
+    {"kind": "value-imbalance", "low_cost": 20.0},
+    {"kind": "value-imbalance", "defect_cost": float("nan")},
+    {"kind": "value-imbalance", "defect_cost": float("inf")},
+    {"kind": "value-imbalance", "honest_phase": True},
+    {"kind": "value-imbalance", "low_cost": -1},
+    {"kind": "identity-reset", "defect_after": 2.5},
+    {"kind": "ballot-stuffing", "fake_raters": 2.5},
+    {"kind": "ballot-stuffing", "fake_raters": False},
 ])
 def test_bad_strategy_parameters(kwargs):
+    spec = {"kind": "honest", **kwargs}
+    params = {k: v for k, v in spec.items() if k != "kind"}
     with pytest.raises(ValueError):
-        Honest(**kwargs)
+        STRATEGY_KINDS[spec["kind"]](**params)
+    data = basic_scenario().to_dict()
+    data["sellers"][0]["strategy"] = spec
+    with pytest.raises(InvalidScenario):
+        Scenario.from_dict(data)
 
 
 # ------------------------------------------------------------------
@@ -322,3 +357,110 @@ def test_comparison_serializes():
     payload = json.loads(comparison.to_json())
     assert set(payload["reports"]) == set(VARIANTS)
     assert payload["baseline"] == VARIANT_INTEGRATED
+
+
+# ------------------------------------------------------------------
+# shared listing views equal a fresh opinion per buyer
+# ------------------------------------------------------------------
+
+def _fresh_consider(world, buyer, listing, views, index):
+    """The threshold rule scored with a fresh compute_opinion for every
+    (buyer, listing), ignoring the round's shared views."""
+    if buyer.colludes_with == listing.seller:
+        return 2.0
+    if world.scenario.variant == VARIANT_EBAY:
+        return sim.score_view(world, listing.seller, listing.scope)
+    opinion = compute_opinion(
+        world.accounts[buyer.name],
+        world.sellers[listing.seller].account_id,
+        ListingContext(scope=listing.scope, price=listing.price,
+                       delivery_days=listing.delivery_days),
+        world.store, world.registry, world.config)
+    if buyer.policy.refuse_on_avoid_delivery \
+            and ADVISORY_AVOID_DELIVERY in opinion.advisories:
+        return None
+    effective = opinion.unit_score
+    if opinion.advisories & {ADVISORY_NEW_SELLER, ADVISORY_NEW_IN_SCOPE}:
+        effective -= buyer.policy.new_seller_discount
+    return effective
+
+
+def _view_scenario(seed, scopes, pair_global, max_delivery_days):
+    """Every strategy, a shill, buyers that ignore the delivery advisory
+    or discount newcomers; delivery runs 3-8 days, so a maximum of 2
+    flags every listing and 5 some of them."""
+    rng = random.Random(seed)
+    tiers = ("low", "medium", "high")
+    strategies = (
+        Honest(quality=0.9), Honest(quality=0.6, marginal_rate=0.2),
+        ValueImbalance(honest_phase=3, low_cost=15, defect_cost=400),
+        IdentityReset(defect_after=2, fresh_ids=True),
+        IdentityReset(defect_after=2, fresh_ids=False),
+        BallotStuffing(fake_raters=2, quality=0.4))
+    sellers = tuple(SellerSpec(name=f"s{i}", strategy=strategy,
+                               tier=rng.choice(tiers))
+                    for i, strategy in enumerate(strategies))
+    buyers = tuple(
+        BuyerSpec(name=f"b{i}", tier=rng.choice(tiers),
+                  policy=BuyerPolicy(
+                      threshold=rng.choice((0.0, 0.2, 0.5)),
+                      refuse_on_avoid_delivery=rng.random() < 0.5,
+                      new_seller_discount=rng.choice((0.0, 0.1, 0.3))))
+        for i in range(7))
+    buyers += (BuyerSpec(name="shill", colludes_with="s5"),)
+    return Scenario(
+        seed=seed, horizon=15, sellers=sellers, buyers=buyers,
+        scopes=("books", "cars", "garden")[:scopes],
+        delivery_range=(3, 8),
+        engine=EngineConfig(pair_global_replacement=pair_global,
+                            max_delivery_days=max_delivery_days))
+
+
+def _run_with_history(scenario):
+    """Rounds, trajectories and store of a run whose buyers start with
+    two earlier deals each, rated -1, 0 or +1 both ways.
+
+    In a plain run sellers always rate buyers +1, so every rater weight
+    is 1 and a deal changes no open listing's view; here a deal moves
+    the buyer's weight, and with it the view of every other seller the
+    buyer rated before, so a view kept past a deal shows.
+    """
+    world = build_world(scenario)
+    rng = random.Random(scenario.seed)
+    seller_ids = [state.account_id for state in world.sellers.values()]
+    for spec in scenario.buyers:
+        buyer_id = world.accounts[spec.name]
+        for seller_id in rng.sample(seller_ids, 2):
+            for rater, ratee in ((seller_id, buyer_id), (buyer_id, seller_id)):
+                world.clock += 1
+                world.store.record(Rating(
+                    rater=rater, ratee=ratee,
+                    scope=rng.choice(scenario.scopes),
+                    value=rng.choice((-1, 0, 1)),
+                    cost=rng.randrange(10, 300), at=world.clock),
+                    registry=world.registry)
+    for _ in range(scenario.horizon):
+        step(world)
+    return world.rounds, world.trajectories, world.store.snapshot()
+
+
+def _runs(scenario):
+    return {variant: (run_scenario(replace(scenario, variant=variant))
+                      .to_json(),
+                      _run_with_history(replace(scenario, variant=variant)))
+            for variant in VARIANTS}
+
+
+@pytest.mark.parametrize("scopes, pair_global, max_delivery_days",
+                         itertools.product((1, 3), (False, True), (2.0, 5.0)))
+def test_shared_listing_views_equal_fresh_opinions(
+        monkeypatch, scopes, pair_global, max_delivery_days):
+    for seed in range(3):
+        scenario = _view_scenario(seed, scopes, pair_global,
+                                  max_delivery_days)
+        shared = _runs(scenario)
+        with monkeypatch.context() as patched:
+            patched.setattr(sim, "_consider", _fresh_consider)
+            fresh = _runs(scenario)
+        for variant in VARIANTS:
+            assert shared[variant] == fresh[variant], (seed, variant)
