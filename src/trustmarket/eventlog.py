@@ -20,15 +20,21 @@ accounts in registration order and the latest ratings in `at` order.
 `locked()` and `EventLog.read_state()` hash the log's prefix and, when
 the hash and every field check out, rebuild that state through the
 registry and the rating store and replay only the lines past `offset`.
-A missing, stale or damaged checkpoint is ignored and the whole log is
-replayed, so the file is safe to delete.  It is derived data, trusted
-as far as the log's directory is: the hash catches a changed log, not a
-forged checkpoint.  `replay()` never reads it.
+`locked()` saves a new checkpoint only when no valid one was restored
+or the tail it replayed has grown long enough that saving costs less
+than replaying it again, which at a couple of thousand live ratings is
+a few dozen lines; so the tail a command replays stays short without a
+save on every write.  A missing, stale or damaged checkpoint is ignored
+and the whole log is replayed, so the file is safe to delete.  It is
+derived data, trusted as far as the log's directory is: the hash
+catches a changed log, not a forged checkpoint.  `replay()` never reads
+it.
 """
 
 import fcntl
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -86,16 +92,18 @@ class _Scan:
     """One pass over a log file opened in binary mode, from its current
     position, which follows `lines` complete lines ending in `last_seq`.
 
-    Iterating yields (line_no, record) for every complete line and checks
-    structure; `lines`, `last_seq` and `end`, the byte offset past the
-    last complete line, follow the records.  An unterminated last line is
-    a torn write: it is skipped, and afterwards `torn_line` names it.
+    `start` and `start_line` are the byte offset and the line count the
+    scan starts from.  Iterating yields (line_no, record) for every
+    complete line and checks structure; `lines`, `last_seq` and `end`,
+    the byte offset past the last complete line, follow the records.  An
+    unterminated last line is a torn write: it is skipped, and afterwards
+    `torn_line` names it.
     """
 
     def __init__(self, handle, lines=0, last_seq=0):
         self.handle = handle
         self.start = self.end = handle.tell()
-        self.lines = lines
+        self.start_line = self.lines = lines
         self.last_seq = last_seq
         self.torn_line = None
 
@@ -176,16 +184,33 @@ class EventLog:
     def locked(self):
         """Hold the log exclusively for one replay-validate-append cycle.
 
-        Yields the MarketState replayed from the checkpoint on, after
-        saving a new checkpoint when any line was replayed.  Appends
+        Yields the MarketState replayed from the checkpoint on.  Appends
         inside the block number on from it and are written when the block
         exits cleanly, after a torn last line is cut off, with one write
         and one fsync.  An exception inside the block writes nothing.
+
+        Before it yields, it saves a new checkpoint covering every
+        complete line when the replayed tail is not empty and holds at
+        least `T* = sqrt(2*s*N/c)` lines, with `N` the live ratings plus
+        the accounts, `s` the save cost per live item and `c` the replay
+        cost per tail line.  Saving after every `T` appended lines costs
+        `s*N/T` per line for the saves plus, on average, `c*T/2` per line
+        for the tail the next command replays; the sum is lowest at `T*`.
+        On the ledger-cli bench ledger (2,000 events, 1,782 live ratings,
+        120 accounts; Python 3.11 on a 2-core shared VM, medians of 9
+        runs of 41 calls) `_save_checkpoint` took 4.6 ms, so s = 2.4 us,
+        and a full replay 26.6 ms, so c = 13 us: T* = 26.5 lines there.
+        The rule keeps `2*s/c` as a constant and counts lines; it times
+        nothing.  A full replay, after a missing or bad checkpoint,
+        always saves: each live item comes from a line of its own, and
+        `T* <= N` while `2*s/c <= N`.
         """
         with open(self.path, "a+b") as handle:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
             state, scan, prefix = _replay(handle, self.checkpoint)
-            if scan.end > scan.start:
+            tail = scan.lines - scan.start_line
+            if tail and tail >= _save_interval(
+                    len(state.store) + len(state.registry)):
                 handle.seek(scan.start)
                 prefix.update(handle.read(scan.end - scan.start))
                 _save_checkpoint(self.checkpoint, state, scan, prefix)
@@ -331,6 +356,16 @@ def _replay(handle, checkpoint=None):
 # ------------------------------------------------------------------
 
 CHECKPOINT_VERSION = 1
+
+# 2*s/c, save cost per live item over replay cost per line; see locked().
+# At most 1, so that a full replay always reaches the interval.
+_SAVE_RATIO = 2 * 2.4 / 13.0
+
+
+def _save_interval(items: int) -> float:
+    """T*, the tail length in lines at which saving a checkpoint of
+    `items` live ratings and accounts pays for itself."""
+    return math.sqrt(_SAVE_RATIO * items)
 
 
 def _save_checkpoint(path, state, scan, prefix):

@@ -23,12 +23,14 @@ def normalize_scope(scope: str) -> str:
     return normalized
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Rating:
     """One party's latest feedback about another, within one scope.
 
     `cost` is the currency amount of the rated transaction and `at` a
     logical timestamp (monotone simulation/ledger clock, not wall time).
+    Slotted, with the checks in a hand-written `__init__`, because a
+    checkpoint restore builds one per live rating.
     """
 
     rater: str
@@ -38,14 +40,21 @@ class Rating:
     cost: float
     at: int
 
-    def __post_init__(self):
+    def __init__(self, rater, ratee, scope, value, cost, at):
         # True and 1.0 equal 1, but the store's running sums need an int
-        if type(self.value) is not int or self.value not in (1, 0, -1):
+        if type(value) is not int or value not in (1, 0, -1):
             raise ValueError(
-                f"rating value must be the int +1, 0 or -1, got {self.value!r}")
-        if not 0 <= self.cost < math.inf:
-            raise ValueError(f"cost must lie in [0, inf), got {self.cost}")
-        object.__setattr__(self, "scope", normalize_scope(self.scope))
+                f"rating value must be the int +1, 0 or -1, got {value!r}")
+        if not 0 <= cost < math.inf:
+            raise ValueError(f"cost must lie in [0, inf), got {cost}")
+        scope = normalize_scope(scope)
+        set_field = object.__setattr__
+        set_field(self, "rater", rater)
+        set_field(self, "ratee", ratee)
+        set_field(self, "scope", scope)
+        set_field(self, "value", value)
+        set_field(self, "cost", cost)
+        set_field(self, "at", at)
 
 
 class _Received:

@@ -4,6 +4,8 @@ output."""
 
 import io
 import json
+import math
+import random
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -170,6 +172,7 @@ def ledger(tmp_path):
         assert run(*rate_args(log, rater, "A000001", value))[0] == 0
     shutil.copyfile(log, tmp_path / "early.jsonl")
     assert run(*rate_args(log, "A000001", "A000002", 1))[0] == 0
+    checkpoint_of(log).unlink()          # so the last rate saves lines 1-9
     assert run(*rate_args(log, "A000005", "A000001", 0))[0] == 0
     assert json.loads(checkpoint_of(log).read_text())["lines"] == 9
     return log
@@ -288,19 +291,107 @@ def test_replay_ignores_the_checkpoint(ledger):
     assert parsed == list(range(1, full.last_seq + 1))
 
 
-def test_checkpoint_is_saved_only_after_a_non_empty_tail(ledger):
+def live_items(state):
+    return len(state.store) + len(state.registry)
+
+
+@pytest.mark.parametrize("damage", ["missing", "damaged"])
+def test_without_a_valid_checkpoint_any_non_empty_tail_saves(ledger, damage):
     log = EventLog(ledger)
+    assert eventlog._save_interval(live_items(log.read_state())) > 1
+    if damage == "missing":
+        checkpoint_of(ledger).unlink()
+    else:
+        checkpoint_of(ledger).write_text("checkpoint")
     with log.locked():
         pass
-    saved = checkpoint_of(ledger).stat()
     assert json.loads(checkpoint_of(ledger).read_text())["lines"] == 10
+
+    empty = EventLog(ledger.with_name("empty.jsonl"))
+    with empty.locked():
+        pass
+    assert not checkpoint_of(empty.path).exists()
+
+
+def grown_ledger(path, ratings):
+    """A ledger of 12 accounts and `ratings` ratings among them, with a
+    checkpoint that covers all of it."""
+    log = EventLog(path)
+    for tag in range(12):
+        log.append(KIND_REGISTER,
+                   {"credentials": credentials_for(f"g{tag}").to_dict()})
+    rng = random.Random(ratings)
+    for _ in range(ratings):
+        rater, ratee = rng.sample(range(1, 13), 2)
+        log.append(KIND_RATING, {
+            "rater": f"A{rater:06d}", "ratee": f"A{ratee:06d}",
+            "scope": rng.choice(["books", "garden", "tools"]),
+            "value": rng.choice([1, 0, -1]), "cost": rng.randint(1, 500)})
     with log.locked():
+        pass
+    return log
+
+
+@pytest.mark.parametrize("ratings", [0, 40, 300])
+def test_checkpoint_is_saved_once_the_tail_reaches_the_interval(tmp_path,
+                                                                ratings):
+    log = grown_ledger(tmp_path / "market.jsonl", ratings)
+    covered = json.loads(checkpoint_of(log.path).read_text())["lines"]
+    due = math.ceil(eventlog._save_interval(live_items(log.read_state())))
+    assert covered == 12 + ratings and due >= 1
+    for _ in range(due - 1):                     # deals leave N unchanged
+        log.append(KIND_DEAL, {"price": 5})
+    saved = checkpoint_of(log.path).stat()
+    with log.locked():                           # a tail of due - 1 lines
         pass
     log.read_state()
-    assert checkpoint_of(ledger).stat().st_ino == saved.st_ino
+    assert checkpoint_of(log.path).stat().st_ino == saved.st_ino
+    log.append(KIND_DEAL, {"price": 5})
+    with log.locked():                           # a tail of due lines
+        pass
+    assert checkpoint_of(log.path).stat().st_ino != saved.st_ino
+    assert json.loads(checkpoint_of(log.path).read_text())["lines"] \
+        == covered + due
+    saved = checkpoint_of(log.path).stat()
+    with log.locked():                           # an empty tail
+        pass
+    assert checkpoint_of(log.path).stat().st_ino == saved.st_ino
+
+
+def test_a_command_mix_replays_a_bounded_tail(tmp_path):
+    log = grown_ledger(tmp_path / "market.jsonl", 60)
+    full = replay(log.path)
+    start = live_items(full)
+    rng = random.Random(7)
+    accounts, commands, saves = 12, 300, []
+    save = eventlog._save_checkpoint
+    with mock.patch.object(eventlog, "_save_checkpoint",
+                           lambda *args: saves.append(args) or save(*args)):
+        for number in range(commands):
+            rater, ratee = (f"A{rng.randint(1, accounts):06d}"
+                            for _ in range(2))
+            kind = rng.choices(["rate", "opinion", "register"], [6, 3, 1])[0]
+            if kind == "rate":
+                argv = rate_args(log.path, rater, ratee,
+                                 rng.choice([1, 0, -1]), rng.randint(1, 500))
+            elif kind == "opinion":
+                argv = ["opinion", "--log", log.path, "--buyer", rater,
+                        "--seller", ratee, "--scope", "laptops",
+                        "--price", "50", "--format", "json"]
+            else:
+                argv = register_args(log.path, f"mix{number}")
+            with counted_parse() as parsed:
+                code, _, err = run(*argv)
+            assert code == (kind != "register" and rater == ratee), err
+            accounts += kind == "register"
+            assert len(parsed) <= eventlog._save_interval(live_items(full)) + 1
+            full = replay(log.path)
+            same_state(log.read_state(), full)
+    assert saves and len(saves) <= commands / eventlog._save_interval(start) + 2
 
 
 def test_checkpoint_is_the_log_not_the_callers_state(ledger):
+    checkpoint_of(ledger).unlink()
     log = EventLog(ledger)
     with log.locked() as state:                 # saves before it yields
         state.registry.register(credentials_for("ghost"))
@@ -316,6 +407,7 @@ def test_checkpoint_is_the_log_not_the_callers_state(ledger):
 def test_checkpoint_does_not_cover_a_torn_tail(ledger):
     with open(ledger, "a", encoding="utf-8") as handle:
         handle.write('{"seq":11,"kind":"rat')
+    checkpoint_of(ledger).unlink()               # a full replay saves
     log = EventLog(ledger)
     with log.locked() as state:
         assert state.torn_line == 11

@@ -1,4 +1,7 @@
+import copy
 import math
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given
@@ -43,6 +46,43 @@ def test_value_must_be_a_true_int(value):
 def test_cost_must_be_finite(cost):
     with pytest.raises(ValueError):
         rating("a", "b", cost=cost)
+
+
+def test_rating_is_a_frozen_slotted_value():
+    r = Rating("a", "b", " Books ", 1, 120.0, 7)
+    assert r == Rating(rater="a", ratee="b", scope="books", value=1,
+                       cost=120.0, at=7)
+    assert hash(r) == hash(Rating("a", "b", "books", 1, 120.0, 7))
+    assert r != replace(r, at=8)
+    assert (r.rater, r.ratee, r.scope, r.value, r.cost, r.at) \
+        == ("a", "b", "books", 1, 120.0, 7)
+    assert not hasattr(r, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        r.value = -1
+    with pytest.raises(FrozenInstanceError):
+        del r.scope
+    assert copy.deepcopy(r) == r and pickle.loads(pickle.dumps(r)) == r
+    assert replace(r, scope=" Garden", value=-1) \
+        == Rating("a", "b", "garden", -1, 120.0, 7)
+    with pytest.raises(ValueError, match="got 2"):
+        replace(r, value=2)
+
+
+@pytest.mark.parametrize("field, bad, message", [
+    ("value", True, "rating value must be the int +1, 0 or -1, got True"),
+    ("value", 1.0, "rating value must be the int +1, 0 or -1, got 1.0"),
+    ("value", 2, "rating value must be the int +1, 0 or -1, got 2"),
+    ("cost", math.nan, "cost must lie in [0, inf), got nan"),
+    ("cost", math.inf, "cost must lie in [0, inf), got inf"),
+    ("cost", -1.0, "cost must lie in [0, inf), got -1.0"),
+    ("scope", "  ", "scope must be a non-empty category name"),
+])
+def test_rating_refusals_keep_their_messages(field, bad, message):
+    fields = dict(rater="a", ratee="b", scope="books", value=1, cost=1.0,
+                  at=1)
+    with pytest.raises(ValueError) as refused:
+        Rating(**{**fields, field: bad})
+    assert str(refused.value) == message
 
 
 def test_latest_replaces_prior(store):
