@@ -20,8 +20,8 @@ from .eventlog import (KIND_RATING, KIND_REGISTER, EventLog, replay)
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, initial_trust)
 from .ratings import Rating
-from .sim import (Scenario, VARIANTS, build_world, compare_variants,
-                  run_scenario, step)
+from .sim import (Scenario, VARIANTS, World, build_world, compare_variants,
+                  step, world_report)
 from .stats import (REPORTED_NEW_SELLER_SUPPORT, SCALE_LABELS, compare_reported,
                     frequency_table, kruskal_wallis, load_likert_csv,
                     new_seller_support_dataset, summarize)
@@ -73,14 +73,8 @@ def cmd_register(args) -> int:
     credentials = _credentials_from_args(args)
     log = EventLog(_log_path(args))
     with log.locked() as state:
-        account = state.registry.register(
-            credentials, is_seller=not args.buyer_only,
-            is_buyer=not args.seller_only)
-        log.append(KIND_REGISTER, {
-            "credentials": credentials.to_dict(),
-            "is_seller": account.is_seller,
-            "is_buyer": account.is_buyer,
-        })
+        account = state.registry.register(credentials)
+        log.append(KIND_REGISTER, {"credentials": credentials.to_dict()})
     trust = initial_trust(account.tier)
     _emit(args,
           {"account_id": account.account_id, "tier": account.tier.label,
@@ -207,32 +201,31 @@ def _report_lines(report) -> list:
     return lines
 
 
-def _write_trace(scenario: Scenario, path) -> None:
-    """Write a replayable trace of the run's final state, replacing any
-    file already at `path`."""
-    world = build_world(scenario)
-    for _ in range(scenario.horizon):
-        step(world)
+def _write_trace(world: World, path) -> None:
+    """Write a replayable trace of the world's state, replacing any file
+    already at `path`, with one write and one fsync."""
     open(path, "wb").close()
     log = EventLog(path)
-    for account in world.registry.accounts.values():
-        log.append(KIND_REGISTER, {
-            "credentials": account.credentials.to_dict(),
-            "is_seller": account.is_seller,
-            "is_buyer": account.is_buyer})
-    for rating in sorted(world.store.snapshot().values(),
-                         key=lambda r: r.at):
-        log.append(KIND_RATING, {
-            "rater": rating.rater, "ratee": rating.ratee,
-            "scope": rating.scope, "value": rating.value,
-            "cost": rating.cost, "at": rating.at}, at=rating.at)
+    with log.locked():
+        for account in world.registry.accounts.values():
+            log.append(KIND_REGISTER,
+                       {"credentials": account.credentials.to_dict()})
+        for rating in sorted(world.store.snapshot().values(),
+                             key=lambda r: r.at):
+            log.append(KIND_RATING, {
+                "rater": rating.rater, "ratee": rating.ratee,
+                "scope": rating.scope, "value": rating.value,
+                "cost": rating.cost, "at": rating.at}, at=rating.at)
 
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
-    report = run_scenario(scenario)
+    world = build_world(scenario)
+    for _ in range(scenario.horizon):
+        step(world)
+    report = world_report(world)
     if args.trace:
-        _write_trace(scenario, args.trace)
+        _write_trace(world, args.trace)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -376,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id-document")
     p.add_argument("--registration-document")
     p.add_argument("--signed-declaration", action="store_true")
-    p.add_argument("--buyer-only", action="store_true")
-    p.add_argument("--seller-only", action="store_true")
     _add_format(p)
     p.set_defaults(func=cmd_register)
 

@@ -15,8 +15,10 @@ crash mid-append: reads skip and report it, the next write cuts it off.
 A writing command also keeps a checkpoint beside the log, `<log>.ckpt`:
 one JSON object holding the state that the replay of the log's first
 `offset` bytes (`lines` complete lines) produced, with the sha256 of
-those bytes, `last_seq`, the store revision, the rejections, the
-accounts in registration order and the latest ratings in `at` order.
+those bytes, `last_seq`, the store revision, the rejections, each
+account's id and credentials in registration order and the latest
+ratings in `at` order; keys it does not read, such as the role flags
+that older checkpoints and register events carry, are ignored.
 `locked()` and `EventLog.read_state()` hash the log's prefix and, when
 the hash and every field check out, rebuild that state through the
 registry and the rating store and replay only the lines past `offset`.
@@ -302,11 +304,8 @@ def apply_event(record: EventRecord, state: MarketState, line_no: int = 0):
     """
     try:
         if record.kind == KIND_REGISTER:
-            credentials = CredentialSet.from_dict(record.payload["credentials"])
             return state.registry.register(
-                credentials,
-                is_seller=record.payload.get("is_seller", True),
-                is_buyer=record.payload.get("is_buyer", True))
+                CredentialSet.from_dict(record.payload["credentials"]))
         if record.kind == KIND_RATING:
             rating = Rating(
                 rater=record.payload["rater"],
@@ -386,8 +385,7 @@ def _save_checkpoint(path, state, scan, prefix):
         "rejections": state.rejections,
         "accounts": [
             {"id": account.account_id,
-             "credentials": account.credentials.to_dict(),
-             "is_seller": account.is_seller, "is_buyer": account.is_buyer}
+             "credentials": account.credentials.to_dict()}
             for account in state.registry.accounts.values()],
         "ratings": [[r.rater, r.ratee, r.scope, r.value, r.cost, r.at]
                     for r in ratings],
@@ -432,8 +430,7 @@ def _restore(handle, path):
         state = MarketState(last_seq=data["last_seq"])
         for entry in data["accounts"]:
             account = state.registry.register(
-                CredentialSet.from_dict(entry["credentials"]),
-                is_seller=entry["is_seller"], is_buyer=entry["is_buyer"])
+                CredentialSet.from_dict(entry["credentials"]))
             if account.account_id != entry["id"]:
                 return None
         for fields in data["ratings"]:

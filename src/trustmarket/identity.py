@@ -171,8 +171,6 @@ class Account:
     credentials: CredentialSet
     tier: ProfileTier
     registered_at: int
-    is_seller: bool = True
-    is_buyer: bool = True
 
 
 class Registry:
@@ -200,10 +198,11 @@ class Registry:
         except KeyError:
             raise UnknownAccount(f"no account {account_id!r}") from None
 
-    def register(self, credentials: CredentialSet, *, is_seller: bool = True,
-                 is_buyer: bool = True) -> Account:
+    def register(self, credentials: CredentialSet) -> Account:
         """Classify, enforce identity uniqueness, and append a new account.
 
+        The account is its credentials, tier and id; it carries no role,
+        since buyer and seller of a deal each rate the other.
         Identity strings are indexed even when the business block is
         incomplete, so a half-filled block cannot smuggle a reused id past
         the duplicate check.  Rejected requests leave the registry (and
@@ -226,8 +225,6 @@ class Registry:
             credentials=credentials,
             tier=tier,
             registered_at=self._seq,
-            is_seller=is_seller,
-            is_buyer=is_buyer,
         )
         self.accounts[account.account_id] = account
         if nid is not None:

@@ -484,14 +484,12 @@ def build_world(scenario: Scenario) -> World:
     accounts: dict = {}
     sellers: dict = {}
     for spec in scenario.sellers:
-        account = registry.register(make_credentials(spec.name, spec.tier),
-                                    is_buyer=False)
+        account = registry.register(make_credentials(spec.name, spec.tier))
         accounts[spec.name] = account.account_id
         sellers[spec.name] = _SellerState(spec=spec,
                                           account_id=account.account_id)
     for spec in scenario.buyers:
-        account = registry.register(make_credentials(spec.name, spec.tier),
-                                    is_seller=False)
+        account = registry.register(make_credentials(spec.name, spec.tier))
         accounts[spec.name] = account.account_id
     return World(scenario=scenario, config=config, registry=registry,
                  store=store, accounts=accounts, sellers=sellers,
@@ -536,14 +534,14 @@ def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
         credentials = make_credentials(state.spec.name, state.spec.tier)
         for _ in range(strategy.fake_raters):
             try:
-                world.registry.register(credentials, is_seller=False)
+                world.registry.register(credentials)
             except DuplicateIdentity:
                 world.blocked_registrations += 1
     if isinstance(strategy, IdentityReset) and state.defected:
         if strategy.fresh_ids:
             fresh = make_credentials(
                 f"{state.spec.name}-r{state.resets + 1}", state.spec.tier)
-            account = world.registry.register(fresh, is_buyer=False)
+            account = world.registry.register(fresh)
             state.account_id = account.account_id
             world.accounts[state.spec.name] = account.account_id
             state.deals_done = 0
@@ -552,8 +550,7 @@ def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
         else:
             try:
                 world.registry.register(
-                    make_credentials(state.spec.name, state.spec.tier),
-                    is_buyer=False)
+                    make_credentials(state.spec.name, state.spec.tier))
             except DuplicateIdentity:
                 world.blocked_registrations += 1
 
@@ -740,6 +737,12 @@ def run_scenario(scenario: Scenario) -> SimReport:
     world = build_world(scenario)
     for _ in range(scenario.horizon):
         step(world)
+    return world_report(world)
+
+
+def world_report(world: World) -> SimReport:
+    """The report of a world stepped to its scenario's horizon."""
+    scenario = world.scenario
     censored = scenario.horizon + 1
     ttfs = {name: world.first_sale.get(name, censored)
             for name in world.sellers}
@@ -794,7 +797,7 @@ __all__ = [
     "Honest", "ValueImbalance", "IdentityReset", "BallotStuffing",
     "BuyerPolicy", "SellerSpec", "BuyerSpec", "Scenario",
     "SimReport", "ComparisonReport", "World",
-    "build_world", "step", "run_scenario", "compare_variants",
+    "build_world", "step", "run_scenario", "world_report", "compare_variants",
     "score_view", "unit_draw", "int_draw", "make_credentials",
     "strategy_to_dict", "strategy_from_dict",
     "VARIANT_INTEGRATED", "VARIANT_EBAY", "VARIANT_UNWEIGHTED", "VARIANTS",

@@ -6,18 +6,21 @@ are written from scratch so a defect in the library cannot hide inside
 its own verification.
 """
 
+import io
+import json
 import random
 import sys
 import time
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 from conftest import credentials_for
 from trustmarket.engine import (MODE_ATC, MODE_DTC, ListingContext,
                                 TrustEngine, weighted_reputation)
 from trustmarket.errors import (DuplicateIdentity, SelfRating,
                                 StaleTimestamp)
-from trustmarket.eventlog import KIND_RATING, KIND_REGISTER, EventLog, replay
+from trustmarket.cli import main
+from trustmarket.eventlog import replay
 from trustmarket.identity import (BusinessDetails, CredentialSet,
                                   PersonalDetails, Registry,
                                   normalize_identity)
@@ -342,19 +345,12 @@ def test_criterion_8_determinism_and_replay(tmp_path):
         world = build_world(scenario)
         for _ in range(scenario.horizon):
             step(world)
-        log = EventLog(tmp_path / "trace.jsonl")
-        for account in world.registry.accounts.values():
-            log.append(KIND_REGISTER, {
-                "credentials": account.credentials.to_dict(),
-                "is_seller": account.is_seller,
-                "is_buyer": account.is_buyer})
-        for rating in sorted(world.store.snapshot().values(),
-                             key=lambda r: r.at):
-            log.append(KIND_RATING, {
-                "rater": rating.rater, "ratee": rating.ratee,
-                "scope": rating.scope, "value": rating.value,
-                "cost": rating.cost, "at": rating.at})
-        state = replay(log.path)
+        source = tmp_path / "scenario.json"
+        source.write_text(json.dumps(scenario.to_dict()), encoding="utf-8")
+        trace = tmp_path / "trace.jsonl"
+        with redirect_stdout(io.StringIO()):
+            assert main(["simulate", str(source), "--trace", str(trace)]) == 0
+        state = replay(trace)
         assert state.rejections == []
         assert set(state.registry.accounts) == set(world.registry.accounts)
         for account_id, account in world.registry.accounts.items():

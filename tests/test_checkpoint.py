@@ -9,6 +9,7 @@ import random
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -68,13 +69,16 @@ INCOMPLETE = CredentialSet(personal=PersonalDetails()).to_dict()
 OPENING = [(KIND_REGISTER, {"credentials": credentials_for(tag).to_dict()})
            for tag in "abc"]
 
+# Logs written before the account role flags were dropped still carry them.
+legacy_roles = st.one_of(st.just({}), st.fixed_dictionaries(
+    {"is_seller": st.booleans(), "is_buyer": st.booleans()}))
 registrations = st.builds(
-    lambda tag, tier, seller, buyer: (KIND_REGISTER, {
+    lambda tag, tier, roles: (KIND_REGISTER, {
         "credentials": (INCOMPLETE if tier == "none"
                         else credentials_for(tag, tier).to_dict()),
-        "is_seller": seller, "is_buyer": buyer}),
+        **roles}),
     st.sampled_from("abcd"), st.sampled_from(["low", "medium", "high", "none"]),
-    st.booleans(), st.booleans())
+    legacy_roles)
 PAIRS = sorted(((rater, ratee) for rater in ACCOUNTS for ratee in ACCOUNTS),
                key=lambda pair: (pair[0] == pair[1], "A000099" in pair))
 
@@ -415,3 +419,64 @@ def test_checkpoint_does_not_cover_a_torn_tail(ledger):
     assert (data["lines"], data["last_seq"]) == (10, 10)
     assert data["offset"] == len(ledger.read_bytes()) - len('{"seq":11,"kind":"rat')
     same_state(log.read_state(), replay(ledger))
+
+
+# ------------------------------------------------------------------
+# logs and checkpoints that carry the old account role flags
+# ------------------------------------------------------------------
+
+DATA = Path(__file__).resolve().parent / "data"
+ROLE_FLAGS = ("is_seller", "is_buyer")
+
+
+@pytest.fixture
+def flagged(tmp_path):
+    """An 8-line log and its checkpoint over lines 1-6, as written by a CLI
+    that stored `is_seller`/`is_buyer` with each account; A000002 and
+    A000004 were registered `--buyer-only`, A000003 `--seller-only`."""
+    log = tmp_path / "flagged" / "market.jsonl"
+    log.parent.mkdir()
+    shutil.copyfile(DATA / "role_flags.jsonl", log)
+    shutil.copyfile(DATA / "role_flags.ckpt.json", checkpoint_of(log))
+    return log
+
+
+def test_a_log_with_role_flags_replays_as_without_them(flagged, tmp_path):
+    records = list(EventLog(flagged).records())
+    assert [tuple(record.payload[key] for key in ROLE_FLAGS)
+            for record in records if record.kind == KIND_REGISTER] \
+        == [(True, True), (False, True), (True, False), (False, True)]
+    stripped = tmp_path / "stripped" / "market.jsonl"
+    stripped.parent.mkdir()
+    stripped.write_text("".join(
+        replace(record, payload={key: value for key, value
+                                 in record.payload.items()
+                                 if key not in ROLE_FLAGS}).to_json() + "\n"
+        for record in records), encoding="utf-8")
+    same_state(replay(flagged), replay(stripped))
+
+    outputs = {}
+    for log in (flagged, stripped):
+        outputs[log] = [run(*rate_args(log, "A000004", "A000001", 1)),
+                        run(*opinion_args(log, "A000004")),
+                        run("replay", log, "--format", "json")]
+    assert outputs[flagged] == outputs[stripped]
+    rate, opinion, _ = outputs[flagged]
+    assert rate[0] == 0 and json.loads(rate[1])["at"] == 9
+    assert opinion[0] == 0
+    assert json.loads(opinion[1])["direct"]["value"] == 1
+
+
+def test_a_checkpoint_with_role_flags_is_restored(flagged):
+    accounts = json.loads(checkpoint_of(flagged).read_text())["accounts"]
+    assert all(set(ROLE_FLAGS) <= set(entry) for entry in accounts)
+    log, full = EventLog(flagged), replay(flagged)
+    with counted_parse() as parsed:
+        same_state(log.read_state(), full)
+    assert parsed == [7, 8]
+
+    checkpoint_of(flagged).unlink()
+    with log.locked():                       # a full replay saves anew
+        pass
+    accounts = json.loads(checkpoint_of(flagged).read_text())["accounts"]
+    assert [set(entry) for entry in accounts] == [{"id", "credentials"}] * 4

@@ -1,12 +1,13 @@
 import fcntl
 import hashlib
 import json
+import os
 import threading
 from pathlib import Path
 
 import pytest
 
-from trustmarket import eventlog
+from trustmarket import cli, eventlog, sim
 from trustmarket.cli import main
 from trustmarket.eventlog import KIND_LISTING, EventLog, replay
 from trustmarket.sim import Scenario, run_scenario
@@ -81,6 +82,20 @@ def test_duplicate_register_writes_nothing(capsys, log):
     assert code == 1
     assert "error:" in err
     assert len(log.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flag", ["--buyer-only", "--seller-only"])
+def test_role_flags_are_usage_errors(capsys, log, flag):
+    code, _, err = run(capsys, *register_args(log, "a", flag))
+    assert code == 2
+    assert f"unrecognized arguments: {flag}" in err
+    assert not log.exists() and not checkpoint_of(log).exists()
+
+
+def test_register_appends_credentials_only(capsys, log):
+    run(capsys, *register_args(log, "a"))
+    (record,) = EventLog(log).records()
+    assert set(record.payload) == {"credentials"}
 
 
 def test_register_json_format(capsys, log):
@@ -334,6 +349,36 @@ def test_trace_replays_cleanly(capsys, tmp_path):
     code, out, _ = run(capsys, "replay", str(trace))
     assert code == 0
     assert "rejections: 0" in out
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_DIGESTS))
+def test_simulate_with_a_trace_runs_the_scenario_once(capsys, tmp_path,
+                                                      monkeypatch, name):
+    scenario = DATA_DIR / "scenarios" / f"{name}.json"
+    horizon = json.loads(scenario.read_text())["horizon"]
+    stepped, writes, fsyncs = [], [], []
+    for namespace in (sim, cli):
+        monkeypatch.setattr(namespace, "step",
+                            lambda world, step=namespace.step:
+                            stepped.append(world) or step(world))
+    write = EventLog._write
+    monkeypatch.setattr(EventLog, "_write", lambda *args:
+                        writes.append(args) or write(*args))
+    monkeypatch.setattr(os, "fsync", lambda fd, fsync=os.fsync:
+                        fsyncs.append(fd) or fsync(fd))
+    trace = tmp_path / "trace.jsonl"
+    for fmt in ("text", "json"):
+        plain = run(capsys, "simulate", str(scenario), "--format", fmt)
+        del stepped[:], writes[:], fsyncs[:]
+        traced = run(capsys, "simulate", str(scenario), "--format", fmt,
+                     "--trace", str(trace))
+        assert traced == plain and plain[0] == 0
+        assert len(stepped) == horizon
+        assert all(world is stepped[0] for world in stepped)
+        assert (len(writes), len(fsyncs)) == (1, 1)
+        state = replay(trace)
+        assert state.rejections == []
+        assert state.store.snapshot() == stepped[0].store.snapshot()
 
 
 def test_trace_replaces_an_existing_file(capsys, tmp_path):

@@ -9,8 +9,8 @@ from trustmarket.eventlog import (KIND_DEAL, KIND_LISTING, KIND_RATING,
 from trustmarket.ratings import Rating
 
 
-def register_payload(tag, tier="high", **roles):
-    return {"credentials": credentials_for(tag, tier).to_dict(), **roles}
+def register_payload(tag, tier="high"):
+    return {"credentials": credentials_for(tag, tier).to_dict()}
 
 
 def rating_payload(rater, ratee, value=1, cost=100, at=1, scope="laptops"):

@@ -115,11 +115,6 @@ def test_unknown_account_lookup(registry):
         registry.get("A999999")
 
 
-def test_roles_recorded(registry):
-    seller = registry.register(credentials_for("s"), is_buyer=False)
-    assert seller.is_seller and not seller.is_buyer
-
-
 # ------------------------------------------------------------------
 # initial trust policy
 # ------------------------------------------------------------------
