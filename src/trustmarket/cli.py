@@ -20,8 +20,8 @@ from .eventlog import (KIND_RATING, KIND_REGISTER, EventLog, replay)
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, initial_trust)
 from .ratings import Rating
-from .sim import (Scenario, VARIANTS, World, build_world, compare_variants,
-                  step, world_report)
+from .sim import (Scenario, VARIANTS, build_world, compare_variants, step,
+                  world_report)
 from .stats import (REPORTED_NEW_SELLER_SUPPORT, SCALE_LABELS, compare_reported,
                     frequency_table, kruskal_wallis, load_likert_csv,
                     new_seller_support_dataset, summarize)
@@ -201,23 +201,6 @@ def _report_lines(report) -> list:
     return lines
 
 
-def _write_trace(world: World, path) -> None:
-    """Write a replayable trace of the world's state, replacing any file
-    already at `path`, with one write and one fsync."""
-    open(path, "wb").close()
-    log = EventLog(path)
-    with log.locked():
-        for account in world.registry.accounts.values():
-            log.append(KIND_REGISTER,
-                       {"credentials": account.credentials.to_dict()})
-        for rating in sorted(world.store.snapshot().values(),
-                             key=lambda r: r.at):
-            log.append(KIND_RATING, {
-                "rater": rating.rater, "ratee": rating.ratee,
-                "scope": rating.scope, "value": rating.value,
-                "cost": rating.cost, "at": rating.at}, at=rating.at)
-
-
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
     world = build_world(scenario)
@@ -225,7 +208,13 @@ def cmd_simulate(args) -> int:
         step(world)
     report = world_report(world)
     if args.trace:
-        _write_trace(world, args.trace)
+        # the run's event stream, replacing any file already there, with
+        # one write and one fsync
+        open(args.trace, "wb").close()
+        log = EventLog(args.trace)
+        with log.locked():
+            for record in world.events:
+                log.append(record.kind, record.payload, at=record.at)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -429,10 +418,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built by the first main() call and kept for the process: building it
+# costs about twenty times a parse.  Each parse returns a fresh namespace,
+# and the cmd_* functions look up their globals when they run.
+_parser = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -11,6 +11,12 @@ All randomness is counter-based: every draw hashes (seed, purpose,
 round, agent), so the same scenario under a different variant sees the
 same random stream wherever the same question is asked.  Prices are
 integers, which keeps the money conservation check exact.
+
+Every state change a run makes, each registration attempt and both
+ratings of each deal, is an `eventlog.EventRecord` written through
+`eventlog.apply_event` and kept in `World.events`, so the run's state is
+the fold of its event stream and `simulate --trace` writes that stream.
+A refused registration is kept as a rejection, as a replay would.
 """
 
 import hashlib
@@ -25,10 +31,11 @@ from .engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
 # reads them as attributes of this module.
 from .engine import compute_opinion, weighted_reputation  # noqa: F401
 from .errors import DuplicateIdentity, InvalidScenario
+from .eventlog import (KIND_RATING, KIND_REGISTER, EventRecord, MarketState,
+                       apply_event)
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
-                       PersonalDetails, PolicyConfig, ProfileTier,
-                       Registry)
-from .ratings import Rating, RatingStore
+                       PersonalDetails, PolicyConfig, ProfileTier)
+from .ratings import RatingStore
 from .stats import midranks
 
 VARIANT_INTEGRATED = "integrated"
@@ -456,8 +463,7 @@ class _Listing:
 class World:
     scenario: Scenario
     config: EngineConfig
-    registry: Registry
-    store: RatingStore
+    state: MarketState        # registry, store and refused registrations
     accounts: dict            # roster name -> current account id
     sellers: dict             # roster name -> _SellerState
     ebay_tally: dict          # roster name -> [pos, neg] over an append-only ledger
@@ -470,7 +476,7 @@ class World:
     total_spend: int = 0
     completed_deals: int = 0
     first_sale: dict = field(default_factory=dict)
-    blocked_registrations: int = 0
+    events: list = field(default_factory=list)   # EventRecords, seq 1, 2, ...
 
 
 def build_world(scenario: Scenario) -> World:
@@ -478,23 +484,46 @@ def build_world(scenario: Scenario) -> World:
     config = scenario.engine
     if scenario.variant == VARIANT_UNWEIGHTED:
         config = replace(config, use_weights=False)
-    registry = Registry()
-    store = RatingStore(
-        pair_global_replacement=config.pair_global_replacement)
-    accounts: dict = {}
-    sellers: dict = {}
+    world = World(
+        scenario=scenario, config=config,
+        state=MarketState(store=RatingStore(
+            pair_global_replacement=config.pair_global_replacement)),
+        accounts={}, sellers={},
+        ebay_tally={spec.name: [0, 0] for spec in scenario.sellers},
+        trajectories={spec.name: [] for spec in scenario.sellers})
+    for spec in (*scenario.sellers, *scenario.buyers):
+        account = _register(world, make_credentials(spec.name, spec.tier))
+        world.accounts[spec.name] = account.account_id
     for spec in scenario.sellers:
-        account = registry.register(make_credentials(spec.name, spec.tier))
-        accounts[spec.name] = account.account_id
-        sellers[spec.name] = _SellerState(spec=spec,
-                                          account_id=account.account_id)
-    for spec in scenario.buyers:
-        account = registry.register(make_credentials(spec.name, spec.tier))
-        accounts[spec.name] = account.account_id
-    return World(scenario=scenario, config=config, registry=registry,
-                 store=store, accounts=accounts, sellers=sellers,
-                 ebay_tally={spec.name: [0, 0] for spec in scenario.sellers},
-                 trajectories={spec.name: [] for spec in scenario.sellers})
+        world.sellers[spec.name] = _SellerState(
+            spec=spec, account_id=world.accounts[spec.name])
+    return world
+
+
+def _apply(world: World, kind: str, payload: dict, at: int | None = None):
+    """Append the next event to the world's stream and write it through
+    `apply_event`; its domain errors propagate."""
+    seq = len(world.events) + 1
+    record = EventRecord(seq=seq, kind=kind, at=seq if at is None else at,
+                         payload=payload)
+    world.events.append(record)
+    return apply_event(record, world.state, seq)
+
+
+def _register(world: World, credentials: CredentialSet):
+    return _apply(world, KIND_REGISTER, {"credentials": credentials.to_dict()})
+
+
+def _attempt_blocked_registration(world: World,
+                                  credentials: CredentialSet) -> None:
+    """A registration the uniqueness indexes refuse; the refusal is kept
+    as the rejection a replay of the stream reports, with the event's
+    seq as its line number."""
+    try:
+        _register(world, credentials)
+    except DuplicateIdentity as exc:
+        seq = len(world.events)
+        world.state.rejections.append((seq, seq, str(exc)))
 
 
 # ------------------------------------------------------------------
@@ -533,26 +562,20 @@ def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
     if isinstance(strategy, BallotStuffing) and world.round == 1:
         credentials = make_credentials(state.spec.name, state.spec.tier)
         for _ in range(strategy.fake_raters):
-            try:
-                world.registry.register(credentials)
-            except DuplicateIdentity:
-                world.blocked_registrations += 1
+            _attempt_blocked_registration(world, credentials)
     if isinstance(strategy, IdentityReset) and state.defected:
         if strategy.fresh_ids:
             fresh = make_credentials(
                 f"{state.spec.name}-r{state.resets + 1}", state.spec.tier)
-            account = world.registry.register(fresh)
+            account = _register(world, fresh)
             state.account_id = account.account_id
             world.accounts[state.spec.name] = account.account_id
             state.deals_done = 0
             state.defected = False
             state.resets += 1
         else:
-            try:
-                world.registry.register(
-                    make_credentials(state.spec.name, state.spec.tier))
-            except DuplicateIdentity:
-                world.blocked_registrations += 1
+            _attempt_blocked_registration(
+                world, make_credentials(state.spec.name, state.spec.tier))
 
 
 def score_view(world: World, seller_name: str, scope: str) -> float:
@@ -562,7 +585,8 @@ def score_view(world: World, seller_name: str, scope: str) -> float:
         return pos / (pos + neg) if pos + neg else 0.0
     return listing_view(world.sellers[seller_name].account_id,
                         ListingContext(scope=scope, price=0),
-                        world.store, world.registry, world.config)[2]
+                        world.state.store, world.state.registry,
+                        world.config)[2]
 
 
 def _consider(world: World, buyer: BuyerSpec, listing: _Listing,
@@ -583,7 +607,7 @@ def _consider(world: World, buyer: BuyerSpec, listing: _Listing,
             world.sellers[listing.seller].account_id,
             ListingContext(scope=listing.scope, price=listing.price,
                            delivery_days=listing.delivery_days),
-            world.store, world.registry, world.config)[2:]
+            world.state.store, world.state.registry, world.config)[2:]
     unit, advisories = view
     if buyer.policy.refuse_on_avoid_delivery \
             and ADVISORY_AVOID_DELIVERY in advisories:
@@ -629,22 +653,23 @@ def _record_cross_ratings(world: World, buyer: BuyerSpec, state: _SellerState,
     else:
         buyer_value = -1
     buyer_id = world.accounts[buyer.name]
-    world.clock += 1
-    world.store.record(Rating(rater=buyer_id, ratee=state.account_id,
-                              scope=listing.scope, value=buyer_value,
-                              cost=listing.price, at=world.clock),
-                       registry=world.registry)
+    _rate(world, buyer_id, state.account_id, listing, buyer_value)
     tally = world.ebay_tally[state.spec.name]
     if buyer_value > 0:
         tally[0] += 1
     elif buyer_value < 0:
         tally[1] += 1
     # payment arrived, so the seller has nothing to complain about
+    _rate(world, state.account_id, buyer_id, listing, 1)
+
+
+def _rate(world: World, rater: str, ratee: str, listing: _Listing,
+          value: int) -> None:
     world.clock += 1
-    world.store.record(Rating(rater=state.account_id, ratee=buyer_id,
-                              scope=listing.scope, value=1,
-                              cost=listing.price, at=world.clock),
-                       registry=world.registry)
+    _apply(world, KIND_RATING,
+           {"rater": rater, "ratee": ratee, "scope": listing.scope,
+            "value": value, "cost": listing.price, "at": world.clock},
+           at=world.clock)
 
 
 def step(world: World) -> World:
@@ -707,7 +732,7 @@ def step(world: World) -> World:
         "successes": successes,
         "failures": failures,
         "ratings": 2 * deals,
-        "blocked_registrations": world.blocked_registrations,
+        "blocked_registrations": len(world.state.rejections),
     })
     return world
 
@@ -761,7 +786,7 @@ def world_report(world: World) -> SimReport:
         completed_deals=world.completed_deals,
         time_to_first_sale=ttfs,
         trust_calibration=_spearman(final_scores, honesty),
-        blocked_duplicate_registrations=world.blocked_registrations)
+        blocked_duplicate_registrations=len(world.state.rejections))
 
 
 def compare_variants(scenario: Scenario, variants=VARIANTS) -> ComparisonReport:

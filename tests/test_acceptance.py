@@ -26,10 +26,10 @@ from trustmarket.identity import (BusinessDetails, CredentialSet,
                                   normalize_identity)
 from trustmarket.ratings import Rating, RatingStore
 from trustmarket.sim import (VARIANT_EBAY, VARIANT_INTEGRATED,
-                             VARIANT_UNWEIGHTED, BuyerPolicy, BuyerSpec,
-                             Honest, Scenario, SellerSpec, ValueImbalance,
-                             build_world, compare_variants, run_scenario,
-                             step)
+                             VARIANT_UNWEIGHTED, BallotStuffing, BuyerPolicy,
+                             BuyerSpec, Honest, IdentityReset, Scenario,
+                             SellerSpec, ValueImbalance, build_world,
+                             compare_variants, run_scenario, step)
 from trustmarket.stats import (REPORTED_NEW_SELLER_SUPPORT, compare_reported,
                                kruskal_wallis, new_seller_support_dataset,
                                summarize)
@@ -333,6 +333,20 @@ def test_criterion_7_value_imbalance_mitigation():
 # 8: determinism and event-log round trip
 # ------------------------------------------------------------------
 
+def _blocked_scenario(seed: int) -> Scenario:
+    """Sellers whose extra registrations the uniqueness indexes refuse."""
+    return Scenario(
+        seed=seed, horizon=20, variant=VARIANT_INTEGRATED,
+        sellers=(SellerSpec(name="stuffer",
+                            strategy=BallotStuffing(fake_raters=3)),
+                 SellerSpec(name="shifty",
+                            strategy=IdentityReset(defect_after=2)),
+                 SellerSpec(name="steady", strategy=Honest(quality=0.95))),
+        buyers=tuple(
+            BuyerSpec(name=f"b{i}", policy=BuyerPolicy(threshold=0.2))
+            for i in range(1, 5)))
+
+
 def test_criterion_8_determinism_and_replay(tmp_path):
     with criterion(8, "byte-identical reruns; log replay rebuilds state"):
         for scenario in (_onboarding_scenario(13), _imbalance_scenario(13)):
@@ -341,21 +355,38 @@ def test_criterion_8_determinism_and_replay(tmp_path):
                 Scenario.from_dict(scenario.to_dict())).to_json()
             assert first == second
 
-        scenario = _imbalance_scenario(5)
-        world = build_world(scenario)
-        for _ in range(scenario.horizon):
-            step(world)
-        source = tmp_path / "scenario.json"
-        source.write_text(json.dumps(scenario.to_dict()), encoding="utf-8")
-        trace = tmp_path / "trace.jsonl"
-        with redirect_stdout(io.StringIO()):
-            assert main(["simulate", str(source), "--trace", str(trace)]) == 0
-        state = replay(trace)
-        assert state.rejections == []
-        assert set(state.registry.accounts) == set(world.registry.accounts)
-        for account_id, account in world.registry.accounts.items():
-            assert state.registry.get(account_id).tier == account.tier
-        assert state.store.snapshot() == world.store.snapshot()
+        rejected = []
+        for scenario in (_imbalance_scenario(5), _blocked_scenario(5)):
+            world = build_world(scenario)
+            for _ in range(scenario.horizon):
+                step(world)
+            source = tmp_path / "scenario.json"
+            source.write_text(json.dumps(scenario.to_dict()),
+                              encoding="utf-8")
+            trace = tmp_path / "trace.jsonl"
+            with redirect_stdout(io.StringIO()) as out:
+                assert main(["simulate", str(source), "--format", "json",
+                             "--trace", str(trace)]) == 0
+            blocked = json.loads(out.getvalue())[
+                "blocked_duplicate_registrations"]
+            state = replay(trace)
+            accounts = world.state.registry.accounts
+            assert set(state.registry.accounts) == set(accounts)
+            for account_id, account in accounts.items():
+                assert state.registry.get(account_id).tier == account.tier
+            assert state.store.snapshot() == world.state.store.snapshot()
+            assert state.describe() == world.state.describe()
+            # each blocked registration is one replayed refusal of a
+            # register event
+            assert len(state.rejections) == blocked
+            events = trace.read_text(encoding="utf-8").splitlines()
+            for line_no, _, message in state.rejections:
+                assert json.loads(events[line_no - 1])["kind"] == "register"
+                assert "already registered" in message
+            rejected.append(len(state.rejections))
+        # the imbalance roster registers cleanly, the other one does not
+        assert rejected[0] == 0 < rejected[1]
+
 
 
 # ------------------------------------------------------------------

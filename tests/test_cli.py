@@ -117,6 +117,27 @@ def test_log_path_from_environment(capsys, tmp_path, monkeypatch):
     assert target.exists()
 
 
+def test_main_builds_the_parser_once_and_options_do_not_leak(
+        capsys, tmp_path, monkeypatch):
+    builds = []
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+    monkeypatch.setattr(cli, "build_parser", lambda build=cli.build_parser:
+                        builds.append(1) or build())
+    explicit, default = tmp_path / "explicit.jsonl", tmp_path / "env.jsonl"
+    monkeypatch.setenv("TRUSTMARKET_LOG", str(default))
+    code, out, _ = run(capsys, *register_args(explicit, "a"),
+                       "--format", "json")
+    assert code == 0 and json.loads(out)["account_id"] == "A000001"
+    args = register_args("ignored", "b")
+    del args[1:3]              # no --log and no --format this time
+    code, out, _ = run(capsys, *args)
+    assert code == 0 and out.startswith("registered A000001 tier high")
+    assert main(["replay", str(explicit)]) == 0
+    assert len(builds) == 1
+    assert len(explicit.read_text().splitlines()) == 1
+    assert len(default.read_text().splitlines()) == 1
+
+
 def test_new_seller_opinion_uses_fallback(capsys, log):
     run(capsys, *register_args(log, "seller"))
     run(capsys, *register_args(log, "buyer"))
@@ -377,8 +398,39 @@ def test_simulate_with_a_trace_runs_the_scenario_once(capsys, tmp_path,
         assert all(world is stepped[0] for world in stepped)
         assert (len(writes), len(fsyncs)) == (1, 1)
         state = replay(trace)
-        assert state.rejections == []
-        assert state.store.snapshot() == stepped[0].store.snapshot()
+        assert state.describe() == stepped[0].state.describe()
+        assert_blocked_registrations_replay_as_rejections(
+            trace, state, sim.world_report(stepped[0]))
+
+
+def assert_blocked_registrations_replay_as_rejections(trace, state, report):
+    """Each refused registration of the run is one rejection of the
+    trace's replay, on a register event, for a duplicate identity."""
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert len(state.rejections) == report.blocked_duplicate_registrations
+    for line_no, seq, message in state.rejections:
+        assert events[line_no - 1]["seq"] == seq
+        assert events[line_no - 1]["kind"] == "register"
+        assert "already registered to" in message
+
+
+def test_whitewash_trace_is_the_run_event_stream(capsys, tmp_path):
+    trace = tmp_path / "trace.jsonl"
+    code, out, _ = run(capsys, "simulate",
+                       str(DATA_DIR / "scenarios" / "whitewash.json"),
+                       "--format", "json", "--trace", str(trace))
+    assert code == 0
+    report = json.loads(out)
+    events = [json.loads(line) for line in trace.read_text().splitlines()]
+    assert [event["seq"] for event in events] == list(range(1, 112))
+    ratings = [event for event in events if event["kind"] == "rating"]
+    assert len(ratings) == 2 * report["completed_deals"] == 82
+    assert [event["at"] for event in ratings] == list(range(1, 83))
+    assert report["blocked_duplicate_registrations"] == 24
+    code, out, _ = run(capsys, "replay", str(trace))
+    assert code == 0
+    assert "ratings: 12 (store revision 82)" in out
+    assert "rejections: 24" in out
 
 
 def test_trace_replaces_an_existing_file(capsys, tmp_path):

@@ -1,0 +1,57 @@
+"""Every name a trustmarket module imports is used or exported.
+
+A stdlib `ast` check over `src/trustmarket/*.py` (the package's
+`__init__.py`, which imports to re-export, is left out).  An imported
+name passes when the module references it or lists it in `__all__`; an
+import statement with a `# noqa` comment on any of its lines is skipped.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trustmarket"
+MODULES = sorted(path for path in PACKAGE.glob("*.py")
+                 if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of each imported name the module neither references
+    nor lists in `__all__`."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa" in lines[number - 1]
+               for number in range(node.lineno, node.end_lineno + 1)):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            imported.append((node.lineno, name))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_unused_import():
+    source = ("import os\n"
+              "from json import dumps, loads\n"
+              "from sys import argv  # noqa: F401\n"
+              "from math import (inf,\n"
+              "                  nan)  # noqa\n"
+              "from re import compile as build\n"
+              "__all__ = ['loads']\n"
+              "print(os.sep, build)\n")
+    assert unused_imports(source) == [(2, "dumps")]

@@ -10,7 +10,8 @@ from trustmarket import sim
 from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                                 ADVISORY_NEW_SELLER, EngineConfig,
                                 ListingContext, compute_opinion)
-from trustmarket.errors import InvalidScenario
+from trustmarket.errors import DuplicateIdentity, InvalidScenario
+from trustmarket.eventlog import KIND_RATING, MarketState, apply_event
 from trustmarket.ratings import Rating
 from trustmarket.sim import (STRATEGY_KINDS, VARIANT_EBAY, VARIANT_INTEGRATED,
                              VARIANT_UNWEIGHTED, VARIANTS, BallotStuffing,
@@ -228,7 +229,7 @@ def test_single_shill_counts_once():
     for _ in range(scenario.horizon):
         step(world)
     target_id = world.accounts["target"]
-    live = world.store.latest_ratings_for(target_id)
+    live = world.state.store.latest_ratings_for(target_id)
     assert len(live) == 1
     assert live[0].value == 1          # praised despite quality 0
 
@@ -256,7 +257,7 @@ def test_fresh_ids_reset_history():
     first_id = world.accounts["shifty"]
     for _ in range(scenario.horizon):
         step(world)
-    assert world.blocked_registrations == 0
+    assert world.state.rejections == []
     assert world.accounts["shifty"] != first_id
     # the replacement account starts with no ratings of its own
     assert world.sellers["shifty"].resets >= 1
@@ -375,7 +376,7 @@ def _fresh_consider(world, buyer, listing, views, index):
         world.sellers[listing.seller].account_id,
         ListingContext(scope=listing.scope, price=listing.price,
                        delivery_days=listing.delivery_days),
-        world.store, world.registry, world.config)
+        world.state.store, world.state.registry, world.config)
     if buyer.policy.refuse_on_avoid_delivery \
             and ADVISORY_AVOID_DELIVERY in opinion.advisories:
         return None
@@ -433,15 +434,15 @@ def _run_with_history(scenario):
         for seller_id in rng.sample(seller_ids, 2):
             for rater, ratee in ((seller_id, buyer_id), (buyer_id, seller_id)):
                 world.clock += 1
-                world.store.record(Rating(
+                world.state.store.record(Rating(
                     rater=rater, ratee=ratee,
                     scope=rng.choice(scenario.scopes),
                     value=rng.choice((-1, 0, 1)),
                     cost=rng.randrange(10, 300), at=world.clock),
-                    registry=world.registry)
+                    registry=world.state.registry)
     for _ in range(scenario.horizon):
         step(world)
-    return world.rounds, world.trajectories, world.store.snapshot()
+    return world.rounds, world.trajectories, world.state.store.snapshot()
 
 
 def _runs(scenario):
@@ -464,3 +465,26 @@ def test_shared_listing_views_equal_fresh_opinions(
             fresh = _runs(scenario)
         for variant in VARIANTS:
             assert shared[variant] == fresh[variant], (seed, variant)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_world_state_is_the_fold_of_its_events(seed):
+    scenario = _view_scenario(seed, 3, False, 5.0)
+    world = build_world(scenario)
+    for _ in range(scenario.horizon):
+        step(world)
+    events = world.events
+    assert [record.seq for record in events] == list(range(1, len(events) + 1))
+    ratings = [record for record in events if record.kind == KIND_RATING]
+    assert len(ratings) == 2 * world.completed_deals
+    assert [record.at for record in ratings] \
+        == list(range(1, world.clock + 1))
+    folded = MarketState()
+    for record in events:
+        try:
+            apply_event(record, folded, record.seq)
+        except DuplicateIdentity as exc:
+            folded.rejections.append((record.seq, record.seq, str(exc)))
+    assert folded.describe() == world.state.describe()
+    assert 0 < len(folded.rejections) \
+        == sim.world_report(world).blocked_duplicate_registrations
