@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, fields, replace
 
 from .engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                      ADVISORY_NEW_SELLER, DEFAULT_ENGINE, EngineConfig,
-                     ListingContext, listing_view)
+                     ListingContext, listing_view, rater_weight)
 # Unused here; perfbench's test_traced_run_restores_every_original still
 # reads them as attributes of this module.
 from .engine import compute_opinion, weighted_reputation  # noqa: F401
@@ -35,7 +35,7 @@ from .eventlog import (KIND_RATING, KIND_REGISTER, EventRecord, MarketState,
                        apply_event)
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, PolicyConfig, ProfileTier)
-from .ratings import RatingStore
+from .ratings import RatingStore, normalize_scope
 from .stats import midranks
 
 VARIANT_INTEGRATED = "integrated"
@@ -49,6 +49,8 @@ OUTCOME_FAILURE = "failure"
 
 TIER_LABELS = ("low", "medium", "high")
 
+_NEWCOMER_ADVISORIES = frozenset({ADVISORY_NEW_SELLER, ADVISORY_NEW_IN_SCOPE})
+
 
 # ------------------------------------------------------------------
 # deterministic randomness
@@ -60,7 +62,7 @@ def unit_draw(seed: int, *key) -> float:
     Independent of call order, which is what makes the random numbers
     common across variants.
     """
-    material = ":".join(str(part) for part in (seed,) + key)
+    material = ":".join(map(str, (seed, *key)))
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2 ** 64
 
@@ -594,26 +596,30 @@ def _consider(world: World, buyer: BuyerSpec, listing: _Listing,
     """Effective score for the threshold rule, or None to pass.
 
     `views` holds each listing's buyer-independent (unit score,
-    advisories) by index; the caller empties it whenever the store
-    changes.
+    advisories) by index, computed on first use and kept across the
+    round's deals; `_record_deal` drops those a deal makes stale.  The eBay
+    baseline's view is its percent-positive with no advisories.
     """
     if buyer.colludes_with == listing.seller:
         return 2.0     # shill buys from its partner unconditionally
-    if world.scenario.variant == VARIANT_EBAY:
-        return score_view(world, listing.seller, listing.scope)
     view = views.get(index)
     if view is None:
-        view = views[index] = listing_view(
-            world.sellers[listing.seller].account_id,
-            ListingContext(scope=listing.scope, price=listing.price,
-                           delivery_days=listing.delivery_days),
-            world.state.store, world.state.registry, world.config)[2:]
+        if world.scenario.variant == VARIANT_EBAY:
+            view = (score_view(world, listing.seller, listing.scope),
+                    frozenset())
+        else:
+            view = listing_view(
+                world.sellers[listing.seller].account_id,
+                ListingContext(scope=listing.scope, price=listing.price,
+                               delivery_days=listing.delivery_days),
+                world.state.store, world.state.registry, world.config)[2:]
+        views[index] = view
     unit, advisories = view
     if buyer.policy.refuse_on_avoid_delivery \
             and ADVISORY_AVOID_DELIVERY in advisories:
         return None
     effective = unit
-    if advisories & {ADVISORY_NEW_SELLER, ADVISORY_NEW_IN_SCOPE}:
+    if advisories & _NEWCOMER_ADVISORIES:
         effective -= buyer.policy.new_seller_discount
     return effective
 
@@ -663,6 +669,30 @@ def _record_cross_ratings(world: World, buyer: BuyerSpec, state: _SellerState,
     _rate(world, state.account_id, buyer_id, listing, 1)
 
 
+def _record_deal(world: World, buyer: BuyerSpec, state: _SellerState,
+                 listing: _Listing, outcome: str, listings: list,
+                 views: dict) -> None:
+    """Write the deal's two ratings, then drop the kept view of every
+    listing whose (seller, scope) bucket holds a rating by a party whose
+    rater weight the deal moved."""
+    store, registry = world.state.store, world.state.registry
+    parties = (world.accounts[buyer.name], state.account_id)
+    before = [rater_weight(party, store, registry, world.config)
+              for party in parties]
+    _record_cross_ratings(world, buyer, state, listing, outcome)
+    moved = [party for party, weight in zip(parties, before)
+             if rater_weight(party, store, registry, world.config) != weight]
+    if not moved:
+        return
+    for index in list(views):
+        other = listings[index]
+        scope = normalize_scope(other.scope)
+        seller_id = world.sellers[other.seller].account_id
+        if any(rating.scope == scope for party in moved
+               for rating in store.ratings_between(party, seller_id)):
+            del views[index]
+
+
 def _rate(world: World, rater: str, ratee: str, listing: _Listing,
           value: int) -> None:
     world.clock += 1
@@ -681,8 +711,12 @@ def step(world: World) -> World:
         listings.append(_post_listing(world, state))
 
     deals = successes = failures = 0
-    # Listing views hold until a deal's two ratings, the only writes to the
-    # store or registry inside the buyer loop.
+    # Listing views are kept across the round's deals.  A view reads the
+    # seller's scope bucket, its raters' weights, the seller's received
+    # count and tier.  A deal's two ratings write only the sold seller's
+    # buckets (its one listing is never read again) and the buyer's, and
+    # move only the two parties' received totals, so a kept view goes stale
+    # only where a party whose rater weight moved has rated its bucket.
     views = {}
     # arrival order rotates so repeat business spreads over raters
     arrival = sorted(
@@ -692,7 +726,7 @@ def step(world: World) -> World:
     for buyer in arrival:
         candidates = []
         for index, listing in enumerate(listings):
-            if listing.sold or listing.seller == buyer.name:
+            if listing.sold:
                 continue
             effective = _consider(world, buyer, listing, views, index)
             if effective is None or effective < buyer.policy.threshold:
@@ -719,8 +753,7 @@ def step(world: World) -> World:
             world.honest_revenue += listing.price
         state.deals_done += 1
         world.first_sale.setdefault(listing.seller, world.round)
-        _record_cross_ratings(world, buyer, state, listing, outcome)
-        views.clear()
+        _record_deal(world, buyer, state, listing, outcome, listings, views)
 
     for name in world.sellers:
         world.trajectories[name].append(

@@ -445,6 +445,25 @@ def test_trace_replaces_an_existing_file(capsys, tmp_path):
     assert replay(trace).rejections == []
 
 
+def test_trace_refuses_a_pair_global_scenario(capsys, tmp_path):
+    # a trace does not carry the store's mode, so it could not rebuild
+    # the run; the refusal comes first, creating or truncating no file
+    data = json.loads(ONBOARDING.read_text())
+    data["engine"] = {"pair_global_replacement": True}
+    scenario = tmp_path / "pair_global.json"
+    scenario.write_text(json.dumps(data))
+    trace = tmp_path / "trace.jsonl"
+    for existing in (None, "kept\n"):
+        if existing is not None:
+            trace.write_text(existing)
+        code, out, err = run(capsys, "simulate", str(scenario),
+                             "--trace", str(trace))
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and "pair_global_replacement" in err
+        assert (trace.read_text() if trace.exists() else None) == existing
+    assert run(capsys, "simulate", str(scenario))[0] == 0
+
+
 def test_compare_selected_variants(capsys):
     code, out, _ = run(capsys, "compare", str(ONBOARDING),
                        "--variants", "integrated,ebay", "--format", "json")

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 from trustmarket import sim
 from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                                 ADVISORY_NEW_SELLER, EngineConfig,
-                                ListingContext, compute_opinion)
+                                ListingContext, compute_opinion,
+                                listing_view)
 from trustmarket.errors import DuplicateIdentity, InvalidScenario
 from trustmarket.eventlog import KIND_RATING, MarketState, apply_event
 from trustmarket.ratings import Rating
@@ -53,6 +55,16 @@ def test_unit_draw_stable_and_bounded():
     assert a != unit_draw(10, "k", 1)
 
 
+@pytest.mark.parametrize("seed, key, golden", [
+    (0, ("outcome", 1, "s1", "b1"), "0x1.ccf242e234986p-1"),
+    (42, ("arrival", 7, "b03"), "0x1.83a2b82c7188ep-2"),
+    (-3, ("price", 12, "s00-honest-high"), "0x1.84d89ac1c3cf2p-1"),
+])
+def test_unit_draw_golden_values(seed, key, golden):
+    # the hashed material is "seed:part:part..."; every report depends on it
+    assert unit_draw(seed, *key).hex() == golden
+
+
 def test_int_draw_covers_inclusive_range():
     seen = {int_draw(3, 1, 4, "x", i) for i in range(300)}
     assert seen == {1, 2, 3, 4}
@@ -90,8 +102,11 @@ def test_invalid_scenarios(override):
 
 
 def test_duplicate_roster_names_rejected():
+    # step's buyer loop relies on this: no buyer shares a seller's name
     with pytest.raises(InvalidScenario):
         basic_scenario(buyers=(buyer("s1"),)).validate()
+    with pytest.raises(InvalidScenario):
+        build_world(basic_scenario(buyers=(buyer("s1"),)))
 
 
 def test_collusion_target_must_exist():
@@ -465,6 +480,80 @@ def test_shared_listing_views_equal_fresh_opinions(
             fresh = _runs(scenario)
         for variant in VARIANTS:
             assert shared[variant] == fresh[variant], (seed, variant)
+
+
+def _view_counts(monkeypatch, scenario):
+    """listing_view calls of a run per (round, seller, scope), leaving
+    out the price-0 calls of the trajectories."""
+    world = build_world(scenario)
+    counts = Counter()
+
+    def counted(seller, listing, *args):
+        if listing.price:
+            counts[world.round, seller, listing.scope] += 1
+        return listing_view(seller, listing, *args)
+    monkeypatch.setattr(sim, "listing_view", counted)
+    for _ in range(scenario.horizon):
+        step(world)
+    return counts
+
+
+def _bundled_and_view_scenarios():
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        yield path.stem, Scenario.from_dict(json.loads(path.read_text()))
+    for seed, pair_global in itertools.product(range(3), (False, True)):
+        yield (f"view-{seed}-{pair_global}",
+               _view_scenario(seed, 3, pair_global, 5.0))
+
+
+@pytest.mark.parametrize("variant", (VARIANT_INTEGRATED, VARIANT_UNWEIGHTED))
+def test_each_listing_view_is_computed_once_a_round(monkeypatch, variant):
+    # in a plain market a deal moves no weight that an open listing's
+    # view reads, so no view is dropped and recomputed
+    for name, scenario in _bundled_and_view_scenarios():
+        counts = _view_counts(monkeypatch,
+                              replace(scenario, variant=variant))
+        assert counts and max(counts.values()) == 1, name
+
+
+def test_deal_drops_only_views_its_moved_weights_reach():
+    scenario = basic_scenario(
+        sellers=tuple(honest_seller(name) for name in ("s1", "s2", "s3")),
+        buyers=(buyer("b"), buyer("b2")), scopes=("c", "d"))
+    world = build_world(scenario)
+    ids = world.accounts
+    store, registry = world.state.store, world.state.registry
+    for rater, ratee, scope, value in (
+            ("b", "s2", "c", 1), ("b2", "s2", "c", -1),
+            ("b2", "s2", "d", -1), ("b2", "s3", "c", 1),
+            ("s2", "b", "c", -1)):
+        world.clock += 1
+        store.record(Rating(rater=ids[rater], ratee=ids[ratee], scope=scope,
+                            value=value, cost=100, at=world.clock),
+                     registry=registry)
+    listings = [sim._Listing(seller=seller, scope=scope, price=100,
+                             delivery_days=1)
+                for seller, scope in (("s1", "c"), ("s2", "c"), ("s2", "d"),
+                                      ("s3", "c"))]
+
+    def fresh(listing):
+        return listing_view(
+            ids[listing.seller],
+            ListingContext(scope=listing.scope, price=listing.price,
+                           delivery_days=listing.delivery_days),
+            store, registry, world.config)[2:]
+    views = {}
+    for index, listing in enumerate(listings):
+        sim._consider(world, scenario.buyers[0], listing, views, index)
+    before = dict(views)
+
+    # b's weight moves from epsilon (one -1 received) to 0.5
+    sim._record_deal(world, scenario.buyers[0], world.sellers["s1"],
+                     listings[0], sim.OUTCOME_SUCCESS, listings, views)
+    assert 1 not in views and fresh(listings[1]) != before[1]
+    assert {2, 3} <= set(views)
+    for index in (2, 3):
+        assert views[index] == fresh(listings[index])
 
 
 @pytest.mark.parametrize("seed", range(3))
