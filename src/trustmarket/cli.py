@@ -203,12 +203,6 @@ def _report_lines(report) -> list:
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
-    if args.trace and scenario.engine.pair_global_replacement:
-        # the stream does not carry the store's mode, so its replay would
-        # rebuild the run with a scoped store
-        raise ValueError("--trace cannot record a scenario with "
-                         "pair_global_replacement: replay rebuilds a "
-                         "scoped store")
     world = build_world(scenario)
     for _ in range(scenario.horizon):
         step(world)

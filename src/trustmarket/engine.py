@@ -55,10 +55,12 @@ class EngineConfig:
     low_max: float = 0.15
     med_max: float = 0.5
     max_delivery_days: float = 14.0
-    pair_global_replacement: bool = False
     use_weights: bool = True
 
     def __post_init__(self):
+        if not isinstance(self.policy, PolicyConfig):
+            raise TypeError(
+                f"policy must be a PolicyConfig, got {self.policy!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
         if not 0.0 < self.c_half < math.inf:

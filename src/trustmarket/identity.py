@@ -170,7 +170,6 @@ class Account:
     account_id: str
     credentials: CredentialSet
     tier: ProfileTier
-    registered_at: int
 
 
 class Registry:
@@ -224,7 +223,6 @@ class Registry:
             account_id=f"A{self._seq:06d}",
             credentials=credentials,
             tier=tier,
-            registered_at=self._seq,
         )
         self.accounts[account.account_id] = account
         if nid is not None:
@@ -232,12 +230,6 @@ class Registry:
         if bank is not None:
             self._by_bank_or_card[bank] = account.account_id
         return account
-
-    def national_ids(self) -> set:
-        return set(self._by_national_id)
-
-    def bank_or_cards(self) -> set:
-        return set(self._by_bank_or_card)
 
 
 __all__ = [

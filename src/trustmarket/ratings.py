@@ -3,8 +3,7 @@
 Each (rater, ratee, scope) key holds at most one rating: recording a newer
 one replaces the old outright, which is what lets a later deal repair a
 bad mark.  Scopes partition reputation so a laptop seller starts from
-scratch in the car category.  A pair-global mode collapses the key to
-(rater, ratee) for experiments with cross-scope replacement.
+scratch in the car category.
 """
 
 import math
@@ -76,25 +75,19 @@ class RatingStore:
     and drives cache invalidation in the trust engine.
     """
 
-    def __init__(self, pair_global_replacement: bool = False):
+    def __init__(self):
         self._received: dict[str, _Received] = {}
         self._size = 0
-        self._pair_global = pair_global_replacement
         self.revision = 0
 
     def __len__(self) -> int:
         return self._size
 
-    @property
-    def pair_global_replacement(self) -> bool:
-        return self._pair_global
-
     def record(self, rating: Rating, registry=None) -> None:
         """Insert or replace the latest rating for the rating's key.
 
         With a registry supplied, both parties must be registered.  The
-        timestamp must be strictly newer than whatever the key (or, in
-        pair-global mode, the pair) already holds.
+        timestamp must be strictly newer than the key's current rating.
         """
         if rating.rater == rating.ratee:
             raise SelfRating(f"{rating.rater} cannot rate itself")
@@ -105,45 +98,29 @@ class RatingStore:
         received = self._received.get(rating.ratee)
         if received is None:
             received = self._received[rating.ratee] = _Received()
-        if self._pair_global:
-            # the pair holds at most one live rating, in some scope
-            prior = next((bucket[rating.rater]
-                          for bucket in received.scopes.values()
-                          if rating.rater in bucket), None)
-        else:
-            bucket = received.scopes.get(rating.scope)
-            prior = None if bucket is None else bucket.get(rating.rater)
-        if prior is not None and prior.at >= rating.at:
-            where = (f"pair {(rating.rater, rating.ratee)}" if self._pair_global
-                     else f"key {(rating.rater, rating.ratee, rating.scope)}")
-            raise StaleTimestamp(
-                f"rating at t={rating.at} not newer than stored t={prior.at} "
-                f"for {where}")
+        bucket = received.scopes.setdefault(rating.scope, {})
+        prior = bucket.get(rating.rater)
         if prior is None:
             received.count += 1
             self._size += 1
+        elif prior.at >= rating.at:
+            raise StaleTimestamp(
+                f"rating at t={rating.at} not newer than stored t={prior.at} "
+                f"for key {(rating.rater, rating.ratee, rating.scope)}")
         else:
             received.total -= prior.value
-            del received.scopes[prior.scope][rating.rater]
         received.total += rating.value
-        received.scopes.setdefault(rating.scope, {})[rating.rater] = rating
+        bucket[rating.rater] = rating
         self.revision += 1
 
-    def latest_ratings_for(self, ratee: str, scope: str | None = None) -> list:
-        """Latest rating per rater for `ratee`, in one scope or across all.
-
-        Sorted by (rater, scope) so iteration order is deterministic.
-        """
-        wanted = None if scope is None else normalize_scope(scope)
+    def latest_ratings_for(self, ratee: str, scope: str) -> list:
+        """Latest rating per rater for `ratee` in `scope`, sorted by rater
+        so iteration order is deterministic."""
         received = self._received.get(ratee)
         if received is None:
             return []
-        if wanted is not None:
-            return sorted(received.scopes.get(wanted, {}).values(), key=_BY_RATER)
-        out = [rating for bucket in received.scopes.values()
-               for rating in bucket.values()]
-        out.sort(key=lambda r: (r.rater, r.scope))
-        return out
+        return sorted(received.scopes.get(normalize_scope(scope), {}).values(),
+                      key=_BY_RATER)
 
     def received_totals(self, ratee: str) -> tuple[int, int]:
         """(sum of values, count) over the ratee's latest ratings."""

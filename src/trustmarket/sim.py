@@ -35,7 +35,7 @@ from .eventlog import (KIND_RATING, KIND_REGISTER, EventRecord, MarketState,
                        apply_event)
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, PolicyConfig, ProfileTier)
-from .ratings import RatingStore, normalize_scope
+from .ratings import normalize_scope
 from .stats import midranks
 
 VARIANT_INTEGRATED = "integrated"
@@ -87,6 +87,15 @@ def _check_counts(**counts) -> None:
         if not _is_int(value) or value < 0:
             raise ValueError(
                 f"{name} must be a non-negative int, got {value!r}")
+
+
+def _expect(value, kind, what: str):
+    """`value`, refused unless it is a `kind`, dict or list, as JSON."""
+    if not isinstance(value, kind):
+        noun = "object" if kind is dict else "list"
+        raise InvalidScenario(
+            f"{what} must be a JSON {noun}, not {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -168,7 +177,7 @@ def strategy_to_dict(strategy) -> dict:
 
 
 def strategy_from_dict(data: dict):
-    kind = data.get("kind")
+    kind = _expect(data, dict, "strategy").get("kind")
     cls = STRATEGY_KINDS.get(kind)
     if cls is None:
         raise InvalidScenario(f"unknown strategy kind {kind!r}")
@@ -251,12 +260,16 @@ class Scenario:
         if not self.scopes:
             raise InvalidScenario("need at least one scope")
         names = [s.name for s in self.sellers] + [b.name for b in self.buyers]
+        for name in (*self.scopes, *names):
+            if not (isinstance(name, str) and name.strip()):
+                raise InvalidScenario("scopes and roster names must be "
+                                      f"non-empty strings, got {name!r}")
         if len(set(names)) != len(names):
             raise InvalidScenario("roster names must be unique")
-        seller_names = {s.name for s in self.sellers}
+        targets = (None, *(s.name for s in self.sellers))
         for buyer in self.buyers:
-            if buyer.colludes_with is not None \
-                    and buyer.colludes_with not in seller_names:
+            # a tuple, not a set, so an unhashable value reads as unknown
+            if buyer.colludes_with not in targets:
                 raise InvalidScenario(
                     f"buyer {buyer.name!r} colludes with unknown seller "
                     f"{buyer.colludes_with!r}")
@@ -306,6 +319,7 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
         try:
+            _expect(data, dict, "scenario")
             sellers = tuple(
                 SellerSpec(name=s["name"], tier=s.get("tier", "high"),
                            strategy=strategy_from_dict(s["strategy"]))
@@ -320,26 +334,26 @@ class Scenario:
                             "refuse_on_avoid_delivery", True),
                         new_seller_discount=b.get("new_seller_discount", 0.0)))
                 for b in data.get("buyers", ()))
-            engine_kwargs = dict(data.get("engine", {}))
+            engine_kwargs = {**data.get("engine", {})}
             if "initial_trust" in data:
+                trust = _expect(data["initial_trust"], dict, "initial_trust")
                 table = {ProfileTier.from_label(label): value
-                         for label, value in data["initial_trust"].items()}
+                         for label, value in trust.items()}
                 engine_kwargs["policy"] = PolicyConfig(initial_trust=table)
             scenario = cls(
                 seed=data["seed"],
                 horizon=data["horizon"],
                 sellers=sellers,
                 buyers=buyers,
-                scopes=tuple(data.get("scopes", ("general",))),
+                scopes=tuple(_expect(data.get("scopes", ["general"]), list,
+                                     "scopes")),
                 price_range=tuple(data.get("price_range", (50, 200))),
                 delivery_range=tuple(data.get("delivery_range", (1, 7))),
                 variant=data.get("variant", VARIANT_INTEGRATED),
                 engine=EngineConfig(**engine_kwargs))
-        except InvalidScenario:
-            raise
+            scenario.validate()
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidScenario(f"malformed scenario: {exc}") from exc
-        scenario.validate()
         return scenario
 
 
@@ -488,8 +502,7 @@ def build_world(scenario: Scenario) -> World:
         config = replace(config, use_weights=False)
     world = World(
         scenario=scenario, config=config,
-        state=MarketState(store=RatingStore(
-            pair_global_replacement=config.pair_global_replacement)),
+        state=MarketState(),
         accounts={}, sellers={},
         ebay_tally={spec.name: [0, 0] for spec in scenario.sellers},
         trajectories={spec.name: [] for spec in scenario.sellers})

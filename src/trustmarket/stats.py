@@ -10,6 +10,7 @@ figures previously reported for it serve as the worked example, with
 """
 
 import csv
+import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
@@ -244,15 +245,35 @@ def new_seller_support_dataset() -> dict:
             for name, counts in NEW_SELLER_SUPPORT.items()}
 
 
+def _check_reported(reported) -> None:
+    """Refuse figures that are not {"h": x, "critical": x, "rank_sums":
+    {group: x}}, each key optional and each x a finite number."""
+    sums = isinstance(reported, dict) and reported.get("rank_sums", {})
+    if not isinstance(sums, dict):
+        raise ValueError("reported figures must be a JSON object, and their "
+                         "rank_sums an object too")
+    figures = [(key, reported[key]) for key in ("h", "critical")
+               if key in reported]
+    figures += [(f"rank sum of {name!r}", value)
+                for name, value in sums.items()]
+    for label, value in figures:
+        # type(), not isinstance(): a bool is no figure
+        if type(value) not in (int, float) or not math.isfinite(value):
+            raise ValueError(
+                f"reported {label} must be a finite number, got {value!r}")
+
+
 def compare_reported(result: KruskalResult, reported: dict) -> list:
     """Lines describing where previously reported figures disagree.
 
     Checks the reported rank sums against the exact rank-sum identity
     and against recomputed sums, then the reported H and critical
     value.  Empty list means full agreement at printed precision.
+    Raises ValueError on figures of the wrong shape.
     """
+    _check_reported(reported)
     lines: list = []
-    reported_sums = reported.get("rank_sums") or {}
+    reported_sums = reported.get("rank_sums", {})
     if reported_sums:
         total = sum(reported_sums.values())
         expected = result.n_total * (result.n_total + 1) / 2

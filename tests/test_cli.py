@@ -445,23 +445,41 @@ def test_trace_replaces_an_existing_file(capsys, tmp_path):
     assert replay(trace).rejections == []
 
 
-def test_trace_refuses_a_pair_global_scenario(capsys, tmp_path):
-    # a trace does not carry the store's mode, so it could not rebuild
-    # the run; the refusal comes first, creating or truncating no file
-    data = json.loads(ONBOARDING.read_text())
-    data["engine"] = {"pair_global_replacement": True}
-    scenario = tmp_path / "pair_global.json"
-    scenario.write_text(json.dumps(data))
+@pytest.mark.parametrize("edit, named", [
+    (lambda d: {**d, "engine": {"pair_global_replacement": True}},
+     "pair_global_replacement"),
+    (lambda d: {**d, "engine": {"policy": {}}}, "policy"),
+    (lambda d: {**d, "engine": [["epsilon", 0.2]]}, "not a mapping"),
+    (lambda d: {**d, "buyers": [{**d["buyers"][0], "colludes_with": ["x"]}]},
+     "colludes with"),
+    (lambda d: {**d, "sellers": [{**d["sellers"][0], "name": ["x"]}]},
+     "roster names"),
+    (lambda d: {**d, "scopes": [1]}, "scopes"),
+    (lambda d: {**d, "scopes": "abc"}, "scopes"),
+    (lambda d: {**d, "sellers": [{**d["sellers"][0], "strategy": "honest"}]},
+     "strategy"),
+    (lambda d: {**d, "initial_trust": [0.0, 0.15, 0.3]}, "initial_trust"),
+    (lambda d: [d], "scenario"),
+], ids=["pair_global_replacement", "policy", "engine_list", "colludes_with",
+        "seller_name", "scope_int", "scopes_string", "strategy_string",
+        "initial_trust_list", "top_level_list"])
+def test_hostile_scenario_file_is_exit_1(capsys, tmp_path, edit, named):
+    # each edit sets one part of a bundled scenario to a key the engine
+    # does not have or to a wrong JSON type; the file is refused as it
+    # loads, before a trace path is created or truncated
+    scenario = tmp_path / "hostile.json"
+    scenario.write_text(json.dumps(edit(json.loads(ONBOARDING.read_text()))))
     trace = tmp_path / "trace.jsonl"
     for existing in (None, "kept\n"):
         if existing is not None:
             trace.write_text(existing)
-        code, out, err = run(capsys, "simulate", str(scenario),
-                             "--trace", str(trace))
-        assert (code, out) == (1, "")
-        assert err.startswith("error:") and "pair_global_replacement" in err
-        assert (trace.read_text() if trace.exists() else None) == existing
-    assert run(capsys, "simulate", str(scenario))[0] == 0
+        for argv in (("simulate",), ("simulate", "--trace", str(trace)),
+                     ("compare",)):
+            code, out, err = run(capsys, argv[0], str(scenario), *argv[1:])
+            assert (code, out) == (1, "")
+            assert err.startswith("error:") and named in err
+            assert (trace.read_text() if trace.exists() else None) \
+                == existing
 
 
 def test_compare_selected_variants(capsys):
@@ -523,6 +541,19 @@ def test_stats_kruskal_csv_with_reference(capsys):
     assert payload["rank_sums"] == {"integrated": 3894.0, "tradera": 1798.0,
                                     "ebay": 1568.0}
     assert payload["reported_discrepancies"]
+
+
+@pytest.mark.parametrize("reference", [
+    "[1, 2]", '"text"', '{"h": "x"}', '{"critical": null}',
+    '{"rank_sums": [1]}', '{"rank_sums": {"a": "x"}}',
+])
+def test_stats_kruskal_malformed_reference_is_exit_1(capsys, tmp_path,
+                                                      reference):
+    path = tmp_path / "reference.json"
+    path.write_text(reference, encoding="utf-8")
+    code, out, err = run(capsys, "stats", "kruskal", "--reference", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: reported")
 
 
 def test_stats_kruskal_csv_without_reference_has_no_comparison(capsys, tmp_path):

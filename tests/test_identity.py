@@ -166,7 +166,6 @@ def test_registration_order_does_not_change_content(order):
                 for a in registry.accounts.values()}
 
     assert content(baseline) == content(shuffled)
-    assert baseline.national_ids() == shuffled.national_ids()
 
 
 @given(st.sampled_from(["low", "medium", "high"]),

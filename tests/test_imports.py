@@ -4,9 +4,12 @@ A stdlib `ast` check over `src/trustmarket/*.py` (the package's
 `__init__.py`, which imports to re-export, is left out).  An imported
 name passes when the module references it or lists it in `__all__`; an
 import statement with a `# noqa` comment on any of its lines is skipped.
+Every name in a module's `__all__`, the package's included, must exist
+in that module.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -55,3 +58,14 @@ def test_the_check_sees_an_unused_import():
               "__all__ = ['loads']\n"
               "print(os.sep, build)\n")
     assert unused_imports(source) == [(2, "dumps")]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_every_exported_name_exists(path):
+    # a stale `__all__` entry breaks only `from module import *`
+    name = "trustmarket" + ("" if path.stem == "__init__"
+                            else f".{path.stem}")
+    module = importlib.import_module(name)
+    assert [export for export in getattr(module, "__all__", ())
+            if not hasattr(module, export)] == []

@@ -88,7 +88,7 @@ def test_rating_refusals_keep_their_messages(field, bad, message):
 def test_latest_replaces_prior(store):
     store.record(rating("a", "b", value=1, at=1))
     store.record(rating("a", "b", value=-1, at=2))
-    latest = store.latest_ratings_for("b")
+    latest = store.latest_ratings_for("b", "laptops")
     assert len(store) == 1
     assert [r.value for r in latest] == [-1]
 
@@ -96,13 +96,14 @@ def test_latest_replaces_prior(store):
 def test_distinct_raters_keep_distinct_entries(store):
     store.record(rating("a", "b", at=1))
     store.record(rating("c", "b", at=2))
-    assert len(store.latest_ratings_for("b")) == 2
+    assert len(store.latest_ratings_for("b", "laptops")) == 2
 
 
 def test_distinct_scopes_keep_distinct_entries(store):
     store.record(rating("a", "b", at=1, scope="laptops"))
     store.record(rating("a", "b", at=2, scope="cars"))
-    assert len(store.latest_ratings_for("b")) == 2
+    assert set(store.snapshot()) == {("a", "b", "laptops"),
+                                     ("a", "b", "cars")}
     assert len(store.latest_ratings_for("b", "cars")) == 1
 
 
@@ -126,35 +127,24 @@ def test_registry_enforcement(market):
         store.record(rating("ghost", ids["seller"], at=2), registry=registry)
 
 
-def test_revision_counts_mutations(store):
+def test_revision_counts_mutations(market):
+    registry, store, ids = market
+    seller, buyer = ids["seller"], ids["b1"]
     assert store.revision == 0
-    store.record(rating("a", "b", at=1))
-    store.record(rating("a", "b", at=2))
+    store.record(rating(buyer, seller, at=1), registry=registry)
+    store.record(rating(buyer, seller, at=2), registry=registry)
     assert store.revision == 2
+    kept = (store.revision, len(store), store.snapshot())
+    for refused, error in ((rating(buyer, buyer, at=3), SelfRating),
+                           (rating("ghost", seller, at=3), UnknownAccount),
+                           (rating(buyer, seller, at=2), StaleTimestamp)):
+        with pytest.raises(error):
+            store.record(refused, registry=registry)
+        assert (store.revision, len(store), store.snapshot()) == kept
 
 
 def test_unknown_ratee_queries_empty(store):
-    assert store.latest_ratings_for("nobody") == []
     assert store.latest_ratings_for("nobody", "cars") == []
-
-
-# ------------------------------------------------------------------
-# pair-global replacement switch
-# ------------------------------------------------------------------
-
-def test_pair_global_replacement_erases_other_scope():
-    store = RatingStore(pair_global_replacement=True)
-    store.record(rating("a", "b", at=1, scope="laptops"))
-    store.record(rating("a", "b", at=2, scope="cars"))
-    latest = store.latest_ratings_for("b")
-    assert [r.scope for r in latest] == ["cars"]
-
-
-def test_pair_global_stale_is_per_pair():
-    store = RatingStore(pair_global_replacement=True)
-    store.record(rating("a", "b", at=5, scope="laptops"))
-    with pytest.raises(StaleTimestamp):
-        store.record(rating("a", "b", at=5, scope="cars"))
 
 
 # ------------------------------------------------------------------
@@ -176,8 +166,6 @@ def assert_index_matches(store, oracle):
     assert len(store) == len(oracle)
     for ratee in "efgh":
         received = [r for r in oracle.values() if r.ratee == ratee]
-        assert store.latest_ratings_for(ratee) == sorted(
-            received, key=lambda r: (r.rater, r.scope))
         for scope in ("laptops", "cars"):
             assert store.latest_ratings_for(ratee, scope) == sorted(
                 (r for r in received if r.scope == scope),
@@ -204,23 +192,4 @@ def test_store_matches_max_timestamp_oracle(events):
             assert key in oracle and oracle[key].at >= at
             continue
         oracle[key] = candidate
-    assert_index_matches(store, oracle)
-
-
-@given(event_strategy)
-def test_pair_global_store_matches_oracle(events):
-    store = RatingStore(pair_global_replacement=True)
-    oracle: dict = {}
-    for rater, ratee, scope, value, at in events:
-        candidate = Rating(rater=rater, ratee=ratee, scope=scope,
-                           value=value, cost=50.0, at=at)
-        prior = [key for key in oracle if key[:2] == (rater, ratee)]
-        try:
-            store.record(candidate)
-        except StaleTimestamp:
-            assert prior and oracle[prior[0]].at >= at
-            continue
-        for key in prior:
-            del oracle[key]
-        oracle[rater, ratee, scope] = candidate
     assert_index_matches(store, oracle)

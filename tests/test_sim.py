@@ -244,7 +244,8 @@ def test_single_shill_counts_once():
     for _ in range(scenario.horizon):
         step(world)
     target_id = world.accounts["target"]
-    live = world.state.store.latest_ratings_for(target_id)
+    live = [rating for (_, ratee, _), rating
+            in world.state.store.snapshot().items() if ratee == target_id]
     assert len(live) == 1
     assert live[0].value == 1          # praised despite quality 0
 
@@ -401,7 +402,7 @@ def _fresh_consider(world, buyer, listing, views, index):
     return effective
 
 
-def _view_scenario(seed, scopes, pair_global, max_delivery_days):
+def _view_scenario(seed, scopes, max_delivery_days):
     """Every strategy, a shill, buyers that ignore the delivery advisory
     or discount newcomers; delivery runs 3-8 days, so a maximum of 2
     flags every listing and 5 some of them."""
@@ -428,8 +429,7 @@ def _view_scenario(seed, scopes, pair_global, max_delivery_days):
         seed=seed, horizon=15, sellers=sellers, buyers=buyers,
         scopes=("books", "cars", "garden")[:scopes],
         delivery_range=(3, 8),
-        engine=EngineConfig(pair_global_replacement=pair_global,
-                            max_delivery_days=max_delivery_days))
+        engine=EngineConfig(max_delivery_days=max_delivery_days))
 
 
 def _run_with_history(scenario):
@@ -467,13 +467,12 @@ def _runs(scenario):
             for variant in VARIANTS}
 
 
-@pytest.mark.parametrize("scopes, pair_global, max_delivery_days",
-                         itertools.product((1, 3), (False, True), (2.0, 5.0)))
+@pytest.mark.parametrize("scopes, max_delivery_days",
+                         itertools.product((1, 3), (2.0, 5.0)))
 def test_shared_listing_views_equal_fresh_opinions(
-        monkeypatch, scopes, pair_global, max_delivery_days):
+        monkeypatch, scopes, max_delivery_days):
     for seed in range(3):
-        scenario = _view_scenario(seed, scopes, pair_global,
-                                  max_delivery_days)
+        scenario = _view_scenario(seed, scopes, max_delivery_days)
         shared = _runs(scenario)
         with monkeypatch.context() as patched:
             patched.setattr(sim, "_consider", _fresh_consider)
@@ -501,9 +500,8 @@ def _view_counts(monkeypatch, scenario):
 def _bundled_and_view_scenarios():
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         yield path.stem, Scenario.from_dict(json.loads(path.read_text()))
-    for seed, pair_global in itertools.product(range(3), (False, True)):
-        yield (f"view-{seed}-{pair_global}",
-               _view_scenario(seed, 3, pair_global, 5.0))
+    for seed in range(3):
+        yield f"view-{seed}", _view_scenario(seed, 3, 5.0)
 
 
 @pytest.mark.parametrize("variant", (VARIANT_INTEGRATED, VARIANT_UNWEIGHTED))
@@ -558,7 +556,7 @@ def test_deal_drops_only_views_its_moved_weights_reach():
 
 @pytest.mark.parametrize("seed", range(3))
 def test_world_state_is_the_fold_of_its_events(seed):
-    scenario = _view_scenario(seed, 3, False, 5.0)
+    scenario = _view_scenario(seed, 3, 5.0)
     world = build_world(scenario)
     for _ in range(scenario.horizon):
         step(world)
