@@ -19,7 +19,7 @@ from .errors import TrustMarketError
 from .eventlog import (KIND_RATING, KIND_REGISTER, EventLog, replay)
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, initial_trust)
-from .ratings import Rating
+from .ratings import RATING_VALUES, Rating
 from .sim import (Scenario, VARIANTS, build_world, compare_variants, step,
                   world_report)
 from .stats import (REPORTED_NEW_SELLER_SUPPORT, SCALE_LABELS, compare_reported,
@@ -366,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rater", required=True)
     p.add_argument("--ratee", required=True)
     p.add_argument("--scope", required=True)
-    p.add_argument("--value", type=int, choices=(1, 0, -1), required=True)
+    p.add_argument("--value", type=int, choices=RATING_VALUES, required=True)
     p.add_argument("--cost", type=float, default=0.0)
     _add_format(p)
     p.set_defaults(func=cmd_rate)

@@ -73,6 +73,9 @@ class EngineConfig:
                 f"{self.low_max}, {self.med_max}")
         if not 0.0 <= self.max_delivery_days < math.inf:
             raise ValueError("max_delivery_days must lie in [0, inf)")
+        if type(self.use_weights) is not bool:
+            raise TypeError(
+                f"use_weights must be true or false, got {self.use_weights!r}")
 
 
 DEFAULT_ENGINE = EngineConfig()

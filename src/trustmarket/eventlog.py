@@ -19,9 +19,12 @@ those bytes, `last_seq`, the store revision, the rejections, each
 account's id and credentials in registration order and the latest
 ratings in `at` order; keys it does not read, such as the role flags
 that older checkpoints and register events carry, are ignored.
-`locked()` and `EventLog.read_state()` hash the log's prefix and, when
-the hash and every field check out, rebuild that state through the
-registry and the rating store and replay only the lines past `offset`.
+`locked()` and `EventLog.read_state()` hash the log's prefix, a chunk at
+a time, and, when the hash and every field check out, rebuild that
+state and replay only the lines past `offset`: the accounts through the
+registry, the ratings through `RatingStore.restore`, which checks them
+column by column under the same rules as `Rating` and `record` and
+refuses a key that appears twice.
 `locked()` saves a new checkpoint only when no valid one was restored
 or the tail it replayed has grown long enough that saving costs less
 than replaying it again, which at a couple of thousand live ratings is
@@ -214,7 +217,7 @@ class EventLog:
             if tail and tail >= _save_interval(
                     len(state.store) + len(state.registry)):
                 handle.seek(scan.start)
-                prefix.update(handle.read(scan.end - scan.start))
+                _hash_next(prefix, handle, scan.end - scan.start)
                 _save_checkpoint(self.checkpoint, state, scan, prefix)
             size = os.fstat(handle.fileno()).st_size
             self._last_seq, self._size, self._pending = state.last_seq, None, []
@@ -361,6 +364,23 @@ CHECKPOINT_VERSION = 1
 _SAVE_RATIO = 2 * 2.4 / 13.0
 
 
+# Bytes of the log read at a time to hash its prefix, so that hashing holds
+# one chunk in memory however long the log grows.
+_HASH_CHUNK = 1 << 20
+
+
+def _hash_next(digest, handle, size):
+    """Feed the next `size` bytes of `handle` into `digest`, a chunk at a
+    time, stopping early at the end of the file; returns `digest`."""
+    while size > 0:
+        chunk = handle.read(min(size, _HASH_CHUNK))
+        if not chunk:
+            break
+        digest.update(chunk)
+        size -= len(chunk)
+    return digest
+
+
 def _save_interval(items: int) -> float:
     """T*, the tail length in lines at which saving a checkpoint of
     `items` live ratings and accounts pays for itself."""
@@ -409,9 +429,10 @@ def _restore(handle, path):
     offset.
 
     Valid means: it parses, has this version, its sha256 is that of the
-    log's first `offset` bytes, and its accounts and ratings pass every
-    check of the registry and the rating store, with each account
-    getting back its own id.
+    log's first `offset` bytes, its accounts pass every check of the
+    registry, each getting back its own id, and its ratings pass every
+    check of `Rating` and `RatingStore.record`, run column by column by
+    `RatingStore.restore`, with no key twice.
     """
     try:
         with open(path, "rb") as source:
@@ -424,7 +445,7 @@ def _restore(handle, path):
         if offset > os.fstat(handle.fileno()).st_size:
             return None
         handle.seek(0)
-        prefix = hashlib.sha256(handle.read(offset))
+        prefix = _hash_next(hashlib.sha256(), handle, offset)
         if prefix.hexdigest() != data["sha256"]:
             return None
         state = MarketState(last_seq=data["last_seq"])
@@ -433,8 +454,7 @@ def _restore(handle, path):
                 CredentialSet.from_dict(entry["credentials"]))
             if account.account_id != entry["id"]:
                 return None
-        for fields in data["ratings"]:
-            state.store.record(Rating(*fields), registry=state.registry)
+        state.store = RatingStore.restore(data["ratings"], state.registry)
         state.store.revision = data["revision"]
         state.rejections = [(line_no, seq, message)
                             for line_no, seq, message in data["rejections"]]

@@ -141,6 +141,9 @@ class IdentityReset:
 
     def __post_init__(self):
         _check_counts(defect_after=self.defect_after)
+        if type(self.fresh_ids) is not bool:
+            raise TypeError(
+                f"fresh_ids must be true or false, got {self.fresh_ids!r}")
 
 
 @dataclass(frozen=True)
@@ -203,6 +206,9 @@ class BuyerPolicy:
     def __post_init__(self):
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
+        if type(self.refuse_on_avoid_delivery) is not bool:
+            raise TypeError("refuse_on_avoid_delivery must be true or false, "
+                            f"got {self.refuse_on_avoid_delivery!r}")
         if not 0.0 <= self.new_seller_discount <= 1.0:
             raise ValueError("new_seller_discount must lie in [0, 1]")
 

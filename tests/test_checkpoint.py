@@ -213,6 +213,13 @@ def self_rating(data):
     data["ratings"][0][0] = data["ratings"][0][1]
 
 
+def repeated_key(data):
+    # a later rating on the first one's key, which replaying the rows
+    # one by one would have taken as a replacement
+    rater, ratee, scope = data["ratings"][0][:3]
+    data["ratings"].append([rater, ratee, scope, -1, 5, 99])
+
+
 DAMAGES = {
     "log overwritten by a shorter copy":
         lambda log, early: shutil.copyfile(early, log),
@@ -228,6 +235,18 @@ DAMAGES = {
         set_rating_field(0, "A000099")),
     "account id out of order": edit_checkpoint(
         lambda data: data["accounts"].reverse()),
+    "repeated rating key": edit_checkpoint(repeated_key),
+    "rating row of 5 fields": edit_checkpoint(
+        lambda data: data["ratings"][0].pop()),
+    "rating row of 7 fields": edit_checkpoint(
+        lambda data: data["ratings"][0].append(0)),
+    "rating value 1.0": edit_checkpoint(set_rating_field(3, 1.0)),
+    "rating cost -1": edit_checkpoint(set_rating_field(4, -1)),
+    "rating cost inf": edit_checkpoint(set_rating_field(4, float("inf"))),
+    "rating scope blank": edit_checkpoint(set_rating_field(2, " ")),
+    "rating scope not a string": edit_checkpoint(set_rating_field(2, 7)),
+    "rating of an unknown account": edit_checkpoint(
+        set_rating_field(1, "A000099")),
 }
 
 
@@ -480,3 +499,59 @@ def test_a_checkpoint_with_role_flags_is_restored(flagged):
         pass
     accounts = json.loads(checkpoint_of(flagged).read_text())["accounts"]
     assert [set(entry) for entry in accounts] == [{"id", "credentials"}] * 4
+
+
+# ------------------------------------------------------------------
+# the log's prefix is hashed a chunk at a time
+# ------------------------------------------------------------------
+
+def log_read_sizes(monkeypatch, log):
+    """The list of sizes that each `read` on a handle the ledger opens on
+    `log` asks for, from now on; other files open as usual."""
+    sizes, opener = [], open
+
+    def wrapped(path, *args, **kwargs):
+        handle = opener(path, *args, **kwargs)
+        return _SizedReads(handle, sizes) if Path(path) == log else handle
+    monkeypatch.setattr(eventlog, "open", wrapped, raising=False)
+    return sizes
+
+
+class _SizedReads:
+    def __init__(self, handle, sizes):
+        self._handle, self._sizes = handle, sizes
+
+    def read(self, size=-1):
+        self._sizes.append(size)
+        return self._handle.read(size)
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def __iter__(self):
+        return iter(self._handle)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._handle.close()
+
+
+def test_prefix_is_hashed_in_chunks(tmp_path, monkeypatch):
+    log = grown_ledger(tmp_path / "market.jsonl", 40)
+    full = replay(log.path)
+    monkeypatch.setattr(eventlog, "_HASH_CHUNK", 512)
+    sizes = log_read_sizes(monkeypatch, log.path)
+    size = log.path.stat().st_size
+    assert size > 4 * 512
+
+    checkpoint_of(log.path).unlink()
+    with log.locked() as state:             # a full replay, then a save
+        same_state(state, full)
+    assert json.loads(checkpoint_of(log.path).read_text())["offset"] == size
+    with counted_parse() as parsed:         # restores through the hash
+        same_state(log.read_state(), full)
+    assert parsed == []
+    assert len(sizes) >= 2 * size / 512
+    assert all(0 < asked <= 512 for asked in sizes)

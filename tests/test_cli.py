@@ -460,13 +460,22 @@ def test_trace_replaces_an_existing_file(capsys, tmp_path):
      "strategy"),
     (lambda d: {**d, "initial_trust": [0.0, 0.15, 0.3]}, "initial_trust"),
     (lambda d: [d], "scenario"),
+    (lambda d: {**d, "sellers": [{**d["sellers"][0], "strategy": {
+        "kind": "identity-reset", "fresh_ids": "false"}}]}, "fresh_ids"),
+    (lambda d: {**d, "buyers": [{**d["buyers"][0],
+                                 "refuse_on_avoid_delivery": "false"}]},
+     "refuse_on_avoid_delivery"),
+    (lambda d: {**d, "engine": {"use_weights": "no"}}, "use_weights"),
 ], ids=["pair_global_replacement", "policy", "engine_list", "colludes_with",
         "seller_name", "scope_int", "scopes_string", "strategy_string",
-        "initial_trust_list", "top_level_list"])
+        "initial_trust_list", "top_level_list", "fresh_ids_string",
+        "refuse_on_avoid_delivery_string", "use_weights_string"])
 def test_hostile_scenario_file_is_exit_1(capsys, tmp_path, edit, named):
     # each edit sets one part of a bundled scenario to a key the engine
     # does not have or to a wrong JSON type; the file is refused as it
-    # loads, before a trace path is created or truncated
+    # loads, before a trace path is created or truncated.  A string flag
+    # would be truthy: "fresh_ids": "false" would turn the whitewash's 24
+    # blocked re-registrations into successful ones
     scenario = tmp_path / "hostile.json"
     scenario.write_text(json.dumps(edit(json.loads(ONBOARDING.read_text()))))
     trace = tmp_path / "trace.jsonl"

@@ -4,13 +4,16 @@ import pickle
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustmarket.errors import SelfRating, StaleTimestamp, UnknownAccount
-from trustmarket.ratings import Rating, RatingStore, normalize_scope
+from trustmarket.errors import (SelfRating, StaleTimestamp, TrustMarketError,
+                                UnknownAccount)
+from trustmarket.identity import Registry
+from trustmarket.ratings import (RATING_VALUES, Rating, RatingStore,
+                                 normalize_scope)
 
-from conftest import record
+from conftest import credentials_for, record
 
 
 def rating(rater, ratee, value=1, cost=100.0, at=1, scope="laptops"):
@@ -193,3 +196,97 @@ def test_store_matches_max_timestamp_oracle(events):
             continue
         oracle[key] = candidate
     assert_index_matches(store, oracle)
+
+
+# ------------------------------------------------------------------
+# bulk restore against recording the rows one by one
+# ------------------------------------------------------------------
+
+def registry_of(*tags):
+    registry = Registry()
+    for tag in tags:
+        registry.register(credentials_for(tag))
+    return registry
+
+
+RESTORE_REGISTRY = registry_of("a", "b", "c", "d")
+RESTORE_IDS = sorted(RESTORE_REGISTRY.accounts)
+# what a checkpoint restore catches as a sign of a bad checkpoint
+RESTORE_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError,
+                  TrustMarketError)
+
+valid_rows = st.lists(st.builds(
+    lambda pair, *rest: [*pair, *rest],
+    st.sampled_from([(rater, ratee) for rater in RESTORE_IDS
+                     for ratee in RESTORE_IDS if rater != ratee]),
+    st.sampled_from(["books", "Books ", "garden", "tools"]),
+    st.sampled_from(RATING_VALUES),
+    st.one_of(st.integers(0, 500), st.floats(0, 500)),
+    st.integers(1, 20)), max_size=10)
+# (field index, value) to write into a row, or an edit of the whole row
+damages = st.one_of(
+    st.sampled_from([
+        (0, "A000099"), (0, 5), (0, None), (0, ["A000001"]),
+        (1, "A000099"), (1, ""), (1, None),
+        (2, ""), (2, "  "), (2, 7), (2, None), (2, ["books"]),
+        (3, True), (3, False), (3, 1.0), (3, -1.0), (3, 2), (3, "1"),
+        (3, None),
+        (4, math.nan), (4, math.inf), (4, -math.inf), (4, -1), (4, -0.5),
+        (4, "5"), (4, None),
+        (5, "noon"), (5, None)]),
+    st.sampled_from(["self-rating", "5 fields", "7 fields"]))
+
+
+def damage(row, edit):
+    if edit == "self-rating":
+        row[0] = row[1]
+    elif edit == "5 fields":
+        row.pop()
+    elif edit == "7 fields":
+        row.append(0)
+    else:
+        row[edit[0]] = edit[1]
+
+
+def record_each(rows, registry):
+    store = RatingStore()
+    for row in rows:
+        store.record(Rating(*row), registry=registry)
+    return store
+
+
+@settings(max_examples=300)
+@given(rows=valid_rows,
+       edits=st.lists(st.tuples(st.integers(0, 9), damages), max_size=2))
+def test_restore_matches_recording_each_row(rows, edits):
+    for index, edit in edits:
+        if rows:
+            damage(rows[index % len(rows)], edit)
+    try:
+        expected = record_each(rows, RESTORE_REGISTRY)
+    except RESTORE_ERRORS:
+        expected = None
+    try:
+        restored = RatingStore.restore(rows, RESTORE_REGISTRY)
+    except RESTORE_ERRORS:
+        # it refuses whatever recording refuses, and beyond that only rows
+        # that repeat a key, which recording takes as replacements
+        assert expected is None or len(
+            {(row[0], row[1], normalize_scope(row[2])) for row in rows}) \
+            < len(rows)
+        return
+    assert expected is not None
+    assert list(restored.snapshot().items()) \
+        == list(expected.snapshot().items())
+    assert len(restored) == len(expected) == restored.revision == len(rows)
+    for ratee in RESTORE_IDS:
+        assert restored.received_totals(ratee) \
+            == expected.received_totals(ratee)
+
+
+def test_restore_refuses_a_repeated_key():
+    a, b = RESTORE_IDS[:2]
+    rows = [[a, b, "books", 1, 10, 1], [a, b, " Books", -1, 10, 2]]
+    assert record_each(rows, RESTORE_REGISTRY).received_totals(b) == (-1, 1)
+    with pytest.raises(ValueError, match="two ratings for key"):
+        RatingStore.restore(rows, RESTORE_REGISTRY)
