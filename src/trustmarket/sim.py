@@ -22,7 +22,7 @@ A refused registration is kept as a rejection, as a replay would.
 import hashlib
 import json
 import statistics
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                      ADVISORY_NEW_SELLER, DEFAULT_ENGINE, EngineConfig,
@@ -169,28 +169,6 @@ STRATEGY_KINDS = {
 }
 
 
-def strategy_to_dict(strategy) -> dict:
-    for kind, cls in STRATEGY_KINDS.items():
-        if isinstance(strategy, cls):
-            out = {"kind": kind}
-            for spec_field in fields(cls):
-                out[spec_field.name] = getattr(strategy, spec_field.name)
-            return out
-    raise TypeError(f"unknown strategy {strategy!r}")
-
-
-def strategy_from_dict(data: dict):
-    kind = _expect(data, dict, "strategy").get("kind")
-    cls = STRATEGY_KINDS.get(kind)
-    if cls is None:
-        raise InvalidScenario(f"unknown strategy kind {kind!r}")
-    kwargs = {k: v for k, v in data.items() if k != "kind"}
-    try:
-        return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise InvalidScenario(f"bad {kind} strategy: {exc}") from exc
-
-
 @dataclass(frozen=True)
 class BuyerPolicy:
     """Threshold rule over the decision score, plus advisory handling.
@@ -287,80 +265,114 @@ class Scenario:
                                       f"ints with 0 <= low <= high")
 
     def to_dict(self) -> dict:
-        engine_overrides = {}
-        for spec_field in fields(EngineConfig):
-            if spec_field.name == "policy":
-                continue
-            value = getattr(self.engine, spec_field.name)
-            if value != getattr(DEFAULT_ENGINE, spec_field.name):
-                engine_overrides[spec_field.name] = value
-        out = {
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "variant": self.variant,
-            "scopes": list(self.scopes),
-            "price_range": list(self.price_range),
-            "delivery_range": list(self.delivery_range),
-            "sellers": [
-                {"name": s.name, "tier": s.tier,
-                 "strategy": strategy_to_dict(s.strategy)}
-                for s in self.sellers],
-            "buyers": [
-                {"name": b.name, "tier": b.tier,
-                 "threshold": b.policy.threshold,
-                 "refuse_on_avoid_delivery": b.policy.refuse_on_avoid_delivery,
-                 "new_seller_discount": b.policy.new_seller_discount,
-                 **({"colludes_with": b.colludes_with}
-                    if b.colludes_with else {})}
-                for b in self.buyers],
-        }
-        if engine_overrides:
-            out["engine"] = engine_overrides
-        if self.engine.policy.initial_trust != PolicyConfig().initial_trust:
-            out["initial_trust"] = {
-                tier.label: value
-                for tier, value in sorted(self.engine.policy.initial_trust.items())}
+        """JSON data that `from_dict` loads back to this scenario; a field
+        equal to its default is left out."""
+        out = _changed(self, self.engine.policy)
+        for name in ("scopes", "price_range", "delivery_range"):
+            if name in out:
+                out[name] = list(out[name])
+        out["sellers"] = [_changed(seller) for seller in self.sellers]
+        for seller, entry in zip(self.sellers, out["sellers"]):
+            if "strategy" in entry:
+                entry["strategy"] = {"kind": _KINDS[type(seller.strategy)],
+                                     **_changed(seller.strategy)}
+        if self.buyers:
+            out["buyers"] = [_changed(buyer, buyer.policy)
+                             for buyer in self.buyers]
+        out.pop("engine", None)     # written field by field, as overrides
+        if engine := _changed(self.engine):
+            out["engine"] = engine
+        if "initial_trust" in out:
+            out["initial_trust"] = {tier.label: value for tier, value
+                                    in sorted(out["initial_trust"].items())}
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
+        """The scenario a JSON object describes.  Its keys are the fields
+        in `_FIELDS`, a missing key takes its field's default, and an
+        unknown key is refused by its dotted path."""
         try:
-            _expect(data, dict, "scenario")
-            sellers = tuple(
-                SellerSpec(name=s["name"], tier=s.get("tier", "high"),
-                           strategy=strategy_from_dict(s["strategy"]))
-                for s in data.get("sellers", ()))
-            buyers = tuple(
-                BuyerSpec(
-                    name=b["name"], tier=b.get("tier", "medium"),
-                    colludes_with=b.get("colludes_with"),
-                    policy=BuyerPolicy(
-                        threshold=b.get("threshold", 0.2),
-                        refuse_on_avoid_delivery=b.get(
-                            "refuse_on_avoid_delivery", True),
-                        new_seller_discount=b.get("new_seller_discount", 0.0)))
-                for b in data.get("buyers", ()))
-            engine_kwargs = {**data.get("engine", {})}
+            kwargs = dict(_expect(data, dict, "scenario"))
+            trust = kwargs.pop("initial_trust", None)
+            _known(kwargs, "", cls)
+            for name in ("sellers", "buyers", "scopes", "price_range",
+                         "delivery_range"):
+                if name in kwargs:
+                    kwargs[name] = tuple(
+                        _expect(kwargs[name], (list, tuple), name))
+            for name, load in (("sellers", _seller), ("buyers", _buyer)):
+                if name in kwargs:
+                    kwargs[name] = tuple(load(entry, f"{name}[{index}]")
+                                         for index, entry
+                                         in enumerate(kwargs[name]))
+            engine = dict(_known(kwargs.get("engine", {}), "engine",
+                                 EngineConfig))
             if "initial_trust" in data:
-                trust = _expect(data["initial_trust"], dict, "initial_trust")
-                table = {ProfileTier.from_label(label): value
-                         for label, value in trust.items()}
-                engine_kwargs["policy"] = PolicyConfig(initial_trust=table)
-            scenario = cls(
-                seed=data["seed"],
-                horizon=data["horizon"],
-                sellers=sellers,
-                buyers=buyers,
-                scopes=tuple(_expect(data.get("scopes", ["general"]), list,
-                                     "scopes")),
-                price_range=tuple(data.get("price_range", (50, 200))),
-                delivery_range=tuple(data.get("delivery_range", (1, 7))),
-                variant=data.get("variant", VARIANT_INTEGRATED),
-                engine=EngineConfig(**engine_kwargs))
+                table = _expect(trust, dict, "initial_trust")
+                engine["policy"] = PolicyConfig(
+                    {ProfileTier.from_label(label): value
+                     for label, value in table.items()})
+            kwargs["engine"] = EngineConfig(**engine)
+            scenario = cls(**kwargs)
             scenario.validate()
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise InvalidScenario(f"malformed scenario: {exc}") from exc
         return scenario
+
+
+# Field name -> default of each dataclass in a scenario file, built once.
+# A `policy` is no key: a buyer's policy fields sit in the buyer, and the
+# engine's `initial_trust` at the top level.
+_FIELDS = {cls: {f.name: f.default if f.default_factory is MISSING
+                 else f.default_factory()
+                 for f in fields(cls) if f.name != "policy"}
+           for cls in (Scenario, PolicyConfig, SellerSpec, BuyerSpec,
+                       BuyerPolicy, EngineConfig, *STRATEGY_KINDS.values())}
+_KINDS = {cls: kind for kind, cls in STRATEGY_KINDS.items()}
+
+
+def _changed(*objs) -> dict:
+    """The fields of `objs` that differ from their defaults, in one dict."""
+    out = {}
+    for obj in objs:
+        for name, default in _FIELDS[type(obj)].items():
+            value = getattr(obj, name)
+            if value != default:
+                out[name] = value
+    return out
+
+
+def _known(data, path: str, cls):
+    """`data`, refused unless it is a JSON object whose keys all name
+    fields of `cls`; the refusal names the key's dotted path."""
+    table = _FIELDS[cls]
+    if not isinstance(data, dict):
+        _expect(data, dict, path or "scenario")
+    if not data.keys() <= table.keys():
+        key = next(key for key in data if key not in table)
+        raise InvalidScenario(f"unknown key {path}{'.' if path else ''}{key}")
+    return data
+
+
+def _seller(data, path: str) -> SellerSpec:
+    if "strategy" in _known(data, path, SellerSpec):
+        path += ".strategy"
+        strategy = dict(_expect(data["strategy"], dict, path))
+        kind = strategy.pop("kind", None)
+        cls = STRATEGY_KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise InvalidScenario(f"unknown kind {kind!r} at {path}.kind")
+        data = {**data, "strategy": cls(**_known(strategy, path, cls))}
+    return SellerSpec(**data)
+
+
+def _buyer(data, path: str) -> BuyerSpec:
+    kwargs = dict(_expect(data, dict, path))
+    policy = {name: kwargs.pop(name)
+              for name in kwargs.keys() & _FIELDS[BuyerPolicy].keys()}
+    return BuyerSpec(**_known(kwargs, path, BuyerSpec),
+                     policy=BuyerPolicy(**policy))
 
 
 # ------------------------------------------------------------------
@@ -383,21 +395,8 @@ class SimReport:
     blocked_duplicate_registrations: int
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "seed": self.seed,
-            "horizon": self.horizon,
-            "rounds": list(self.rounds),
-            "trajectories": self.trajectories,
-            "fraud_gain": self.fraud_gain,
-            "honest_revenue": self.honest_revenue,
-            "total_spend": self.total_spend,
-            "completed_deals": self.completed_deals,
-            "time_to_first_sale": self.time_to_first_sale,
-            "trust_calibration": self.trust_calibration,
-            "blocked_duplicate_registrations":
-                self.blocked_duplicate_registrations,
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "rounds": list(self.rounds)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True,
@@ -876,7 +875,6 @@ __all__ = [
     "SimReport", "ComparisonReport", "World",
     "build_world", "step", "run_scenario", "world_report", "compare_variants",
     "score_view", "unit_draw", "int_draw", "make_credentials",
-    "strategy_to_dict", "strategy_from_dict",
     "VARIANT_INTEGRATED", "VARIANT_EBAY", "VARIANT_UNWEIGHTED", "VARIANTS",
     "OUTCOME_SUCCESS", "OUTCOME_MARGINAL", "OUTCOME_FAILURE",
 ]

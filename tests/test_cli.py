@@ -445,11 +445,16 @@ def test_trace_replaces_an_existing_file(capsys, tmp_path):
     assert replay(trace).rejections == []
 
 
+def _first(entries, **edit):
+    return [{**entries[0], **edit}, *entries[1:]]
+
+
 @pytest.mark.parametrize("edit, named", [
     (lambda d: {**d, "engine": {"pair_global_replacement": True}},
-     "pair_global_replacement"),
-    (lambda d: {**d, "engine": {"policy": {}}}, "policy"),
-    (lambda d: {**d, "engine": [["epsilon", 0.2]]}, "not a mapping"),
+     "unknown key engine.pair_global_replacement"),
+    (lambda d: {**d, "engine": {"policy": {}}}, "unknown key engine.policy"),
+    (lambda d: {**d, "engine": [["epsilon", 0.2]]},
+     "engine must be a JSON object"),
     (lambda d: {**d, "buyers": [{**d["buyers"][0], "colludes_with": ["x"]}]},
      "colludes with"),
     (lambda d: {**d, "sellers": [{**d["sellers"][0], "name": ["x"]}]},
@@ -466,13 +471,34 @@ def test_trace_replaces_an_existing_file(capsys, tmp_path):
                                  "refuse_on_avoid_delivery": "false"}]},
      "refuse_on_avoid_delivery"),
     (lambda d: {**d, "engine": {"use_weights": "no"}}, "use_weights"),
+    (lambda d: {**d, "buyers": _first(d["buyers"], treshold=0.9)},
+     "unknown key buyers[0].treshold"),
+    (lambda d: {**d, "buyers": [*d["buyers"], {
+        "name": "shill", "colludes_whith": "fresh"}]},
+     "unknown key buyers[3].colludes_whith"),
+    (lambda d: {**d, "horizn": 30}, "unknown key horizn"),
+    (lambda d: {**d, "sellers": _first(d["sellers"], tierr="low")},
+     "unknown key sellers[0].tierr"),
+    (lambda d: {**d, "buyers": _first(d["buyers"],
+                                      policy={"threshold": 0.9})},
+     "unknown key buyers[0].policy"),
+    (lambda d: {**d, "engine": {"epsilonn": 0.2}},
+     "unknown key engine.epsilonn"),
+    (lambda d: {**d, "sellers": _first(d["sellers"], strategy={
+        "kind": "honest", "qualty": 0.5})},
+     "unknown key sellers[0].strategy.qualty"),
+    (lambda d: {**d, "sellers": _first(d["sellers"], strategy={
+        "kind": ["honest"]})}, "sellers[0].strategy.kind"),
 ], ids=["pair_global_replacement", "policy", "engine_list", "colludes_with",
         "seller_name", "scope_int", "scopes_string", "strategy_string",
         "initial_trust_list", "top_level_list", "fresh_ids_string",
-        "refuse_on_avoid_delivery_string", "use_weights_string"])
+        "refuse_on_avoid_delivery_string", "use_weights_string",
+        "buyer_treshold", "extra_buyer_colludes_whith", "top_level_horizn",
+        "seller_tierr", "nested_buyer_policy", "engine_epsilonn",
+        "strategy_qualty", "strategy_kind_list"])
 def test_hostile_scenario_file_is_exit_1(capsys, tmp_path, edit, named):
-    # each edit sets one part of a bundled scenario to a key the engine
-    # does not have or to a wrong JSON type; the file is refused as it
+    # each edit gives a bundled scenario a key that no field has, named by
+    # its path, or a part of the wrong JSON type; the file is refused as it
     # loads, before a trace path is created or truncated.  A string flag
     # would be truthy: "fresh_ids": "false" would turn the whitewash's 24
     # blocked re-registrations into successful ones

@@ -6,6 +6,8 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trustmarket import sim
 from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
@@ -14,6 +16,7 @@ from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                                 listing_view)
 from trustmarket.errors import DuplicateIdentity, InvalidScenario
 from trustmarket.eventlog import KIND_RATING, MarketState, apply_event
+from trustmarket.identity import PolicyConfig, ProfileTier
 from trustmarket.ratings import Rating
 from trustmarket.sim import (STRATEGY_KINDS, VARIANT_EBAY, VARIANT_INTEGRATED,
                              VARIANT_UNWEIGHTED, VARIANTS, BallotStuffing,
@@ -121,14 +124,39 @@ def test_collusion_target_must_exist():
     ValueImbalance(honest_phase=4, low_cost=10, defect_cost=900),
     IdentityReset(defect_after=3, fresh_ids=True),
     BallotStuffing(fake_raters=6, quality=0.4),
+    Honest(),
 ])
 def test_scenario_roundtrip(strategy):
+    trust = {ProfileTier.LOW: 0.05, ProfileTier.MEDIUM: 0.2,
+             ProfileTier.HIGH: 0.4}
     scenario = basic_scenario(
         sellers=(SellerSpec(name="s1", strategy=strategy, tier="medium"),),
         buyers=(buyer("b1", new_seller_discount=0.05),
                 BuyerSpec(name="shill", policy=BuyerPolicy(),
-                          colludes_with="s1")))
-    assert Scenario.from_dict(scenario.to_dict()) == scenario
+                          colludes_with="s1")),
+        engine=EngineConfig(epsilon=0.2, policy=PolicyConfig(trust)))
+    data = scenario.to_dict()
+    assert Scenario.from_dict(data) == scenario
+    assert Scenario.from_dict(json.loads(json.dumps(data))) == scenario
+    # a field equal to its default is left out, at every level
+    assert set(data) == {"seed", "horizon", "sellers", "buyers", "engine",
+                         "initial_trust"}
+    [seller] = data["sellers"]
+    written = seller.pop("strategy", None)
+    assert seller == {"name": "s1", "tier": "medium"}
+    assert (written is None) == (strategy == Honest())
+    if written is not None:
+        defaults = type(strategy)()
+        assert all(getattr(defaults, key) != value
+                   for key, value in written.items() if key != "kind")
+    assert data["buyers"] == [{"name": "b1", "new_seller_discount": 0.05},
+                              {"name": "shill", "colludes_with": "s1"}]
+    assert data["engine"] == {"epsilon": 0.2}
+    assert data["initial_trust"] == {"low": 0.05, "medium": 0.2, "high": 0.4}
+    # a missing key takes its dataclass default, the strategy among them
+    assert Scenario.from_dict({"seed": 1, "horizon": 1,
+                               "sellers": [{"name": "s"}]}).sellers \
+        == (SellerSpec(name="s"),)
 
 
 def test_bundled_scenario_files_parse():
@@ -554,6 +582,18 @@ def test_deal_drops_only_views_its_moved_weights_reach():
         assert views[index] == fresh(listings[index])
 
 
+def _fold(events):
+    """The state a replay of `events` builds, a refused registration kept
+    as a rejection."""
+    folded = MarketState()
+    for record in events:
+        try:
+            apply_event(record, folded, record.seq)
+        except DuplicateIdentity as exc:
+            folded.rejections.append((record.seq, record.seq, str(exc)))
+    return folded
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_world_state_is_the_fold_of_its_events(seed):
     scenario = _view_scenario(seed, 3, 5.0)
@@ -566,12 +606,85 @@ def test_world_state_is_the_fold_of_its_events(seed):
     assert len(ratings) == 2 * world.completed_deals
     assert [record.at for record in ratings] \
         == list(range(1, world.clock + 1))
-    folded = MarketState()
-    for record in events:
-        try:
-            apply_event(record, folded, record.seq)
-        except DuplicateIdentity as exc:
-            folded.rejections.append((record.seq, record.seq, str(exc)))
+    folded = _fold(events)
     assert folded.describe() == world.state.describe()
     assert 0 < len(folded.rejections) \
         == sim.world_report(world).blocked_duplicate_registrations
+
+
+# ------------------------------------------------------------------
+# generated scenarios
+# ------------------------------------------------------------------
+
+UNIT = st.floats(0, 1)
+OPEN_UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
+SCOPES = ("books", "cars", "garden")
+
+
+@st.composite
+def scenarios(draw):
+    """Every strategy kind and tier, colluders, 1-3 scopes, and initial
+    trust and engine overrides, each also left at its default; at least
+    two sellers, as `_run_with_history` needs, and horizons up to 8."""
+    tiers = st.sampled_from(sim.TIER_LABELS)
+    strategies = st.one_of(
+        st.just(Honest()),
+        st.builds(Honest, quality=UNIT, marginal_rate=UNIT),
+        st.builds(ValueImbalance, honest_phase=st.integers(0, 4),
+                  low_cost=st.integers(0, 100),
+                  defect_cost=st.integers(0, 900)),
+        st.builds(IdentityReset, defect_after=st.integers(0, 4),
+                  fresh_ids=st.booleans()),
+        st.builds(BallotStuffing, fake_raters=st.integers(0, 3),
+                  quality=UNIT))
+    sellers = tuple(
+        SellerSpec(name=f"s{i}", strategy=draw(strategies), tier=draw(tiers))
+        for i in range(draw(st.integers(2, 6))))
+    policies = st.one_of(st.just(BuyerPolicy()), st.builds(
+        BuyerPolicy, threshold=UNIT, refuse_on_avoid_delivery=st.booleans(),
+        new_seller_discount=UNIT))
+    targets = st.one_of(st.none(), st.sampled_from([s.name for s in sellers]))
+    buyers = tuple(
+        BuyerSpec(name=f"b{i}", policy=draw(policies), tier=draw(tiers),
+                  colludes_with=draw(targets))
+        for i in range(draw(st.integers(0, 8))))
+    engine = draw(st.fixed_dictionaries({}, optional={
+        "epsilon": OPEN_UNIT, "c_half": st.floats(1, 500), "w_min": OPEN_UNIT,
+        "max_delivery_days": st.floats(0, 20), "use_weights": st.booleans()}))
+    labels = draw(st.none() | st.lists(UNIT, min_size=2, max_size=2,
+                                       unique=True))
+    if labels:
+        engine["low_max"], engine["med_max"] = sorted(labels)
+    trust = draw(st.none() | st.lists(UNIT, min_size=3, max_size=3))
+    if trust:
+        engine["policy"] = PolicyConfig(dict(zip(ProfileTier, sorted(trust))))
+    low_price = draw(st.integers(0, 300))
+    low_delivery = draw(st.integers(0, 8))
+    return Scenario(
+        seed=draw(st.integers(-100, 10 ** 6)),
+        horizon=draw(st.integers(1, 8)),
+        sellers=sellers, buyers=buyers,
+        scopes=tuple(draw(st.lists(st.sampled_from(SCOPES), min_size=1,
+                                   max_size=3, unique=True))),
+        price_range=(low_price, draw(st.integers(low_price, 400))),
+        delivery_range=(low_delivery, draw(st.integers(low_delivery, 16))),
+        variant=draw(st.sampled_from(VARIANTS)),
+        engine=EngineConfig(**engine))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=scenarios())
+def test_generated_scenarios(scenario):
+    # the file format round-trips through JSON
+    data = json.loads(json.dumps(scenario.to_dict()))
+    assert Scenario.from_dict(data) == scenario
+    # kept listing views never go stale
+    shared = _runs(scenario)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(sim, "_consider", _fresh_consider)
+        assert _runs(scenario) == shared
+    # the world's state is the fold of its event stream
+    world = build_world(scenario)
+    for _ in range(scenario.horizon):
+        step(world)
+    assert _fold(world.events).describe() == world.state.describe()
