@@ -176,9 +176,18 @@ def cmd_replay(args) -> int:
 # simulation subcommands
 # ------------------------------------------------------------------
 
-def _load_scenario(path) -> Scenario:
+def _read_json(path, what: str):
+    """The JSON value in the file at `path`, refused as `what` when it is
+    nested too deeply to parse."""
     with open(path, encoding="utf-8") as handle:
-        return Scenario.from_dict(json.load(handle))
+        try:
+            return json.load(handle)
+        except RecursionError as exc:
+            raise ValueError(f"{what} nested too deeply") from exc
+
+
+def _load_scenario(path) -> Scenario:
+    return Scenario.from_dict(_read_json(path, "scenario file"))
 
 
 def _report_lines(report) -> list:
@@ -292,8 +301,7 @@ def cmd_stats_kruskal(args) -> int:
     result = kruskal_wallis(dataset, alpha=args.alpha)
     reported = None
     if args.reference:
-        with open(args.reference, encoding="utf-8") as handle:
-            reported = json.load(handle)
+        reported = _read_json(args.reference, "reported figures")
     elif not args.data:
         reported = REPORTED_NEW_SELLER_SUPPORT
     sizes = ", ".join(f"{name} (n={len(dataset[name])})"

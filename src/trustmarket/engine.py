@@ -67,6 +67,12 @@ class EngineConfig:
             raise ValueError(f"c_half must lie in (0, inf), got {self.c_half}")
         if not 0.0 < self.w_min < 1.0:
             raise ValueError(f"w_min must lie in (0, 1), got {self.w_min}")
+        # every weight is at least this product, so a reputation's
+        # denominator stays positive only while it does not round to 0
+        if self.epsilon * self.w_min == 0.0:
+            raise ValueError(
+                f"epsilon * w_min must not round to 0, got "
+                f"{self.epsilon} * {self.w_min}")
         if not 0.0 <= self.low_max < self.med_max <= 1.0:
             raise ValueError(
                 f"need 0 <= low_max < med_max <= 1, got "

@@ -12,6 +12,14 @@ collected per event exactly as the original writer would have seen
 them.  An unterminated last line is a torn write, for instance from a
 crash mid-append: reads skip and report it, the next write cuts it off.
 
+Each line is parsed by one call of the C scanner that `json.loads`
+wraps, on the line stripped of JSON whitespace, which skips the Python
+frames and whitespace matches around it.  `json.loads` still reads every
+line the scanner does not take whole: it raises the error, with the
+message and position, that a damaged line has always been reported
+with, so it is the error path, not a second parser.  A value nested
+too deeply for either is damage too.
+
 A writing command also keeps a checkpoint beside the log, `<log>.ckpt`:
 one JSON object holding the state that the replay of the log's first
 `offset` bytes (`lines` complete lines) produced, with the sha256 of
@@ -42,7 +50,7 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .errors import CorruptLog, TrustMarketError
@@ -56,12 +64,21 @@ KIND_RATING = "rating"
 KINDS = (KIND_REGISTER, KIND_LISTING, KIND_DEAL, KIND_RATING)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EventRecord:
+    """One ledger line.  Slotted, filled in by a hand-written `__init__`
+    through the slots' own setters, because replay builds one per line."""
+
     seq: int
     kind: str
     at: int
     payload: dict
+
+    def __init__(self, seq, kind, at, payload):
+        _set_seq(self, seq)
+        _set_kind(self, kind)
+        _set_at(self, at)
+        _set_payload(self, payload)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -70,11 +87,27 @@ class EventRecord:
             sort_keys=True, separators=(",", ":"))
 
 
+_set_seq, _set_kind, _set_at, _set_payload = (
+    EventRecord.__dict__[spec.name].__set__ for spec in fields(EventRecord))
+
+# The C scanner that `json.loads` wraps; see the module docstring.
+_scan_once = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
+
+
 def _parse_line(line: str, line_no: int) -> EventRecord:
+    text = line.strip(_JSON_SPACE)
     try:
-        data = json.loads(line)
+        try:
+            data, end = _scan_once(text, 0)
+        except (StopIteration, ValueError):
+            end = -1
+        if end != len(text):
+            data = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CorruptLog(f"not valid JSON ({exc.msg})", line_no) from exc
+    except RecursionError as exc:
+        raise CorruptLog("not valid JSON (nested too deeply)", line_no) from exc
     if not isinstance(data, dict):
         raise CorruptLog("record is not an object", line_no)
     try:
@@ -90,7 +123,7 @@ def _parse_line(line: str, line_no: int) -> EventRecord:
         raise CorruptLog(f"unknown kind {kind!r}", line_no)
     if not isinstance(payload, dict):
         raise CorruptLog("payload must be an object", line_no)
-    return EventRecord(seq=seq, kind=kind, at=at, payload=payload)
+    return EventRecord(seq, kind, at, payload)
 
 
 class _Scan:
@@ -310,13 +343,10 @@ def apply_event(record: EventRecord, state: MarketState, line_no: int = 0):
             return state.registry.register(
                 CredentialSet.from_dict(record.payload["credentials"]))
         if record.kind == KIND_RATING:
-            rating = Rating(
-                rater=record.payload["rater"],
-                ratee=record.payload["ratee"],
-                scope=record.payload["scope"],
-                value=record.payload["value"],
-                cost=record.payload["cost"],
-                at=record.payload.get("at", record.at))
+            payload = record.payload
+            rating = Rating(payload["rater"], payload["ratee"],
+                            payload["scope"], payload["value"],
+                            payload["cost"], payload.get("at", record.at))
             state.store.record(rating, registry=state.registry)
             return None
         # listing and deal events are informational trace, no state
@@ -459,7 +489,7 @@ def _restore(handle, path):
         state.rejections = [(line_no, seq, message)
                             for line_no, seq, message in data["rejections"]]
     except (OSError, ValueError, LookupError, TypeError, AttributeError,
-            TrustMarketError):
+            RecursionError, TrustMarketError):
         return None
     return state, prefix, lines
 

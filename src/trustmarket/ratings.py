@@ -151,8 +151,9 @@ class RatingStore:
         if rating.rater == rating.ratee:
             raise SelfRating(f"{rating.rater} cannot rate itself")
         if registry is not None:
+            accounts = registry.accounts
             for account_id in (rating.rater, rating.ratee):
-                if account_id not in registry:
+                if account_id not in accounts:
                     raise UnknownAccount(f"no account {account_id!r}")
         received = self._received.get(rating.ratee)
         if received is None:

@@ -355,24 +355,35 @@ def _known(data, path: str, cls):
     return data
 
 
+def _build(cls, kwargs: dict, path: str):
+    """`cls(**kwargs)`, refused with the entry's path in front of the
+    TypeError or ValueError it raises."""
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _seller(data, path: str) -> SellerSpec:
     if "strategy" in _known(data, path, SellerSpec):
-        path += ".strategy"
-        strategy = dict(_expect(data["strategy"], dict, path))
+        where = path + ".strategy"
+        strategy = dict(_expect(data["strategy"], dict, where))
         kind = strategy.pop("kind", None)
         cls = STRATEGY_KINDS.get(kind) if isinstance(kind, str) else None
         if cls is None:
-            raise InvalidScenario(f"unknown kind {kind!r} at {path}.kind")
-        data = {**data, "strategy": cls(**_known(strategy, path, cls))}
-    return SellerSpec(**data)
+            raise InvalidScenario(f"unknown kind {kind!r} at {where}.kind")
+        data = {**data,
+                "strategy": _build(cls, _known(strategy, where, cls), where)}
+    return _build(SellerSpec, data, path)
 
 
 def _buyer(data, path: str) -> BuyerSpec:
     kwargs = dict(_expect(data, dict, path))
     policy = {name: kwargs.pop(name)
               for name in kwargs.keys() & _FIELDS[BuyerPolicy].keys()}
-    return BuyerSpec(**_known(kwargs, path, BuyerSpec),
-                     policy=BuyerPolicy(**policy))
+    return _build(BuyerSpec, {**_known(kwargs, path, BuyerSpec),
+                              "policy": _build(BuyerPolicy, policy, path)},
+                  path)
 
 
 # ------------------------------------------------------------------

@@ -1,8 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from trustmarket.identity import (BusinessDetails, CredentialSet,
                                   EvidenceDetails, PersonalDetails, Registry)
 from trustmarket.ratings import Rating, RatingStore
+
+# CI runs with --hypothesis-profile=ci, so that a failing example, found on
+# whatever seed that run drew, is printed as a blob that reproduces it.
+settings.register_profile("ci", print_blob=True)
 
 
 def personal_block(name="Ada Example", **over):

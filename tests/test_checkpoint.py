@@ -226,6 +226,8 @@ DAMAGES = {
     "one byte of the prefix edited": edit_one_byte,
     "checkpoint truncated": write_checkpoint(lambda text: text[:len(text) // 2]),
     "checkpoint not JSON": write_checkpoint(lambda text: "checkpoint"),
+    "checkpoint nested too deeply": write_checkpoint(
+        lambda text: "[" * 100_000 + "]" * 100_000),
     "wrong version": edit_checkpoint(lambda data: data.update(version=2)),
     "offset past the end": edit_checkpoint(lambda data: data.update(offset=10**15)),
     "rating value true": edit_checkpoint(set_rating_field(3, True)),

@@ -489,21 +489,35 @@ def _first(entries, **edit):
      "unknown key sellers[0].strategy.qualty"),
     (lambda d: {**d, "sellers": _first(d["sellers"], strategy={
         "kind": ["honest"]})}, "sellers[0].strategy.kind"),
+    (lambda d: "[" * 100_000 + "]" * 100_000, "scenario file nested too deeply"),
+    (lambda d: {**d, "engine": {"epsilon": 5e-324}}, "epsilon * w_min"),
+    (lambda d: {**d, "buyers": _first(d["buyers"], threshold=1.5)},
+     "buyers[0]: threshold must lie in [0, 1]"),
+    (lambda d: {**d, "buyers": [*d["buyers"], {"tier": "low"}]},
+     "buyers[3]: BuyerSpec.__init__() missing 1 required positional "
+     "argument: 'name'"),
+    (lambda d: {**d, "sellers": _first(d["sellers"], tier="ultra")},
+     "sellers[0]: tier must be one of"),
 ], ids=["pair_global_replacement", "policy", "engine_list", "colludes_with",
         "seller_name", "scope_int", "scopes_string", "strategy_string",
         "initial_trust_list", "top_level_list", "fresh_ids_string",
         "refuse_on_avoid_delivery_string", "use_weights_string",
         "buyer_treshold", "extra_buyer_colludes_whith", "top_level_horizn",
         "seller_tierr", "nested_buyer_policy", "engine_epsilonn",
-        "strategy_qualty", "strategy_kind_list"])
+        "strategy_qualty", "strategy_kind_list", "nested_too_deeply",
+        "epsilon_w_min_underflow", "buyer_threshold_value",
+        "buyer_without_name", "seller_tier_value"])
 def test_hostile_scenario_file_is_exit_1(capsys, tmp_path, edit, named):
     # each edit gives a bundled scenario a key that no field has, named by
-    # its path, or a part of the wrong JSON type; the file is refused as it
-    # loads, before a trace path is created or truncated.  A string flag
-    # would be truthy: "fresh_ids": "false" would turn the whitewash's 24
-    # blocked re-registrations into successful ones
+    # its path, a part of the wrong JSON type, a bad value in an entry,
+    # named by the entry's path, or text too deeply nested to parse; the
+    # file is refused as it loads, before a trace path is created or
+    # truncated.  A string flag would be truthy: "fresh_ids": "false" would
+    # turn the whitewash's 24 blocked re-registrations into successful ones
     scenario = tmp_path / "hostile.json"
-    scenario.write_text(json.dumps(edit(json.loads(ONBOARDING.read_text()))))
+    hostile = edit(json.loads(ONBOARDING.read_text()))
+    scenario.write_text(hostile if isinstance(hostile, str)
+                        else json.dumps(hostile))
     trace = tmp_path / "trace.jsonl"
     for existing in (None, "kept\n"):
         if existing is not None:
@@ -581,6 +595,7 @@ def test_stats_kruskal_csv_with_reference(capsys):
 @pytest.mark.parametrize("reference", [
     "[1, 2]", '"text"', '{"h": "x"}', '{"critical": null}',
     '{"rank_sums": [1]}', '{"rank_sums": {"a": "x"}}',
+    pytest.param("[" * 100_000 + "]" * 100_000, id="nested too deeply"),
 ])
 def test_stats_kruskal_malformed_reference_is_exit_1(capsys, tmp_path,
                                                       reference):

@@ -309,6 +309,7 @@ def test_mode_validated(market):
     {"max_delivery_days": -1.0},
     {"c_half": math.nan}, {"c_half": math.inf},
     {"max_delivery_days": math.nan}, {"max_delivery_days": math.inf},
+    {"epsilon": 5e-324, "w_min": 0.1},      # the product rounds to 0
 ])
 def test_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):

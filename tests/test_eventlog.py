@@ -1,10 +1,17 @@
+import copy
+import json
+import pickle
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import credentials_for
 from trustmarket import eventlog
 from trustmarket.errors import CorruptLog, UnknownAccount
 from trustmarket.eventlog import (KIND_DEAL, KIND_LISTING, KIND_RATING,
-                                  KIND_REGISTER, EventLog, EventRecord,
+                                  KIND_REGISTER, KINDS, EventLog, EventRecord,
                                   MarketState, apply_event, replay)
 from trustmarket.ratings import Rating
 
@@ -67,6 +74,8 @@ def test_missing_file_scans_empty(tmp_path):
     (['{"seq":2,"kind":"deal","at":1,"payload":{}}',
       '{"seq":2,"kind":"deal","at":2,"payload":{}}'],
      2, "not greater"),
+    (['{"seq":1,"kind":"deal","at":1,"payload":{}}',
+      "[" * 100_000 + "]" * 100_000], 2, "not valid JSON (nested too deeply)"),
 ])
 def test_structural_damage(tmp_path, lines, expected_line, fragment):
     path = write_lines(tmp_path / "m.jsonl", lines)
@@ -117,6 +126,129 @@ def test_record_serialization_is_stable():
     record = EventRecord(seq=3, kind=KIND_DEAL, at=7, payload={"b": 1, "a": 2})
     assert record.to_json() \
         == '{"at":7,"kind":"deal","payload":{"a":2,"b":1},"seq":3}'
+
+
+def test_record_is_a_frozen_slotted_value():
+    record = EventRecord(3, KIND_DEAL, 7, {"b": 1, "a": 2})
+    assert record == EventRecord(seq=3, kind=KIND_DEAL, at=7,
+                                 payload={"a": 2, "b": 1})
+    assert record != replace(record, at=8)
+    assert (record.seq, record.kind, record.at, record.payload) \
+        == (3, "deal", 7, {"a": 2, "b": 1})
+    assert not hasattr(record, "__dict__")
+    with pytest.raises(FrozenInstanceError):
+        record.seq = 4
+    with pytest.raises(FrozenInstanceError):
+        del record.payload
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    moved = replace(record, kind=KIND_LISTING, payload={"scope": "cars"})
+    assert moved == EventRecord(3, KIND_LISTING, 7, {"scope": "cars"})
+    assert moved.to_json() \
+        == '{"at":7,"kind":"listing","payload":{"scope":"cars"},"seq":3}'
+
+
+def _oracle_parse_line(line, line_no):
+    """The line parser as it was before the scanner fast path: one
+    `json.loads` per line."""
+    try:
+        data = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise CorruptLog(f"not valid JSON ({exc.msg})", line_no) from exc
+    if not isinstance(data, dict):
+        raise CorruptLog("record is not an object", line_no)
+    try:
+        seq = data["seq"]
+        kind = data["kind"]
+        at = data["at"]
+        payload = data["payload"]
+    except KeyError as exc:
+        raise CorruptLog(f"missing field {exc.args[0]!r}", line_no) from exc
+    if not isinstance(seq, int) or not isinstance(at, int):
+        raise CorruptLog("seq and at must be integers", line_no)
+    if kind not in KINDS:
+        raise CorruptLog(f"unknown kind {kind!r}", line_no)
+    if not isinstance(payload, dict):
+        raise CorruptLog("payload must be an object", line_no)
+    return EventRecord(seq=seq, kind=kind, at=at, payload=payload)
+
+
+def _outcome(parse, line):
+    """What parsing `line` as line 7 gives: the record's JSON, or the
+    error's type, message and line number."""
+    try:
+        return parse(line, 7).to_json()
+    except CorruptLog as exc:
+        return "CorruptLog", str(exc), exc.line_no
+    except RecursionError:
+        # the oracle's traceback, which the parser reports as damage
+        return "CorruptLog", "line 7: not valid JSON (nested too deeply)", 7
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=5), children, max_size=3),
+    max_leaves=8)
+RECORDS = st.fixed_dictionaries(
+    {"seq": st.integers(-3, 10 ** 20) | JSON_VALUES,
+     "kind": st.sampled_from(KINDS) | st.text(max_size=6),
+     "at": st.integers(0, 99) | st.floats(),
+     "payload": st.dictionaries(st.text(max_size=5), JSON_VALUES, max_size=4)
+     | JSON_VALUES},
+    optional={"extra": JSON_VALUES})
+PADDING = st.text(alphabet=" \t\r", max_size=3)
+LINE_DAMAGES = st.sampled_from([
+    lambda text: text, lambda text: text + "x", lambda text: text + "} {}",
+    lambda text: "\ufeff" + text, lambda text: "\x0c" + text,
+    lambda text: text + "\x0c", lambda text: text[:len(text) // 2],
+    lambda text: text[:-1] + ',"s":"open' + text[-1],
+    lambda text: text.replace('"seq":', '"seq":NaN,"_":', 1),
+    lambda text: text.replace('"at":', '"_at":', 1),
+    lambda text: '{"seq":1,"kind":"deal","at":1,"payload":' + "[" * 100_000
+    + "]" * 100_000 + "}",
+    lambda text: "[" * 600 + "]" * 600,
+])
+
+
+def _no_value(text, index):
+    """A scanner that finds no value, so that every line goes to
+    `json.loads`."""
+    raise StopIteration(index)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=RECORDS, left=PADDING, right=PADDING, damage=LINE_DAMAGES,
+       noise=st.tuples(st.integers(0, 10 ** 6), st.text(max_size=2)))
+@example(record={"seq": 1, "kind": "deal", "at": 1, "payload": {}},
+         left=" ", right="\r", damage=lambda text: text, noise=(0, ""))
+def test_line_parser_agrees_with_json_loads(record, left, right, damage,
+                                            noise):
+    text = damage(json.dumps(record, separators=(",", ":")))
+    at, inserted = noise
+    at %= len(text) + 1
+    for line in (left + text + right + "\n",
+                 left + text[:at] + inserted + text[at:] + right + "\n"):
+        expected = _outcome(_oracle_parse_line, line)
+        assert _outcome(eventlog._parse_line, line) == expected
+        with pytest.MonkeyPatch.context() as patched:
+            # json.loads alone, as for every line the scanner refuses
+            patched.setattr(eventlog, "_scan_once", _no_value)
+            assert _outcome(eventlog._parse_line, line) == expected
+
+
+def test_valid_lines_never_reach_json_loads(tmp_path, monkeypatch):
+    path = write_lines(tmp_path / "m.jsonl", [
+        ' \t{"seq":1,"kind":"deal","at":1,"payload":{}}\r',
+        '{"seq":2,"kind":"listing","at":2,"payload":{"scope":"cars"}} '])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("json.loads parsed a valid line")
+    monkeypatch.setattr(json, "loads", refuse)
+    assert replay(path).last_seq == 2
 
 
 # ------------------------------------------------------------------

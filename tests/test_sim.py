@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from trustmarket import sim
 from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
-                                ADVISORY_NEW_SELLER, EngineConfig,
-                                ListingContext, compute_opinion,
+                                ADVISORY_NEW_SELLER, DEFAULT_ENGINE,
+                                EngineConfig, ListingContext, compute_opinion,
                                 listing_view)
 from trustmarket.errors import DuplicateIdentity, InvalidScenario
 from trustmarket.eventlog import KIND_RATING, MarketState, apply_event
@@ -625,7 +625,8 @@ SCOPES = ("books", "cars", "garden")
 def scenarios(draw):
     """Every strategy kind and tier, colluders, 1-3 scopes, and initial
     trust and engine overrides, each also left at its default; at least
-    two sellers, as `_run_with_history` needs, and horizons up to 8."""
+    two sellers, as `_run_with_history` needs, and horizons up to 8.  Only
+    configs `EngineConfig` accepts: epsilon * w_min must not round to 0."""
     tiers = st.sampled_from(sim.TIER_LABELS)
     strategies = st.one_of(
         st.just(Honest()),
@@ -650,7 +651,9 @@ def scenarios(draw):
         for i in range(draw(st.integers(0, 8))))
     engine = draw(st.fixed_dictionaries({}, optional={
         "epsilon": OPEN_UNIT, "c_half": st.floats(1, 500), "w_min": OPEN_UNIT,
-        "max_delivery_days": st.floats(0, 20), "use_weights": st.booleans()}))
+        "max_delivery_days": st.floats(0, 20), "use_weights": st.booleans()})
+        .filter(lambda e: e.get("epsilon", DEFAULT_ENGINE.epsilon)
+                * e.get("w_min", DEFAULT_ENGINE.w_min) > 0.0))
     labels = draw(st.none() | st.lists(UNIT, min_size=2, max_size=2,
                                        unique=True))
     if labels:
