@@ -32,7 +32,10 @@ a time, and, when the hash and every field check out, rebuild that
 state and replay only the lines past `offset`: the accounts through the
 registry, the ratings through `RatingStore.restore`, which checks them
 column by column under the same rules as `Rating` and `record` and
-refuses a key that appears twice.
+refuses a key that appears twice.  Each ratee's totals are summed at
+once, but its `Rating` objects are built when a read or write first
+needs them, so an `opinion` builds only the seller's; saving a
+checkpoint builds them all.
 `locked()` saves a new checkpoint only when no valid one was restored
 or the tail it replayed has grown long enough that saving costs less
 than replaying it again, which at a couple of thousand live ratings is
@@ -106,6 +109,8 @@ def _parse_line(line: str, line_no: int) -> EventRecord:
             data = json.loads(line)
     except json.JSONDecodeError as exc:
         raise CorruptLog(f"not valid JSON ({exc.msg})", line_no) from exc
+    except ValueError as exc:       # an integer too long to convert
+        raise CorruptLog(f"not valid JSON ({exc})", line_no) from exc
     except RecursionError as exc:
         raise CorruptLog("not valid JSON (nested too deeply)", line_no) from exc
     if not isinstance(data, dict):
@@ -235,9 +240,11 @@ class EventLog:
         `s*N/T` per line for the saves plus, on average, `c*T/2` per line
         for the tail the next command replays; the sum is lowest at `T*`.
         On the ledger-cli bench ledger (2,000 events, 1,782 live ratings,
-        120 accounts; Python 3.11 on a 2-core shared VM, medians of 9
-        runs of 41 calls) `_save_checkpoint` took 4.6 ms, so s = 2.4 us,
-        and a full replay 26.6 ms, so c = 13 us: T* = 26.5 lines there.
+        120 accounts; Python 3.11 on a 2-core shared VM, the median of
+        three sets of 11 runs of 21 calls) `_save_checkpoint` after a
+        restore, which builds every restored rating, took 8.2 ms, so
+        s = 4.3 us, and a full replay 21.5 ms, so c = 10.8 us: T* = 38.9
+        lines there.
         The rule keeps `2*s/c` as a constant and counts lines; it times
         nothing.  A full replay, after a missing or bad checkpoint,
         always saves: each live item comes from a line of its own, and
@@ -391,7 +398,7 @@ CHECKPOINT_VERSION = 1
 
 # 2*s/c, save cost per live item over replay cost per line; see locked().
 # At most 1, so that a full replay always reaches the interval.
-_SAVE_RATIO = 2 * 2.4 / 13.0
+_SAVE_RATIO = 2 * 4.3 / 10.8
 
 
 # Bytes of the log read at a time to hash its prefix, so that hashing holds
@@ -462,7 +469,9 @@ def _restore(handle, path):
     log's first `offset` bytes, its accounts pass every check of the
     registry, each getting back its own id, and its ratings pass every
     check of `Rating` and `RatingStore.record`, run column by column by
-    `RatingStore.restore`, with no key twice.
+    `RatingStore.restore`, with no key twice.  Those checks all run here;
+    only the building of each ratee's `Rating` objects waits for the
+    first read of that ratee, and a save builds every ratee.
     """
     try:
         with open(path, "rb") as source:

@@ -7,12 +7,14 @@ scratch in the car category.
 """
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, fields
-from operator import attrgetter, eq
+from operator import attrgetter, eq, itemgetter
 
 from .errors import SelfRating, StaleTimestamp, UnknownAccount
 
 _BY_RATER = attrgetter("rater")
+_VALUE = itemgetter(3)
 
 # A rating's value: positive, neutral or negative.
 RATING_VALUES = (1, 0, -1)
@@ -58,21 +60,46 @@ class Rating:
 
 
 # The slots' own setters, past the frozen class's __setattr__: the one way
-# both `Rating.__init__` and `RatingStore.restore` fill in a rating.
+# both `Rating.__init__` and `_Received.build` fill in a rating.
 _set_rater, _set_ratee, _set_scope, _set_value, _set_cost, _set_at = (
     Rating.__dict__[spec.name].__set__ for spec in fields(Rating))
 
 
 class _Received:
     """One ratee's latest ratings, {scope: {rater: Rating}}, and the running
-    sum and count of their values, so rater weights need no scan."""
+    sum and count of their values, so rater weights need no scan.
 
-    __slots__ = ("scopes", "total", "count")
+    A ratee restored from rows keeps them in `rows`, already checked, until
+    a reader first needs its ratings: the store's readers test `rows` and
+    call `build`.  The test is explicit because a `__getattr__` or property
+    here would slow every slot read of every ratee.
+    """
+
+    __slots__ = ("scopes", "total", "count", "rows")
 
     def __init__(self):
         self.scopes: dict[str, dict[str, Rating]] = {}
         self.total = 0
         self.count = 0
+        self.rows = None
+
+    def build(self) -> None:
+        """Turn `rows` into ratings and scope buckets, in row order, as
+        recording them one by one would have."""
+        scopes = self.scopes
+        for rater, ratee, scope, value, cost, at in self.rows:
+            rating = object.__new__(Rating)
+            _set_rater(rating, rater)
+            _set_ratee(rating, ratee)
+            _set_scope(rating, scope)
+            _set_value(rating, value)
+            _set_cost(rating, cost)
+            _set_at(rating, at)
+            bucket = scopes.get(scope)
+            if bucket is None:
+                bucket = scopes[scope] = {}
+            bucket[rater] = rating
+        self.rows = None
 
 
 class RatingStore:
@@ -99,12 +126,15 @@ class RatingStore:
         rows rather than once per rating.  A row that breaks one raises
         ValueError, TypeError, AttributeError or a TrustMarketError, as
         the per-rating path would; so do two rows on one key, which
-        `record` would have taken as a replacement.
+        `record` would have taken as a replacement.  Each ratee's totals
+        are summed at once, but its `Rating` objects are built only when
+        a read first needs them: `record`, `latest_ratings_for` and
+        `ratings_between` build one ratee, `snapshot` builds them all.
         """
         store = cls()
         if not rows:
             return store
-        if any(len(row) != 6 for row in rows):
+        if set(map(len, rows)) != {6}:
             raise ValueError("a rating row has 6 fields")
         raters, ratees, scopes, values, costs, ats = zip(*rows)
         if not (set(map(type, values)) <= {int}
@@ -118,28 +148,22 @@ class RatingStore:
         if unknown:
             raise UnknownAccount(f"no account {unknown.pop()!r}")
         normalized = {scope: normalize_scope(scope) for scope in set(scopes)}
-        received_by = store._received
-        for rater, ratee, scope, value, cost, at in zip(
-                raters, ratees, map(normalized.__getitem__, scopes), values,
-                costs, ats):
-            received = received_by.get(ratee)
-            if received is None:
-                received = received_by[ratee] = _Received()
-            bucket = received.scopes.setdefault(scope, {})
-            if rater in bucket:
-                raise ValueError(
-                    f"two ratings for key {(rater, ratee, scope)}")
-            rating = object.__new__(Rating)
-            _set_rater(rating, rater)
-            _set_ratee(rating, ratee)
-            _set_scope(rating, scope)
-            _set_value(rating, value)
-            _set_cost(rating, cost)
-            _set_at(rating, at)
-            bucket[rater] = rating
-            received.total += value
-            received.count += 1
-        store._size = store.revision = len(raters)
+        scopes = tuple(map(normalized.__getitem__, scopes))
+        if len(set(zip(raters, ratees, scopes))) != len(rows):
+            seen = set()
+            for key in zip(raters, ratees, scopes):
+                if key in seen:
+                    raise ValueError(f"two ratings for key {key}")
+                seen.add(key)
+        by_ratee = defaultdict(list)
+        for row in zip(raters, ratees, scopes, values, costs, ats):
+            by_ratee[row[1]].append(row)
+        for ratee, ratee_rows in by_ratee.items():
+            received = store._received[ratee] = _Received()
+            received.rows = ratee_rows
+            received.total = sum(map(_VALUE, ratee_rows))
+            received.count = len(ratee_rows)
+        store._size = store.revision = len(rows)
         return store
 
     def record(self, rating: Rating, registry=None) -> None:
@@ -158,6 +182,8 @@ class RatingStore:
         received = self._received.get(rating.ratee)
         if received is None:
             received = self._received[rating.ratee] = _Received()
+        elif received.rows is not None:
+            received.build()
         bucket = received.scopes.setdefault(rating.scope, {})
         prior = bucket.get(rating.rater)
         if prior is None:
@@ -179,6 +205,8 @@ class RatingStore:
         received = self._received.get(ratee)
         if received is None:
             return []
+        if received.rows is not None:
+            received.build()
         return sorted(received.scopes.get(normalize_scope(scope), {}).values(),
                       key=_BY_RATER)
 
@@ -190,12 +218,19 @@ class RatingStore:
     def ratings_between(self, rater: str, ratee: str) -> list:
         """The rater's latest rating of the ratee in each scope, by scope."""
         received = self._received.get(ratee)
-        scopes = {} if received is None else received.scopes
+        if received is None:
+            return []
+        if received.rows is not None:
+            received.build()
+        scopes = received.scopes
         return [scopes[scope][rater] for scope in sorted(scopes)
                 if rater in scopes[scope]]
 
     def snapshot(self) -> dict:
         """Copy of the key -> rating map, for comparison and replay checks."""
+        for received in self._received.values():
+            if received.rows is not None:
+                received.build()
         return {(rater, ratee, scope): rating
                 for ratee, received in self._received.items()
                 for scope, bucket in received.scopes.items()

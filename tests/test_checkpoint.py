@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from conftest import credentials_for
 from trustmarket import eventlog
 from trustmarket.cli import main
+from trustmarket.engine import ListingContext, compute_opinion
 from trustmarket.eventlog import (KIND_DEAL, KIND_RATING, KIND_REGISTER,
                                   EventLog, EventRecord, replay)
 from trustmarket.identity import CredentialSet, PersonalDetails
@@ -381,6 +382,34 @@ def test_checkpoint_is_saved_once_the_tail_reaches_the_interval(tmp_path,
     with log.locked():                           # an empty tail
         pass
     assert checkpoint_of(log.path).stat().st_ino == saved.st_ino
+
+
+def test_an_opinion_builds_only_the_sellers_ratings(tmp_path):
+    log = grown_ledger(tmp_path / "market.jsonl", 300)  # each rating its own at
+    saved = checkpoint_of(log.path).read_bytes()        # by a full replay
+    full = replay(log.path)
+    buyer, seller = "A000003", "A000007"
+    listing = ListingContext(scope="garden", price=50.0)
+
+    def unbuilt_after_opinion(state):
+        received = state.store._received
+        assert all(ratee.rows is not None for ratee in received.values())
+        assert compute_opinion(buyer, seller, listing, state.store,
+                               state.registry) \
+            == compute_opinion(buyer, seller, listing, full.store,
+                               full.registry)
+        return {ratee for ratee, ratings in received.items()
+                if ratings.rows is not None}
+
+    assert unbuilt_after_opinion(log.read_state()) \
+        == set(full.store._received) - {seller}
+    with open(log.path, "rb") as handle:        # what read_state restores
+        state, scan, prefix = eventlog._replay(handle, checkpoint_of(log.path))
+    assert len(unbuilt_after_opinion(state)) == 11
+    again = tmp_path / "again.ckpt"
+    eventlog._save_checkpoint(again, state, scan, prefix)
+    assert again.read_bytes() == saved
+    same_state(state, full)
 
 
 def test_a_command_mix_replays_a_bounded_tail(tmp_path):

@@ -2,6 +2,8 @@ import fcntl
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -13,6 +15,7 @@ from trustmarket.eventlog import KIND_LISTING, EventLog, replay
 from trustmarket.sim import Scenario, run_scenario
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 ONBOARDING = DATA_DIR / "scenarios" / "onboarding.json"
 
 
@@ -167,6 +170,38 @@ def test_rate_then_opinion_uses_ratings(capsys, log):
     assert "score: 100/100 label high tier high" in out
     assert "direct: +1 in laptops" in out
     assert "advisories: none" in out
+
+
+def test_commands_in_separate_processes(log):
+    """One process per command, as a user runs them: an opinion reads the
+    same from the checkpoint and from a full replay."""
+    path = os.pathsep.join(filter(None, [str(SRC_DIR),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+
+    def command(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "trustmarket.cli", *map(str, argv)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    for tag in ("seller", "buyer", "other"):
+        command(*register_args(log, tag))
+    checkpoint = log.with_name(log.name + ".ckpt")
+    for rater, value in [("A000002", "1"), ("A000003", "-1")] * 5:
+        command("rate", "--log", log, "--rater", rater, "--ratee", "A000001",
+                "--scope", "laptops", "--value", value, "--cost", "120")
+        if checkpoint.exists():
+            break
+    assert checkpoint.exists()
+    opinion = ["opinion", "--log", log, "--buyer", "A000002", "--seller",
+               "A000001", "--scope", "laptops", "--price", "100",
+               "--format", "json"]
+    restored = command(*opinion)
+    checkpoint.unlink()
+    assert command(*opinion) == restored
+    assert json.loads(restored)["recommended_source"] == "ratings"
 
 
 def test_failed_rate_writes_nothing(capsys, log):

@@ -76,6 +76,9 @@ def test_missing_file_scans_empty(tmp_path):
      2, "not greater"),
     (['{"seq":1,"kind":"deal","at":1,"payload":{}}',
       "[" * 100_000 + "]" * 100_000], 2, "not valid JSON (nested too deeply)"),
+    (['{"seq":1,"kind":"deal","at":1,"payload":{}}',
+      '{"seq":2,"kind":"deal","at":2,"payload":{"n":' + "7" * 5000 + "}}"],
+     2, "not valid JSON (Exceeds the limit (4300 digits)"),
 ])
 def test_structural_damage(tmp_path, lines, expected_line, fragment):
     path = write_lines(tmp_path / "m.jsonl", lines)

@@ -215,14 +215,16 @@ RESTORE_IDS = sorted(RESTORE_REGISTRY.accounts)
 RESTORE_ERRORS = (OSError, ValueError, LookupError, TypeError, AttributeError,
                   TrustMarketError)
 
-valid_rows = st.lists(st.builds(
+RESTORE_SCOPES = ["books", "Books ", "garden", "tools"]
+valid_row = st.builds(
     lambda pair, *rest: [*pair, *rest],
     st.sampled_from([(rater, ratee) for rater in RESTORE_IDS
                      for ratee in RESTORE_IDS if rater != ratee]),
-    st.sampled_from(["books", "Books ", "garden", "tools"]),
+    st.sampled_from(RESTORE_SCOPES),
     st.sampled_from(RATING_VALUES),
     st.one_of(st.integers(0, 500), st.floats(0, 500)),
-    st.integers(1, 20)), max_size=10)
+    st.integers(1, 20))
+valid_rows = st.lists(valid_row, max_size=10)
 # (field index, value) to write into a row, or an edit of the whole row
 damages = st.one_of(
     st.sampled_from([
@@ -292,3 +294,98 @@ def test_restore_refuses_a_repeated_key():
     assert record_each(rows, RESTORE_REGISTRY).received_totals(b) == (-1, 1)
     with pytest.raises(ValueError, match="two ratings for key"):
         RatingStore.restore(rows, RESTORE_REGISTRY)
+
+
+# ------------------------------------------------------------------
+# a restored ratee's ratings are built when a read first needs them
+# ------------------------------------------------------------------
+
+def key_of(row):
+    return row[0], row[1], normalize_scope(row[2])
+
+
+# rows a checkpoint can hold: no key twice
+distinct_rows = st.lists(valid_row, max_size=12, unique_by=key_of)
+
+
+def unbuilt(store):
+    """The ratees, in store order, whose restored rows no read has turned
+    into ratings yet."""
+    return [ratee for ratee, received in store._received.items()
+            if received.rows is not None]
+
+
+def assert_same_store(store, expected):
+    assert list(store.snapshot().items()) \
+        == list(expected.snapshot().items())
+    assert (len(store), store.revision) == (len(expected), expected.revision)
+    for account in RESTORE_IDS:
+        assert store.received_totals(account) \
+            == expected.received_totals(account)
+
+
+def writes_on(row, rows, value):
+    """(rating, refusal) for a newer rating of `row`'s key, a key new to
+    its ratee, and a stale rating of its key."""
+    rater, ratee, scope, _, cost, at = row
+    keys = set(map(key_of, rows))
+    new_keys = [(other, where)
+                for where in (normalize_scope(scope), "kitchen")
+                for other in RESTORE_IDS
+                if other != ratee and (other, ratee, where) not in keys]
+    other, where = new_keys[at % len(new_keys)]
+    return [(Rating(rater, ratee, scope, value, cost, at + 1), None),
+            (Rating(other, ratee, where, value, 7.0, 1), None),
+            (Rating(rater, ratee, scope, value, cost, at), StaleTimestamp)]
+
+
+@settings(max_examples=200)
+@given(rows=distinct_rows,
+       reads=st.lists(st.tuples(st.sampled_from(RESTORE_IDS), st.booleans()),
+                      unique_by=lambda read: read[0]),
+       pick=st.integers(0, 99), value=st.sampled_from(RATING_VALUES))
+def test_restored_store_reads_like_a_recorded_one(rows, reads, pick, value):
+    restored = RatingStore.restore(rows, RESTORE_REGISTRY)
+    expected = record_each(rows, RESTORE_REGISTRY)
+    ratees = list(dict.fromkeys(row[1] for row in rows))
+    assert unbuilt(restored) == ratees
+    for account in RESTORE_IDS:                 # from the totals alone
+        assert restored.received_totals(account) \
+            == expected.received_totals(account)
+    assert unbuilt(restored) == ratees
+
+    for clone in (copy.deepcopy(restored),
+                  pickle.loads(pickle.dumps(restored))):
+        assert unbuilt(clone) == ratees
+        assert_same_store(clone, expected)
+        assert unbuilt(clone) == []
+    assert unbuilt(restored) == ratees          # the clones built their own
+
+    for ratee, between_first in reads:       # either read may build it
+        queries = [*(("latest_ratings_for", ratee, scope)
+                     for scope in RESTORE_SCOPES),
+                   *(("ratings_between", rater, ratee)
+                     for rater in RESTORE_IDS)]
+        for name, *args in queries[::-1] if between_first else queries:
+            assert getattr(restored, name)(*args) \
+                == getattr(expected, name)(*args)
+    assert unbuilt(restored) == [ratee for ratee in ratees
+                                 if ratee not in dict(reads)]
+
+    if rows:
+        for rating, refusal in writes_on(rows[pick % len(rows)], rows, value):
+            store = RatingStore.restore(rows, RESTORE_REGISTRY)
+            oracle = record_each(rows, RESTORE_REGISTRY)
+            assert rating.ratee in unbuilt(store)
+            if refusal is None:
+                store.record(rating, registry=RESTORE_REGISTRY)
+                oracle.record(rating, registry=RESTORE_REGISTRY)
+            else:
+                for target in (store, oracle):
+                    with pytest.raises(refusal):
+                        target.record(rating, registry=RESTORE_REGISTRY)
+                assert_same_store(
+                    store, RatingStore.restore(rows, RESTORE_REGISTRY))
+            assert_same_store(store, oracle)
+
+    assert_same_store(restored, expected)
