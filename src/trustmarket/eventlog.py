@@ -1,15 +1,16 @@
 """Append-only JSONL event log and deterministic state replay.
 
-One JSON object per line, UTF-8, strictly increasing sequence numbers.
-Every command reads the log in one pass: replay takes a shared lock,
-and a writing command holds an exclusive lock (`EventLog.locked`) for
-the whole cycle of replay, validation, append and fsync, so its checks
-and its sequence number come from the state it appends to.  Replay
-feeds the events back through the registry and rating store:
-structural damage stops the scan with the offending line number, while
-domain rejections (duplicate identity, stale rating and so on) are
-collected per event exactly as the original writer would have seen
-them.  An unterminated last line is a torn write, for instance from a
+One JSON object per line, UTF-8, strictly increasing sequence numbers;
+every line is a registration or a rating, and a line of any other kind
+is damage.  Every command reads the log in one pass: replay takes a
+shared lock, and a writing command holds an exclusive lock
+(`EventLog.locked`) for the whole cycle of replay, validation, append
+and fsync, so its checks and its sequence number come from the state it
+appends to.  Replay feeds each event through `apply_event`, the one way
+state is written: structural damage stops the scan with the offending
+line number, while domain rejections (duplicate identity, stale rating
+and so on) are collected per event exactly as the original writer would
+have seen them.  An unterminated last line is a torn write, for instance from a
 crash mid-append: reads skip and report it, the next write cuts it off.
 
 Each line is parsed by one call of the C scanner that `json.loads`
@@ -61,10 +62,8 @@ from .identity import CredentialSet, Registry
 from .ratings import Rating, RatingStore
 
 KIND_REGISTER = "register"
-KIND_LISTING = "listing"
-KIND_DEAL = "deal"
 KIND_RATING = "rating"
-KINDS = (KIND_REGISTER, KIND_LISTING, KIND_DEAL, KIND_RATING)
+KINDS = (KIND_REGISTER, KIND_RATING)
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -92,6 +91,15 @@ class EventRecord:
 
 _set_seq, _set_kind, _set_at, _set_payload = (
     EventRecord.__dict__[spec.name].__set__ for spec in fields(EventRecord))
+
+
+def next_record(last_seq: int, kind: str, payload: dict,
+                at: int | None = None) -> EventRecord:
+    """The record that follows `last_seq`: its seq is `last_seq + 1`, and
+    its `at` defaults to that seq."""
+    seq = last_seq + 1
+    return EventRecord(seq, kind, seq if at is None else at, payload)
+
 
 # The C scanner that `json.loads` wraps; see the module docstring.
 _scan_once = json.JSONDecoder().scan_once
@@ -171,15 +179,25 @@ class _Scan:
             yield line_no, record
 
 
+def _scan_to_end(handle) -> _Scan:
+    """The finished scan of an open binary log from byte 0."""
+    handle.seek(0)
+    scan = _Scan(handle)
+    for _ in scan:
+        pass
+    return scan
+
+
 class EventLog:
     """Reader/writer handle on one log file.
 
     Opening a handle reads nothing.  `locked()` holds the log for one
     replay-validate-append cycle and `read_state()` replays it for a
-    reader, both from the checkpoint on.  A bare `append` takes the
-    exclusive lock for its own write and rescans the log only when the
-    file is not the size this handle last left it, so a second writer
-    cannot make it reuse a sequence number.
+    reader, both from the checkpoint on.  A bare `append`, outside
+    `locked()`, validates nothing: it takes the exclusive lock for its
+    own write and scans the log's structure, as a first `last_seq` does,
+    only when the file is not the size this handle last left it, so a
+    second writer cannot make it reuse a sequence number.
     """
 
     def __init__(self, path):
@@ -189,39 +207,21 @@ class EventLog:
         self._size = None        # file size at which _last_seq is exact
         self._pending = None     # lines appended inside locked()
 
-    def scan(self):
-        """Yield (line_no, record) pairs, checking structure; a torn last
-        line is skipped."""
-        try:
-            handle = open(self.path, "rb")
-        except FileNotFoundError:
-            return
-        with handle:
-            yield from _Scan(handle)
-
-    def records(self):
-        for _, record in self.scan():
-            yield record
-
     @property
     def last_seq(self) -> int:
+        """Read once, checking structure; 0 for a missing log."""
         if self._last_seq is None:
-            last_seq = 0
-            for _, record in self.scan():
-                last_seq = record.seq
-            self._last_seq = last_seq
+            try:
+                with open(self.path, "rb") as handle:
+                    self._last_seq = _scan_to_end(handle).last_seq
+            except FileNotFoundError:
+                self._last_seq = 0
         return self._last_seq
 
     def read_state(self) -> "MarketState":
         """The log's state, replayed once under a shared lock from the
         checkpoint on; a missing log is empty.  Writes nothing."""
-        try:
-            handle = open(self.path, "rb")
-        except FileNotFoundError:
-            return MarketState()
-        with handle:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
-            return _replay(handle, self.checkpoint)[0]
+        return _read(self.path, self.checkpoint)
 
     @contextmanager
     def locked(self):
@@ -276,7 +276,7 @@ class EventLog:
         if kind not in KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
         if self._pending is not None:
-            record = self._next_record(kind, payload, at)
+            record = next_record(self._last_seq, kind, payload, at)
             self._pending.append(record.to_json() + "\n")
             self._last_seq = record.seq
             return record
@@ -285,20 +285,12 @@ class EventLog:
             size = end = os.fstat(handle.fileno()).st_size
             if size != self._size:
                 # Another writer appended, or a crash left a torn line.
-                handle.seek(0)
-                scan = _Scan(handle)
-                for _ in scan:
-                    pass
+                scan = _scan_to_end(handle)
                 self._last_seq, end = scan.last_seq, scan.end
-            record = self._next_record(kind, payload, at)
+            record = next_record(self._last_seq, kind, payload, at)
             self._write(handle, size, end, record.to_json() + "\n")
             self._last_seq = record.seq
         return record
-
-    def _next_record(self, kind, payload, at) -> EventRecord:
-        seq = self._last_seq + 1
-        return EventRecord(seq=seq, kind=kind,
-                           at=seq if at is None else at, payload=payload)
 
     def _write(self, handle, size, end, text):
         """Write text at byte `end` of the exclusively locked log, first
@@ -342,8 +334,8 @@ def apply_event(record: EventRecord, state: MarketState, line_no: int = 0):
     """Feed one event into the state; returns the new account on a
     successful registration, else None.
 
-    Raises domain errors for the caller to collect; malformed payloads
-    count as structural damage.
+    Raises domain errors for the caller to collect; a malformed payload
+    or a kind outside `KINDS` counts as structural damage.
     """
     try:
         if record.kind == KIND_REGISTER:
@@ -356,13 +348,12 @@ def apply_event(record: EventRecord, state: MarketState, line_no: int = 0):
                             payload["cost"], payload.get("at", record.at))
             state.store.record(rating, registry=state.registry)
             return None
-        # listing and deal events are informational trace, no state
-        return None
     except TrustMarketError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptLog(f"malformed {record.kind} payload: {exc}",
                          line_no) from exc
+    raise CorruptLog(f"unknown kind {record.kind!r}", line_no)
 
 
 def _replay(handle, checkpoint=None):
@@ -503,21 +494,25 @@ def _restore(handle, path):
     return state, prefix, lines
 
 
-def replay(path) -> MarketState:
-    """Rebuild market state from a log, collecting domain rejections.
-
-    Reads the log once under a shared lock; a missing log is empty.
-    """
+def _read(path, checkpoint=None) -> MarketState:
+    """Replay the log once under a shared lock, from `checkpoint` on
+    when one is given; a missing log is empty."""
     try:
         handle = open(path, "rb")
     except FileNotFoundError:
         return MarketState()
     with handle:
         fcntl.flock(handle.fileno(), fcntl.LOCK_SH)
-        return _replay(handle)[0]
+        return _replay(handle, checkpoint)[0]
+
+
+def replay(path) -> MarketState:
+    """Rebuild market state from the whole log, collecting domain
+    rejections; reads no checkpoint."""
+    return _read(path)
 
 
 __all__ = [
-    "EventRecord", "EventLog", "MarketState", "apply_event", "replay",
-    "KIND_REGISTER", "KIND_LISTING", "KIND_DEAL", "KIND_RATING", "KINDS",
+    "EventRecord", "EventLog", "MarketState", "apply_event", "next_record",
+    "replay", "KIND_REGISTER", "KIND_RATING", "KINDS",
 ]

@@ -31,8 +31,8 @@ from .engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
 # reads them as attributes of this module.
 from .engine import compute_opinion, weighted_reputation  # noqa: F401
 from .errors import DuplicateIdentity, InvalidScenario
-from .eventlog import (KIND_RATING, KIND_REGISTER, EventRecord, MarketState,
-                       apply_event)
+from .eventlog import (KIND_RATING, KIND_REGISTER, MarketState, apply_event,
+                       next_record)
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, PolicyConfig, ProfileTier)
 from .ratings import normalize_scope
@@ -534,11 +534,9 @@ def build_world(scenario: Scenario) -> World:
 def _apply(world: World, kind: str, payload: dict, at: int | None = None):
     """Append the next event to the world's stream and write it through
     `apply_event`; its domain errors propagate."""
-    seq = len(world.events) + 1
-    record = EventRecord(seq=seq, kind=kind, at=seq if at is None else at,
-                         payload=payload)
+    record = next_record(len(world.events), kind, payload, at)
     world.events.append(record)
-    return apply_event(record, world.state, seq)
+    return apply_event(record, world.state, record.seq)
 
 
 def _register(world: World, credentials: CredentialSet):

@@ -21,8 +21,8 @@ from conftest import credentials_for
 from trustmarket import eventlog
 from trustmarket.cli import main
 from trustmarket.engine import ListingContext, compute_opinion
-from trustmarket.eventlog import (KIND_DEAL, KIND_RATING, KIND_REGISTER,
-                                  EventLog, EventRecord, replay)
+from trustmarket.eventlog import (KIND_RATING, KIND_REGISTER, EventLog,
+                                  EventRecord, replay)
 from trustmarket.identity import CredentialSet, PersonalDetails
 
 
@@ -97,13 +97,11 @@ ratings = st.builds(
     st.sampled_from(["books", "Books ", "garden"]), st.sampled_from([1, 0, -1]),
     st.one_of(st.integers(0, 500), st.floats(0, 500)),
     st.one_of(st.none(), st.integers(1, 12)))
-deals = st.builds(lambda price: (KIND_DEAL, {"price": price}),
-                  st.integers(1, 99))
 
 
 @settings(deadline=None)
-@given(events=st.lists(st.one_of(registrations, ratings, ratings, ratings,
-                                 deals), max_size=40),
+@given(events=st.lists(st.one_of(registrations, ratings, ratings, ratings),
+                       max_size=40),
        cut=st.floats(0, 1), torn=st.booleans(),
        buyer=st.sampled_from(ACCOUNTS), seller=st.sampled_from(ACCOUNTS))
 def test_checkpoint_plus_tail_equals_full_replay(events, cut, torn, buyer,
@@ -358,6 +356,13 @@ def grown_ledger(path, ratings):
     return log
 
 
+def refused(log):
+    """Append a rating by an account the log never registered, which
+    replay collects as a rejection."""
+    log.append(KIND_RATING, {"rater": "A000099", "ratee": "A000001",
+                             "scope": "books", "value": 1, "cost": 5})
+
+
 @pytest.mark.parametrize("ratings", [0, 40, 300])
 def test_checkpoint_is_saved_once_the_tail_reaches_the_interval(tmp_path,
                                                                 ratings):
@@ -365,14 +370,14 @@ def test_checkpoint_is_saved_once_the_tail_reaches_the_interval(tmp_path,
     covered = json.loads(checkpoint_of(log.path).read_text())["lines"]
     due = math.ceil(eventlog._save_interval(live_items(log.read_state())))
     assert covered == 12 + ratings and due >= 1
-    for _ in range(due - 1):                     # deals leave N unchanged
-        log.append(KIND_DEAL, {"price": 5})
+    for _ in range(due - 1):                     # refusals leave N unchanged
+        refused(log)
     saved = checkpoint_of(log.path).stat()
     with log.locked():                           # a tail of due - 1 lines
         pass
     log.read_state()
     assert checkpoint_of(log.path).stat().st_ino == saved.st_ino
-    log.append(KIND_DEAL, {"price": 5})
+    refused(log)
     with log.locked():                           # a tail of due lines
         pass
     assert checkpoint_of(log.path).stat().st_ino != saved.st_ino
@@ -449,7 +454,8 @@ def test_checkpoint_is_the_log_not_the_callers_state(ledger):
     log = EventLog(ledger)
     with log.locked() as state:                 # saves before it yields
         state.registry.register(credentials_for("ghost"))
-        log.append(KIND_DEAL, {"price": 5})
+        log.append(KIND_RATING, {"rater": "A000003", "ratee": "A000001",
+                                 "scope": "laptops", "value": 1, "cost": 5})
     with pytest.raises(RuntimeError):
         with log.locked() as state:
             state.registry.register(credentials_for("phantom"))
@@ -492,7 +498,8 @@ def flagged(tmp_path):
 
 
 def test_a_log_with_role_flags_replays_as_without_them(flagged, tmp_path):
-    records = list(EventLog(flagged).records())
+    records = [EventRecord(**json.loads(line))
+               for line in flagged.read_text(encoding="utf-8").splitlines()]
     assert [tuple(record.payload[key] for key in ROLE_FLAGS)
             for record in records if record.kind == KIND_REGISTER] \
         == [(True, True), (False, True), (True, False), (False, True)]

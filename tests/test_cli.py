@@ -2,6 +2,7 @@ import fcntl
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 import threading
@@ -9,13 +10,15 @@ from pathlib import Path
 
 import pytest
 
+from conftest import credentials_for
 from trustmarket import cli, eventlog, sim
 from trustmarket.cli import main
-from trustmarket.eventlog import KIND_LISTING, EventLog, replay
+from trustmarket.eventlog import KIND_REGISTER, EventLog, replay
 from trustmarket.sim import Scenario, run_scenario
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+README = Path(__file__).resolve().parent.parent / "README.md"
 ONBOARDING = DATA_DIR / "scenarios" / "onboarding.json"
 
 
@@ -97,8 +100,8 @@ def test_role_flags_are_usage_errors(capsys, log, flag):
 
 def test_register_appends_credentials_only(capsys, log):
     run(capsys, *register_args(log, "a"))
-    (record,) = EventLog(log).records()
-    assert set(record.payload) == {"credentials"}
+    (line,) = log.read_text(encoding="utf-8").splitlines()
+    assert set(json.loads(line)["payload"]) == {"credentials"}
 
 
 def test_register_json_format(capsys, log):
@@ -320,7 +323,8 @@ def test_rate_validates_and_numbers_under_the_lock(capsys, log, monkeypatch):
             main(rate_args(log, "--format", "json"))))
         helper.start()
         assert waiting.wait(10)
-        holder.append(KIND_LISTING, {"scope": "laptops"})
+        holder.append(KIND_REGISTER,
+                      {"credentials": credentials_for("third").to_dict()})
     helper.join(10)
     assert not helper.is_alive()
     assert codes == [0]
@@ -345,6 +349,59 @@ def test_rate_after_a_torn_tail_leaves_a_clean_log(capsys, log):
     code, _, err = run(capsys, "replay", str(log))
     assert code == 0 and err == ""
     assert replay(log).last_seq == 3
+
+
+@pytest.mark.parametrize("checkpointed", [False, True],
+                         ids=["full", "checkpoint"])
+@pytest.mark.parametrize("command", ["replay", "opinion", "rate", "register"])
+def test_a_deal_line_is_damage_to_every_command(capsys, log, command,
+                                                checkpointed):
+    run(capsys, *register_args(log, "seller"))
+    if checkpointed:
+        with EventLog(log).locked():            # checkpoints line 1
+            pass
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write('{"seq":2,"kind":"deal","at":2,"payload":{"price":10}}\n')
+    before = log.read_bytes()
+    argv = {"replay": ["replay", str(log)], "opinion": opinion_args(log),
+            "rate": rate_args(log),
+            "register": register_args(log, "buyer")}[command]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: line 2: unknown kind 'deal'\n"
+    assert log.read_bytes() == before
+    assert checkpoint_of(log).exists() == checkpointed
+
+
+def readme_session(heading):
+    """[argv, expected output] for each `trustmarket` command in the first
+    sh block under `heading` of the README, with backslash continuations
+    joined and comments dropped; a `# -> ` comment right after a command
+    is its output, else the output is not checked (None)."""
+    section = README.read_text(encoding="utf-8").split(f"\n{heading}\n")[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    session = []
+    for line in block.replace("\\\n", "").splitlines():
+        if line.startswith("trustmarket "):
+            session.append([shlex.split(line, comments=True)[1:], None])
+        elif line.startswith("# -> "):
+            session[-1][1] = line[len("# -> "):] + "\n"
+    return session
+
+
+def test_readme_cli_and_simulation_examples_run(capsys, tmp_path,
+                                                monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("TRUSTMARKET_LOG", raising=False)
+    (tmp_path / "data").symlink_to(DATA_DIR)
+    session = readme_session("## CLI") + readme_session("### Simulation")
+    assert [argv[0] for argv, _ in session] == [
+        "register", "register", "rate", "opinion", "replay",
+        "simulate", "compare", "simulate", "replay"]
+    for argv, expected in session:
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        assert expected in (None, out), argv
 
 
 # ------------------------------------------------------------------

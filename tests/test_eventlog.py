@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from conftest import credentials_for
 from trustmarket import eventlog
 from trustmarket.errors import CorruptLog, UnknownAccount
-from trustmarket.eventlog import (KIND_DEAL, KIND_LISTING, KIND_RATING,
-                                  KIND_REGISTER, KINDS, EventLog, EventRecord,
-                                  MarketState, apply_event, replay)
+from trustmarket.eventlog import (KIND_RATING, KIND_REGISTER, KINDS, EventLog,
+                                  EventRecord, MarketState, apply_event,
+                                  replay)
 from trustmarket.ratings import Rating
 
 
@@ -30,59 +30,86 @@ def write_lines(path, lines):
     return path
 
 
+def logged(path):
+    """The records in the log file, read as plain JSON lines."""
+    return [EventRecord(**json.loads(line))
+            for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def register(log, tag, at=None):
+    return log.append(KIND_REGISTER, register_payload(tag), at=at)
+
+
+# A well-formed rating line whose parties the log never registered: replay
+# collects it as a rejection and reads on.
+RATED = ('{"seq":1,"kind":"rating","at":1,"payload":'
+         + json.dumps(rating_payload("A000002", "A000001"),
+                      separators=(",", ":")) + "}")
+
+
 # ------------------------------------------------------------------
 # log structure
 # ------------------------------------------------------------------
 
 def test_append_and_scan_roundtrip(tmp_path):
     log = EventLog(tmp_path / "m.jsonl")
-    first = log.append(KIND_REGISTER, register_payload("a"))
-    second = log.append(KIND_LISTING, {"scope": "laptops"}, at=9)
+    first = register(log, "a")
+    second = register(log, "b", at=9)
     assert (first.seq, first.at) == (1, 1)       # at defaults to seq
     assert (second.seq, second.at) == (2, 9)
-    assert list(log.records()) == [first, second]
+    assert logged(log.path) == [first, second]
     assert log.last_seq == 2
 
 
 def test_reopened_log_continues_sequence(tmp_path):
     path = tmp_path / "m.jsonl"
-    EventLog(path).append(KIND_DEAL, {"price": 10})
+    register(EventLog(path), "a")
     log = EventLog(path)
     assert log.last_seq == 1
-    assert log.append(KIND_DEAL, {"price": 20}).seq == 2
+    assert register(log, "b").seq == 2
 
 
-def test_append_rejects_unknown_kind(tmp_path):
+@pytest.mark.parametrize("kind", ["listing", "deal", "gossip"])
+def test_append_rejects_unknown_kind(tmp_path, kind):
     with pytest.raises(ValueError):
-        EventLog(tmp_path / "m.jsonl").append("gossip", {})
+        EventLog(tmp_path / "m.jsonl").append(kind, {})
 
 
 def test_missing_file_scans_empty(tmp_path):
-    assert list(EventLog(tmp_path / "absent.jsonl").records()) == []
+    path = tmp_path / "absent.jsonl"
+    for read in (replay, lambda p: EventLog(p).read_state()):
+        assert read(path).describe() == MarketState().describe()
+    assert EventLog(path).last_seq == 0
+    assert not path.exists()
+
+
+def locked_state(path):
+    with EventLog(path).locked() as state:
+        return state
 
 
 @pytest.mark.parametrize("lines,expected_line,fragment", [
-    (['{"seq":1,"kind":"deal","at":1,"payload":{}}', "{oops"],
-     2, "not valid JSON"),
-    (['{"seq":1,"kind":"deal","at":1,"payload":{}}', ""],
-     2, "blank"),
-    (['{"seq":1,"kind":"deal","payload":{}}'], 1, "missing field 'at'"),
-    (['{"seq":"one","kind":"deal","at":1,"payload":{}}'], 1, "integers"),
+    ([RATED, "{oops"], 2, "not valid JSON"),
+    ([RATED, ""], 2, "blank"),
+    (['{"seq":1,"kind":"rating","payload":{}}'], 1, "missing field 'at'"),
+    (['{"seq":"one","kind":"rating","at":1,"payload":{}}'], 1, "integers"),
     (['{"seq":1,"kind":"gossip","at":1,"payload":{}}'], 1, "unknown kind"),
-    (['{"seq":1,"kind":"deal","at":1,"payload":3}'], 1, "payload"),
+    (['{"seq":1,"kind":"rating","at":1,"payload":3}'], 1, "payload"),
     (['[1,2]'], 1, "not an object"),
-    (['{"seq":2,"kind":"deal","at":1,"payload":{}}',
-      '{"seq":2,"kind":"deal","at":2,"payload":{}}'],
-     2, "not greater"),
-    (['{"seq":1,"kind":"deal","at":1,"payload":{}}',
-      "[" * 100_000 + "]" * 100_000], 2, "not valid JSON (nested too deeply)"),
-    (['{"seq":1,"kind":"deal","at":1,"payload":{}}',
-      '{"seq":2,"kind":"deal","at":2,"payload":{"n":' + "7" * 5000 + "}}"],
+    ([RATED.replace('"seq":1', '"seq":2')] * 2, 2, "not greater"),
+    ([RATED, "[" * 100_000 + "]" * 100_000],
+     2, "not valid JSON (nested too deeply)"),
+    ([RATED,
+      '{"seq":2,"kind":"rating","at":2,"payload":{"n":' + "7" * 5000 + "}}"],
      2, "not valid JSON (Exceeds the limit (4300 digits)"),
+    ([RATED, '{"seq":2,"kind":"deal","at":2,"payload":{"price":10}}'],
+     2, "unknown kind 'deal'"),
+    ([RATED, '{"seq":2,"kind":"listing","at":2,"payload":{"scope":"cars"}}'],
+     2, "unknown kind 'listing'"),
 ])
 def test_structural_damage(tmp_path, lines, expected_line, fragment):
     path = write_lines(tmp_path / "m.jsonl", lines)
-    for read in (replay, lambda p: list(EventLog(p).scan())):
+    for read in (replay, lambda p: EventLog(p).read_state(), locked_state):
         with pytest.raises(CorruptLog) as excinfo:
             read(path)
         assert excinfo.value.line_no == expected_line
@@ -100,9 +127,9 @@ def test_opening_a_handle_reads_nothing(tmp_path):
 def test_two_handles_interleave_appends(tmp_path):
     path = tmp_path / "m.jsonl"
     first, second = EventLog(path), EventLog(path)
-    for log in (first, second, first, second):
-        log.append(KIND_DEAL, {"price": 10})
-    assert [record.seq for record in EventLog(path).records()] == [1, 2, 3, 4]
+    for tag, log in enumerate((first, second, first, second)):
+        register(log, f"t{tag}")
+    assert [record.seq for record in logged(path)] == [1, 2, 3, 4]
     assert replay(path).last_seq == 4
     assert (first.last_seq, second.last_seq) == (3, 4)
 
@@ -110,34 +137,35 @@ def test_two_handles_interleave_appends(tmp_path):
 def test_bare_append_rescans_only_after_a_foreign_write(tmp_path, monkeypatch):
     path = tmp_path / "m.jsonl"
     log = EventLog(path)
-    log.append(KIND_DEAL, {"price": 10})
+    register(log, "a")
     parsed = []
     parse = eventlog._parse_line
     monkeypatch.setattr(eventlog, "_parse_line",
                         lambda line, line_no: parsed.append(line_no)
                         or parse(line, line_no))
-    for _ in range(3):
-        log.append(KIND_DEAL, {"price": 10})
+    for tag in "bcd":
+        register(log, tag)
     assert parsed == []                  # the log is as this handle left it
-    EventLog(path).append(KIND_DEAL, {"price": 20})
+    register(EventLog(path), "e")
     parsed.clear()
-    assert log.append(KIND_DEAL, {"price": 30}).seq == 6
+    assert register(log, "f").seq == 6
     assert parsed == [1, 2, 3, 4, 5]
 
 
 def test_record_serialization_is_stable():
-    record = EventRecord(seq=3, kind=KIND_DEAL, at=7, payload={"b": 1, "a": 2})
+    record = EventRecord(seq=3, kind=KIND_RATING, at=7,
+                         payload={"b": 1, "a": 2})
     assert record.to_json() \
-        == '{"at":7,"kind":"deal","payload":{"a":2,"b":1},"seq":3}'
+        == '{"at":7,"kind":"rating","payload":{"a":2,"b":1},"seq":3}'
 
 
 def test_record_is_a_frozen_slotted_value():
-    record = EventRecord(3, KIND_DEAL, 7, {"b": 1, "a": 2})
-    assert record == EventRecord(seq=3, kind=KIND_DEAL, at=7,
+    record = EventRecord(3, KIND_RATING, 7, {"b": 1, "a": 2})
+    assert record == EventRecord(seq=3, kind=KIND_RATING, at=7,
                                  payload={"a": 2, "b": 1})
     assert record != replace(record, at=8)
     assert (record.seq, record.kind, record.at, record.payload) \
-        == (3, "deal", 7, {"a": 2, "b": 1})
+        == (3, "rating", 7, {"a": 2, "b": 1})
     assert not hasattr(record, "__dict__")
     with pytest.raises(FrozenInstanceError):
         record.seq = 4
@@ -145,10 +173,10 @@ def test_record_is_a_frozen_slotted_value():
         del record.payload
     assert copy.deepcopy(record) == record
     assert pickle.loads(pickle.dumps(record)) == record
-    moved = replace(record, kind=KIND_LISTING, payload={"scope": "cars"})
-    assert moved == EventRecord(3, KIND_LISTING, 7, {"scope": "cars"})
+    moved = replace(record, kind=KIND_REGISTER, payload={"scope": "cars"})
+    assert moved == EventRecord(3, KIND_REGISTER, 7, {"scope": "cars"})
     assert moved.to_json() \
-        == '{"at":7,"kind":"listing","payload":{"scope":"cars"},"seq":3}'
+        == '{"at":7,"kind":"register","payload":{"scope":"cars"},"seq":3}'
 
 
 def _oracle_parse_line(line, line_no):
@@ -211,7 +239,7 @@ LINE_DAMAGES = st.sampled_from([
     lambda text: text[:-1] + ',"s":"open' + text[-1],
     lambda text: text.replace('"seq":', '"seq":NaN,"_":', 1),
     lambda text: text.replace('"at":', '"_at":', 1),
-    lambda text: '{"seq":1,"kind":"deal","at":1,"payload":' + "[" * 100_000
+    lambda text: '{"seq":1,"kind":"rating","at":1,"payload":' + "[" * 100_000
     + "]" * 100_000 + "}",
     lambda text: "[" * 600 + "]" * 600,
 ])
@@ -226,7 +254,7 @@ def _no_value(text, index):
 @settings(max_examples=300, deadline=None)
 @given(record=RECORDS, left=PADDING, right=PADDING, damage=LINE_DAMAGES,
        noise=st.tuples(st.integers(0, 10 ** 6), st.text(max_size=2)))
-@example(record={"seq": 1, "kind": "deal", "at": 1, "payload": {}},
+@example(record={"seq": 1, "kind": "rating", "at": 1, "payload": {}},
          left=" ", right="\r", damage=lambda text: text, noise=(0, ""))
 def test_line_parser_agrees_with_json_loads(record, left, right, damage,
                                             noise):
@@ -244,9 +272,9 @@ def test_line_parser_agrees_with_json_loads(record, left, right, damage,
 
 
 def test_valid_lines_never_reach_json_loads(tmp_path, monkeypatch):
-    path = write_lines(tmp_path / "m.jsonl", [
-        ' \t{"seq":1,"kind":"deal","at":1,"payload":{}}\r',
-        '{"seq":2,"kind":"listing","at":2,"payload":{"scope":"cars"}} '])
+    registered = EventRecord(2, KIND_REGISTER, 2, register_payload("cars"))
+    path = write_lines(tmp_path / "m.jsonl",
+                       [" \t" + RATED + "\r", registered.to_json() + " "])
 
     def refuse(*args, **kwargs):
         raise AssertionError("json.loads parsed a valid line")
@@ -303,12 +331,13 @@ def test_replay_collects_stale_rating(tmp_path):
 def test_replay_matches_live_state(tmp_path):
     log = build_log(tmp_path)
     log.append(KIND_RATING, rating_payload("A000002", "A000001", at=1))
-    log.append(KIND_LISTING, {"scope": "laptops", "price": 120})
+    log.append(KIND_RATING,
+               rating_payload("A000002", "A000001", at=1, scope="phones"))
     log.append(KIND_RATING,
                rating_payload("A000001", "A000002", value=-1, at=2))
 
     live = MarketState()
-    for record in log.records():
+    for record in logged(log.path):
         apply_event(record, live)
 
     assert replay(log.path).describe() == live.describe()
@@ -358,12 +387,14 @@ def test_replay_refuses_hostile_rating_values(tmp_path, fields):
     assert excinfo.value.line_no == 3
 
 
-def test_trace_kinds_are_inert():
+def test_apply_event_refuses_other_kinds():
     state = MarketState()
-    for kind in (KIND_LISTING, KIND_DEAL):
+    for kind in ("listing", "deal", "gossip"):
         record = EventRecord(seq=1, kind=kind, at=1, payload={"anything": 1})
-        assert apply_event(record, state) is None
-    assert state.describe()["accounts"] == {}
+        with pytest.raises(CorruptLog) as excinfo:
+            apply_event(record, state, line_no=6)
+        assert str(excinfo.value) == f"line 6: unknown kind {kind!r}"
+    assert state.describe() == MarketState().describe()
 
 
 # ------------------------------------------------------------------
@@ -375,11 +406,11 @@ def test_locked_numbers_on_from_the_replayed_state(tmp_path):
     with log.locked() as state:
         assert state.last_seq == 2
         assert len(state.registry.accounts) == 2
-        assert log.append(KIND_LISTING, {"scope": "laptops"}).seq == 3
-        assert log.append(KIND_DEAL, {"price": 10}).seq == 4
+        assert register(log, "c").seq == 3
+        assert register(log, "d").seq == 4
         assert log.path.read_text().count("\n") == 2    # written on exit
-    assert [record.seq for record in log.records()] == [1, 2, 3, 4]
-    assert log.append(KIND_DEAL, {"price": 20}).seq == 5
+    assert [record.seq for record in logged(log.path)] == [1, 2, 3, 4]
+    assert register(log, "e").seq == 5
 
 
 def test_error_inside_locked_writes_nothing(tmp_path):
@@ -387,12 +418,12 @@ def test_error_inside_locked_writes_nothing(tmp_path):
     before = log.path.read_bytes()
     with pytest.raises(UnknownAccount):
         with log.locked() as state:
-            log.append(KIND_LISTING, {"scope": "laptops"})
+            register(log, "c")
             state.store.record(
                 Rating("A000009", "A000001", "laptops", 1, 10, 3),
                 registry=state.registry)
     assert log.path.read_bytes() == before
-    assert log.append(KIND_DEAL, {"price": 10}).seq == 3
+    assert register(log, "c").seq == 3
 
 
 TORN = '{"seq":3,"kind":"rating","at":3,"payload":{"rater":"A0'
@@ -413,7 +444,9 @@ def test_replay_skips_and_reports_a_torn_tail(tmp_path):
     assert state.last_seq == 2
     assert len(state.registry.accounts) == 2
     assert "torn_line" not in state.describe()
-    assert [line_no for line_no, _ in EventLog(path).scan()] == [1, 2]
+    read = EventLog(path).read_state()
+    assert (read.torn_line, read.last_seq) == (3, 2)
+    assert EventLog(path).last_seq == 2
 
 
 @pytest.mark.parametrize("locked", [True, False], ids=["locked", "bare"])
@@ -423,9 +456,9 @@ def test_next_append_cuts_off_a_torn_tail(tmp_path, locked):
     if locked:
         with log.locked() as state:
             assert state.torn_line == 3
-            record = log.append(KIND_DEAL, {"price": 10})
+            record = register(log, "c")
     else:
-        record = log.append(KIND_DEAL, {"price": 10})
+        record = register(log, "c")
     assert record.seq == 3
     assert path.read_bytes() == clean + (record.to_json() + "\n").encode()
     assert replay(path).torn_line is None
