@@ -128,8 +128,9 @@ class RatingStore:
         the per-rating path would; so do two rows on one key, which
         `record` would have taken as a replacement.  Each ratee's totals
         are summed at once, but its `Rating` objects are built only when
-        a read first needs them: `record`, `latest_ratings_for` and
-        `ratings_between` build one ratee, `snapshot` builds them all.
+        a read first needs them: `record`, `latest_ratings_for`,
+        `ratings_between` and `latest` build one ratee, `snapshot` builds
+        them all.
         """
         store = cls()
         if not rows:
@@ -225,6 +226,16 @@ class RatingStore:
         scopes = received.scopes
         return [scopes[scope][rater] for scope in sorted(scopes)
                 if rater in scopes[scope]]
+
+    def latest(self, rater: str, ratee: str, scope: str) -> Rating | None:
+        """The rater's latest rating of the ratee in `scope`, or None."""
+        received = self._received.get(ratee)
+        if received is None:
+            return None
+        if received.rows is not None:
+            received.build()
+        bucket = received.scopes.get(normalize_scope(scope))
+        return None if bucket is None else bucket.get(rater)
 
     def snapshot(self) -> dict:
         """Copy of the key -> rating map, for comparison and replay checks."""

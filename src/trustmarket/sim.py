@@ -9,8 +9,10 @@ disabled, or a plain net-score baseline with no newcomer fallback.
 
 All randomness is counter-based: every draw hashes (seed, purpose,
 round, agent), so the same scenario under a different variant sees the
-same random stream wherever the same question is asked.  Prices are
-integers, which keeps the money conservation check exact.
+same random stream wherever the same question is asked.  A comparison
+computes each such shared draw once: its worlds share one dict of draws,
+which lives as long as the comparison.  Prices are integers, which keeps
+the money conservation check exact.
 
 Every state change a run makes, each registration attempt and both
 ratings of each deal, is an `eventlog.EventRecord` written through
@@ -35,7 +37,6 @@ from .eventlog import (KIND_RATING, KIND_REGISTER, MarketState, apply_event,
                        next_record)
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, PolicyConfig, ProfileTier)
-from .ratings import normalize_scope
 from .stats import midranks
 
 VARIANT_INTEGRATED = "integrated"
@@ -67,9 +68,9 @@ def unit_draw(seed: int, *key) -> float:
     return int.from_bytes(digest[:8], "big") / 2 ** 64
 
 
-def int_draw(seed: int, low: int, high: int, *key) -> int:
-    """Uniform integer in [low, high], inclusive."""
-    return low + int(unit_draw(seed, *key) * (high - low + 1))
+def _in_range(unit: float, low: int, high: int) -> int:
+    """The integer in [low, high], inclusive, that a unit draw picks."""
+    return low + int(unit * (high - low + 1))
 
 
 # ------------------------------------------------------------------
@@ -509,9 +510,13 @@ class World:
     completed_deals: int = 0
     first_sale: dict = field(default_factory=dict)
     events: list = field(default_factory=list)   # EventRecords, seq 1, 2, ...
+    draws: dict | None = None   # (seed, *key) -> unit draw, or no cache
 
 
-def build_world(scenario: Scenario) -> World:
+def build_world(scenario: Scenario, draws: dict | None = None) -> World:
+    """A world at round 0, its roster registered.  `draws`, if given,
+    caches the world's unit draws by (seed, *key); the worlds of one
+    comparison share it."""
     scenario.validate()
     config = scenario.engine
     if scenario.variant == VARIANT_UNWEIGHTED:
@@ -521,7 +526,8 @@ def build_world(scenario: Scenario) -> World:
         state=MarketState(),
         accounts={}, sellers={},
         ebay_tally={spec.name: [0, 0] for spec in scenario.sellers},
-        trajectories={spec.name: [] for spec in scenario.sellers})
+        trajectories={spec.name: [] for spec in scenario.sellers},
+        draws=draws)
     for spec in (*scenario.sellers, *scenario.buyers):
         account = _register(world, make_credentials(spec.name, spec.tier))
         world.accounts[spec.name] = account.account_id
@@ -559,6 +565,19 @@ def _attempt_blocked_registration(world: World,
 # round mechanics
 # ------------------------------------------------------------------
 
+def _draw(world: World, *key) -> float:
+    """`unit_draw(seed, *key)` for the world's seed, hashed once per
+    `world.draws` where the world has one."""
+    draws = world.draws
+    if draws is None:
+        return unit_draw(world.scenario.seed, *key)
+    key = (world.scenario.seed, *key)
+    value = draws.get(key)
+    if value is None:
+        value = draws[key] = unit_draw(*key)
+    return value
+
+
 def _post_listing(world: World, state: _SellerState) -> _Listing:
     scenario = world.scenario
     spec = state.spec
@@ -569,21 +588,21 @@ def _post_listing(world: World, state: _SellerState) -> _Listing:
         return _Listing(seller=spec.name, scope=scenario.scopes[0],
                         price=price,
                         delivery_days=scenario.delivery_range[0])
+    price = _in_range(_draw(world, "price", world.round, spec.name),
+                      *scenario.price_range)
     if isinstance(strategy, (IdentityReset, BallotStuffing)):
-        price = int_draw(scenario.seed, *scenario.price_range,
-                         "price", world.round, spec.name)
         return _Listing(seller=spec.name, scope=scenario.scopes[0],
                         price=price,
                         delivery_days=scenario.delivery_range[0])
-    scope_index = int(unit_draw(scenario.seed, "scope", world.round, spec.name)
+    scope_index = int(_draw(world, "scope", world.round, spec.name)
                       * len(scenario.scopes))
     return _Listing(
         seller=spec.name,
         scope=scenario.scopes[scope_index],
-        price=int_draw(scenario.seed, *scenario.price_range,
-                       "price", world.round, spec.name),
-        delivery_days=int_draw(scenario.seed, *scenario.delivery_range,
-                               "delivery", world.round, spec.name))
+        price=price,
+        delivery_days=_in_range(
+            _draw(world, "delivery", world.round, spec.name),
+            *scenario.delivery_range))
 
 
 def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
@@ -618,19 +637,17 @@ def score_view(world: World, seller_name: str, scope: str) -> float:
                         world.config)[2]
 
 
-def _consider(world: World, buyer: BuyerSpec, listing: _Listing,
-              views: dict, index: int):
-    """Effective score for the threshold rule, or None to pass.
+def _view(world: World, listings: list, views: dict, index: int) -> tuple:
+    """The buyer-independent (unit score, advisories) of listing `index`.
 
-    `views` holds each listing's buyer-independent (unit score,
-    advisories) by index, computed on first use and kept across the
-    round's deals; `_record_deal` drops those a deal makes stale.  The eBay
-    baseline's view is its percent-positive with no advisories.
+    `views` keeps each listing's view by index, computed on first use and
+    kept across the round's deals; `_record_deal` drops those a deal makes
+    stale.  The eBay baseline's view is its percent-positive with no
+    advisories.
     """
-    if buyer.colludes_with == listing.seller:
-        return 2.0     # shill buys from its partner unconditionally
     view = views.get(index)
     if view is None:
+        listing = listings[index]
         if world.scenario.variant == VARIANT_EBAY:
             view = (score_view(world, listing.seller, listing.scope),
                     frozenset())
@@ -641,26 +658,59 @@ def _consider(world: World, buyer: BuyerSpec, listing: _Listing,
                                delivery_days=listing.delivery_days),
                 world.state.store, world.state.registry, world.config)[2:]
         views[index] = view
-    unit, advisories = view
-    if buyer.policy.refuse_on_avoid_delivery \
-            and ADVISORY_AVOID_DELIVERY in advisories:
+    return view
+
+
+def _choose(world: World, buyer: BuyerSpec, listings: list, views: dict,
+            best: dict):
+    """Index of the unsold listing `buyer` buys, or None to pass.
+
+    A colluder buys its partner's unsold listing outright.  Otherwise the
+    buyer takes the highest effective score, lowest index on ties, if it
+    meets the buyer's threshold.  An effective score is the view's unit
+    score, less the buyer's discount where the view flags a newcomer, and
+    a buyer that refuses the delivery advisory scores no listing that has
+    it; so it reads the buyer only through those two policy fields.
+    `best` keeps, per (refuse, discount), the (effective, index) of the
+    best unsold listing, or None where there is none; the caller clears it
+    after each deal.
+    """
+    if buyer.colludes_with is not None:
+        for index, listing in enumerate(listings):
+            if listing.seller == buyer.colludes_with and not listing.sold:
+                return index
+    policy = buyer.policy
+    key = (policy.refuse_on_avoid_delivery, policy.new_seller_discount)
+    if key not in best:
+        refuse, discount = key
+        top = None
+        for index, listing in enumerate(listings):
+            if listing.sold:
+                continue
+            unit, advisories = _view(world, listings, views, index)
+            if refuse and ADVISORY_AVOID_DELIVERY in advisories:
+                continue
+            effective = unit
+            if advisories & _NEWCOMER_ADVISORIES:
+                effective -= discount
+            if top is None or effective > top[0]:
+                top = (effective, index)
+        best[key] = top
+    top = best[key]
+    if top is None or top[0] < policy.threshold:
         return None
-    effective = unit
-    if advisories & _NEWCOMER_ADVISORIES:
-        effective -= buyer.policy.new_seller_discount
-    return effective
+    return top[1]
 
 
 def _deal_outcome(world: World, state: _SellerState, buyer_name: str) -> str:
     strategy = state.spec.strategy
-    seed = world.scenario.seed
     if isinstance(strategy, Honest):
-        roll = unit_draw(seed, "outcome", world.round,
-                         state.spec.name, buyer_name)
+        roll = _draw(world, "outcome", world.round,
+                     state.spec.name, buyer_name)
         if roll >= strategy.quality:
             return OUTCOME_FAILURE
-        if strategy.marginal_rate and unit_draw(
-                seed, "marginal", world.round,
+        if strategy.marginal_rate and _draw(
+                world, "marginal", world.round,
                 state.spec.name, buyer_name) < strategy.marginal_rate:
             return OUTCOME_MARGINAL
         return OUTCOME_SUCCESS
@@ -670,8 +720,7 @@ def _deal_outcome(world: World, state: _SellerState, buyer_name: str) -> str:
     if isinstance(strategy, IdentityReset):
         return (OUTCOME_SUCCESS if state.deals_done < strategy.defect_after
                 else OUTCOME_FAILURE)
-    roll = unit_draw(seed, "outcome", world.round,
-                     state.spec.name, buyer_name)
+    roll = _draw(world, "outcome", world.round, state.spec.name, buyer_name)
     return OUTCOME_SUCCESS if roll < strategy.quality else OUTCOME_FAILURE
 
 
@@ -713,10 +762,9 @@ def _record_deal(world: World, buyer: BuyerSpec, state: _SellerState,
         return
     for index in list(views):
         other = listings[index]
-        scope = normalize_scope(other.scope)
         seller_id = world.sellers[other.seller].account_id
-        if any(rating.scope == scope for party in moved
-               for rating in store.ratings_between(party, seller_id)):
+        if any(store.latest(party, seller_id, other.scope) is not None
+               for party in moved):
             del views[index]
 
 
@@ -738,31 +786,27 @@ def step(world: World) -> World:
         listings.append(_post_listing(world, state))
 
     deals = successes = failures = 0
-    # Listing views are kept across the round's deals.  A view reads the
-    # seller's scope bucket, its raters' weights, the seller's received
-    # count and tier.  A deal's two ratings write only the sold seller's
-    # buckets (its one listing is never read again) and the buyer's, and
-    # move only the two parties' received totals, so a kept view goes stale
-    # only where a party whose rater weight moved has rated its bucket.
+    # A buyer's choice reads the listing views and which listings are
+    # sold, and both change only at a deal.  A view reads the seller's
+    # scope bucket, its raters' weights, the seller's received count and
+    # tier.  A deal's two ratings write only the sold seller's buckets (its
+    # one listing is never read again) and the buyer's, and move only the
+    # two parties' received totals, so a kept view goes stale only where a
+    # party whose rater weight moved has rated its bucket; `_record_deal`
+    # drops those.  Between deals nothing a view reads changes, so the best
+    # listing of each buyer policy in `best` holds until the next deal.
     views = {}
+    best = {}
     # arrival order rotates so repeat business spreads over raters
     arrival = sorted(
         world.scenario.buyers,
-        key=lambda b: (unit_draw(world.scenario.seed, "arrival",
-                                 world.round, b.name), b.name))
+        key=lambda b: (_draw(world, "arrival", world.round, b.name), b.name))
     for buyer in arrival:
-        candidates = []
-        for index, listing in enumerate(listings):
-            if listing.sold:
-                continue
-            effective = _consider(world, buyer, listing, views, index)
-            if effective is None or effective < buyer.policy.threshold:
-                continue
-            candidates.append((-effective, index))
-        if not candidates:
+        index = _choose(world, buyer, listings, views, best)
+        if index is None:
             continue
-        candidates.sort()
-        listing = listings[candidates[0][1]]
+        best.clear()
+        listing = listings[index]
         listing.sold = True
         state = world.sellers[listing.seller]
 
@@ -817,9 +861,10 @@ def _spearman(xs, ys) -> float | None:
         return None            # zero variance on one side
 
 
-def run_scenario(scenario: Scenario) -> SimReport:
-    """Run to the horizon and report; deterministic in (scenario, seed)."""
-    world = build_world(scenario)
+def run_scenario(scenario: Scenario, draws: dict | None = None) -> SimReport:
+    """Run to the horizon and report; deterministic in (scenario, seed).
+    `draws` is passed to `build_world`."""
+    world = build_world(scenario, draws)
     for _ in range(scenario.horizon):
         step(world)
     return world_report(world)
@@ -858,9 +903,11 @@ def compare_variants(scenario: Scenario, variants=VARIANTS) -> ComparisonReport:
         if variant not in VARIANTS:
             raise InvalidScenario(f"unknown variant {variant!r}")
     reports = {}
+    draws = {}      # the variants' common random numbers, each hashed once
     for variant in variants:
         if variant not in reports:
-            reports[variant] = run_scenario(replace(scenario, variant=variant))
+            reports[variant] = run_scenario(
+                replace(scenario, variant=variant), draws)
     baseline = reports[variants[0]]
     deltas: dict = {}
     for variant in variants:
@@ -883,7 +930,7 @@ __all__ = [
     "BuyerPolicy", "SellerSpec", "BuyerSpec", "Scenario",
     "SimReport", "ComparisonReport", "World",
     "build_world", "step", "run_scenario", "world_report", "compare_variants",
-    "score_view", "unit_draw", "int_draw", "make_credentials",
+    "score_view", "unit_draw", "make_credentials",
     "VARIANT_INTEGRATED", "VARIANT_EBAY", "VARIANT_UNWEIGHTED", "VARIANTS",
     "OUTCOME_SUCCESS", "OUTCOME_MARGINAL", "OUTCOME_FAILURE",
 ]

@@ -179,6 +179,9 @@ def assert_index_matches(store, oracle):
             assert store.ratings_between(rater, ratee) == sorted(
                 (r for r in received if r.rater == rater),
                 key=lambda r: r.scope)
+            for scope in ("laptops", " Cars", "tools"):
+                assert store.latest(rater, ratee, scope) \
+                    == oracle.get((rater, ratee, scope.strip().lower()))
 
 
 @given(event_strategy)
@@ -341,7 +344,10 @@ def writes_on(row, rows, value):
 
 @settings(max_examples=200)
 @given(rows=distinct_rows,
-       reads=st.lists(st.tuples(st.sampled_from(RESTORE_IDS), st.booleans()),
+       reads=st.lists(st.tuples(st.sampled_from(RESTORE_IDS),
+                                st.sampled_from(("latest_ratings_for",
+                                                 "ratings_between",
+                                                 "latest"))),
                       unique_by=lambda read: read[0]),
        pick=st.integers(0, 99), value=st.sampled_from(RATING_VALUES))
 def test_restored_store_reads_like_a_recorded_one(rows, reads, pick, value):
@@ -361,14 +367,22 @@ def test_restored_store_reads_like_a_recorded_one(rows, reads, pick, value):
         assert unbuilt(clone) == []
     assert unbuilt(restored) == ratees          # the clones built their own
 
-    for ratee, between_first in reads:       # either read may build it
-        queries = [*(("latest_ratings_for", ratee, scope)
-                     for scope in RESTORE_SCOPES),
-                   *(("ratings_between", rater, ratee)
-                     for rater in RESTORE_IDS)]
-        for name, *args in queries[::-1] if between_first else queries:
-            assert getattr(restored, name)(*args) \
-                == getattr(expected, name)(*args)
+    read = set()
+    for ratee, first in reads:               # each kind of read may build it
+        queries = {"latest_ratings_for": [(ratee, scope)
+                                          for scope in RESTORE_SCOPES],
+                   "ratings_between": [(rater, ratee)
+                                       for rater in RESTORE_IDS],
+                   "latest": [(rater, ratee, scope) for rater in RESTORE_IDS
+                              for scope in RESTORE_SCOPES]}
+        read.add(ratee)
+        for name in (first, *(kind for kind in queries if kind != first)):
+            for args in queries[name]:
+                assert getattr(restored, name)(*args) \
+                    == getattr(expected, name)(*args)
+                # a read builds its own ratee and no other
+                assert unbuilt(restored) == [other for other in ratees
+                                             if other not in read]
     assert unbuilt(restored) == [ratee for ratee in ratees
                                  if ratee not in dict(reads)]
 

@@ -22,8 +22,8 @@ from trustmarket.sim import (STRATEGY_KINDS, VARIANT_EBAY, VARIANT_INTEGRATED,
                              VARIANT_UNWEIGHTED, VARIANTS, BallotStuffing,
                              BuyerPolicy, BuyerSpec, Honest, IdentityReset,
                              Scenario, SellerSpec, ValueImbalance,
-                             build_world, compare_variants, int_draw,
-                             run_scenario, step, unit_draw)
+                             build_world, compare_variants, run_scenario,
+                             step, unit_draw)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "data" / "scenarios"
 
@@ -69,9 +69,9 @@ def test_unit_draw_golden_values(seed, key, golden):
 
 
 def test_int_draw_covers_inclusive_range():
-    seen = {int_draw(3, 1, 4, "x", i) for i in range(300)}
+    seen = {sim._in_range(unit_draw(3, "x", i), 1, 4) for i in range(300)}
     assert seen == {1, 2, 3, 4}
-    assert int_draw(3, 7, 7, "y") == 7
+    assert sim._in_range(unit_draw(3, "y"), 7, 7) == 7
 
 
 # ------------------------------------------------------------------
@@ -408,29 +408,39 @@ def test_comparison_serializes():
 # shared listing views equal a fresh opinion per buyer
 # ------------------------------------------------------------------
 
-def _fresh_consider(world, buyer, listing, views, index):
+def _fresh_choose(world, buyer, listings, views, best):
     """The threshold rule scored with a fresh compute_opinion for every
-    (buyer, listing), ignoring the round's shared views."""
-    if buyer.colludes_with == listing.seller:
-        return 2.0
-    if world.scenario.variant == VARIANT_EBAY:
-        return sim.score_view(world, listing.seller, listing.scope)
-    opinion = compute_opinion(
-        world.accounts[buyer.name],
-        world.sellers[listing.seller].account_id,
-        ListingContext(scope=listing.scope, price=listing.price,
-                       delivery_days=listing.delivery_days),
-        world.state.store, world.state.registry, world.config)
-    if buyer.policy.refuse_on_avoid_delivery \
-            and ADVISORY_AVOID_DELIVERY in opinion.advisories:
-        return None
-    effective = opinion.unit_score
-    if opinion.advisories & {ADVISORY_NEW_SELLER, ADVISORY_NEW_IN_SCOPE}:
-        effective -= buyer.policy.new_seller_discount
-    return effective
+    (buyer, unsold listing), ignoring the round's shared views and best
+    listings: the first of the candidates sorted by (-effective, index)."""
+    candidates = []
+    for index, listing in enumerate(listings):
+        if listing.sold:
+            continue
+        if buyer.colludes_with == listing.seller:
+            effective = 2.0
+        elif world.scenario.variant == VARIANT_EBAY:
+            effective = sim.score_view(world, listing.seller, listing.scope)
+        else:
+            opinion = compute_opinion(
+                world.accounts[buyer.name],
+                world.sellers[listing.seller].account_id,
+                ListingContext(scope=listing.scope, price=listing.price,
+                               delivery_days=listing.delivery_days),
+                world.state.store, world.state.registry, world.config)
+            if buyer.policy.refuse_on_avoid_delivery \
+                    and ADVISORY_AVOID_DELIVERY in opinion.advisories:
+                continue
+            effective = opinion.unit_score
+            if opinion.advisories & {ADVISORY_NEW_SELLER,
+                                     ADVISORY_NEW_IN_SCOPE}:
+                effective -= buyer.policy.new_seller_discount
+        if effective >= buyer.policy.threshold:
+            candidates.append((-effective, index))
+    return sorted(candidates)[0][1] if candidates else None
 
 
-def _view_scenario(seed, scopes, max_delivery_days):
+def _view_scenario(seed, scopes, max_delivery_days, sellers=6, buyers=7,
+                   horizon=15):
     """Every strategy, a shill, buyers that ignore the delivery advisory
     or discount newcomers; delivery runs 3-8 days, so a maximum of 2
     flags every listing and 5 some of them."""
@@ -442,19 +452,20 @@ def _view_scenario(seed, scopes, max_delivery_days):
         IdentityReset(defect_after=2, fresh_ids=True),
         IdentityReset(defect_after=2, fresh_ids=False),
         BallotStuffing(fake_raters=2, quality=0.4))
-    sellers = tuple(SellerSpec(name=f"s{i}", strategy=strategy,
+    sellers = tuple(SellerSpec(name=f"s{i}",
+                               strategy=strategies[i % len(strategies)],
                                tier=rng.choice(tiers))
-                    for i, strategy in enumerate(strategies))
+                    for i in range(sellers))
     buyers = tuple(
         BuyerSpec(name=f"b{i}", tier=rng.choice(tiers),
                   policy=BuyerPolicy(
                       threshold=rng.choice((0.0, 0.2, 0.5)),
                       refuse_on_avoid_delivery=rng.random() < 0.5,
                       new_seller_discount=rng.choice((0.0, 0.1, 0.3))))
-        for i in range(7))
+        for i in range(buyers))
     buyers += (BuyerSpec(name="shill", colludes_with="s5"),)
     return Scenario(
-        seed=seed, horizon=15, sellers=sellers, buyers=buyers,
+        seed=seed, horizon=horizon, sellers=sellers, buyers=buyers,
         scopes=("books", "cars", "garden")[:scopes],
         delivery_range=(3, 8),
         engine=EngineConfig(max_delivery_days=max_delivery_days))
@@ -503,7 +514,7 @@ def test_shared_listing_views_equal_fresh_opinions(
         scenario = _view_scenario(seed, scopes, max_delivery_days)
         shared = _runs(scenario)
         with monkeypatch.context() as patched:
-            patched.setattr(sim, "_consider", _fresh_consider)
+            patched.setattr(sim, "_choose", _fresh_choose)
             fresh = _runs(scenario)
         for variant in VARIANTS:
             assert shared[variant] == fresh[variant], (seed, variant)
@@ -569,9 +580,9 @@ def test_deal_drops_only_views_its_moved_weights_reach():
                            delivery_days=listing.delivery_days),
             store, registry, world.config)[2:]
     views = {}
-    for index, listing in enumerate(listings):
-        sim._consider(world, scenario.buyers[0], listing, views, index)
+    sim._choose(world, scenario.buyers[0], listings, views, {})
     before = dict(views)
+    assert set(before) == {0, 1, 2, 3}
 
     # b's weight moves from epsilon (one -1 received) to 0.5
     sim._record_deal(world, scenario.buyers[0], world.sellers["s1"],
@@ -580,6 +591,36 @@ def test_deal_drops_only_views_its_moved_weights_reach():
     assert {2, 3} <= set(views)
     for index in (2, 3):
         assert views[index] == fresh(listings[index])
+
+
+def test_a_comparison_hashes_each_shared_draw_once(monkeypatch):
+    # arrival orders, listing terms and the outcomes of deals the variants
+    # share are the same draws under every variant
+    keys = Counter()
+
+    def counted(*key):
+        keys[key] += 1
+        return unit_draw(*key)
+    monkeypatch.setattr(sim, "unit_draw", counted)
+    compare_variants(_view_scenario(1, 3, 5.0, sellers=20, buyers=40,
+                                    horizon=50))
+    assert len(keys) > 1000
+    assert sum(keys.values()) == len(keys)
+
+
+def _compared_runs_match_single_runs(scenario, singles):
+    variants = (VARIANT_EBAY, VARIANT_INTEGRATED, VARIANT_EBAY,
+                VARIANT_UNWEIGHTED)
+    comparison = compare_variants(scenario, variants)
+    for variant in variants:
+        assert comparison.reports[variant].to_json() == singles[variant]
+
+
+def test_a_comparison_reports_what_single_runs_report():
+    for _, scenario in _bundled_and_view_scenarios():
+        _compared_runs_match_single_runs(scenario, {
+            variant: run_scenario(replace(scenario, variant=variant))
+            .to_json() for variant in VARIANTS})
 
 
 def _fold(events):
@@ -684,8 +725,11 @@ def test_generated_scenarios(scenario):
     # kept listing views never go stale
     shared = _runs(scenario)
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(sim, "_consider", _fresh_consider)
+        patched.setattr(sim, "_choose", _fresh_choose)
         assert _runs(scenario) == shared
+    # a comparison's shared draws change no variant's report
+    _compared_runs_match_single_runs(
+        scenario, {variant: shared[variant][0] for variant in VARIANTS})
     # the world's state is the fold of its event stream
     world = build_world(scenario)
     for _ in range(scenario.horizon):
