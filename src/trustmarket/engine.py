@@ -145,15 +145,22 @@ class TrustOpinion:
 # weight and score primitives
 # ------------------------------------------------------------------
 
+# Each weight floor is written `x if x > floor else floor`.  A weight is
+# never NaN or -0.0, so that is the builtin max's result bit for bit, and
+# it saves the call, which in `weighted_reputation` is made per rating.
+
 def cost_weight(cost: float, config: EngineConfig = DEFAULT_ENGINE) -> float:
     """Weight of a rating by the money at stake, in [w_min, 1).
 
     Saturating in cost: c/(c + c_half), floored at w_min so cheap deals
-    still count a little.
+    still count a little.  A cost outside [0, inf) is refused, as
+    `Rating` refuses it.
     """
-    if cost < 0:
-        raise ValueError(f"cost must be non-negative, got {cost}")
-    return max(config.w_min, cost / (cost + config.c_half))
+    if not 0 <= cost < math.inf:
+        raise ValueError(f"cost must lie in [0, inf), got {cost}")
+    share = cost / (cost + config.c_half)
+    floor = config.w_min
+    return share if share > floor else floor
 
 
 def rater_weight(rater: str, store, registry,
@@ -166,19 +173,25 @@ def rater_weight(rater: str, store, registry,
     """
     account = registry.get(rater)
     total, count = store.received_totals(rater)
-    if not count:
-        return max(config.epsilon, initial_trust(account.tier, config.policy))
-    global_rep = total / count
-    return max(config.epsilon, (global_rep + 1.0) / 2.0)
+    if count:
+        credibility = (total / count + 1.0) / 2.0
+    else:
+        credibility = initial_trust(account.tier, config.policy)
+    floor = config.epsilon
+    return credibility if credibility > floor else floor
 
 
 def weighted_reputation(seller: str, scope: str, store, registry,
                         config: EngineConfig = DEFAULT_ENGINE):
     """Aggregate recommended score for a seller within one scope.
 
-    Weighted mean of latest rating values, each weighted by rater
-    credibility times transaction cost; None when the seller has no
-    ratings in the scope (a newcomer there).
+    Weighted mean of latest rating values, each weighted by
+    `rater_weight(rater) * cost_weight(cost)`; None when the seller has no
+    ratings in the scope (a newcomer there).  Those two functions define
+    the weights.  The loop inlines them, in the same conditional form, with
+    each config field read once and no call per rating but the rater's
+    totals; it sums in rater order, so it equals the sum over the two
+    functions bit for bit.
     """
     registry.get(seller)   # raises UnknownAccount
     ratings = store.latest_ratings_for(seller, scope)
@@ -186,11 +199,25 @@ def weighted_reputation(seller: str, scope: str, store, registry,
         return None
     if not config.use_weights:
         return sum(r.value for r in ratings) / len(ratings)
+    epsilon, w_min, c_half = config.epsilon, config.w_min, config.c_half
+    trust = config.policy.initial_trust
+    accounts = registry.accounts
+    received_totals = store.received_totals
     numerator = 0.0
     denominator = 0.0
     for rating in ratings:
-        weight = (rater_weight(rating.rater, store, registry, config)
-                  * cost_weight(rating.cost, config))
+        rater = rating.rater
+        if rater not in accounts:
+            registry.get(rater)   # raises UnknownAccount
+        total, count = received_totals(rater)
+        if count:
+            credibility = (total / count + 1.0) / 2.0
+        else:
+            credibility = trust[accounts[rater].tier]
+        cost = rating.cost
+        share = cost / (cost + c_half)
+        weight = ((credibility if credibility > epsilon else epsilon)
+                  * (share if share > w_min else w_min))
         numerator += weight * rating.value
         denominator += weight
     return numerator / denominator

@@ -9,11 +9,10 @@ scratch in the car category.
 import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from operator import attrgetter, eq, itemgetter
+from operator import eq, itemgetter
 
 from .errors import SelfRating, StaleTimestamp, UnknownAccount
 
-_BY_RATER = attrgetter("rater")
 _VALUE = itemgetter(3)
 
 # A rating's value: positive, neutral or negative.
@@ -69,19 +68,28 @@ class _Received:
     """One ratee's latest ratings, {scope: {rater: Rating}}, and the running
     sum and count of their values, so rater weights need no scan.
 
+    `orders` holds {scope: the bucket's raters, sorted}, so that repeated
+    reads of a bucket do not sort it again.  It is None until the first
+    `latest_ratings_for`, which builds the scope's list.  A bucket never
+    loses a rater, so its list is stale exactly when it is shorter than
+    the bucket: when a new rater has entered the scope.  The next read
+    then sorts it again; a rating that only replaces an older one of the
+    same rater keeps it, and `record` itself never touches it.
+
     A ratee restored from rows keeps them in `rows`, already checked, until
     a reader first needs its ratings: the store's readers test `rows` and
     call `build`.  The test is explicit because a `__getattr__` or property
     here would slow every slot read of every ratee.
     """
 
-    __slots__ = ("scopes", "total", "count", "rows")
+    __slots__ = ("scopes", "total", "count", "rows", "orders")
 
     def __init__(self):
         self.scopes: dict[str, dict[str, Rating]] = {}
         self.total = 0
         self.count = 0
         self.rows = None
+        self.orders = None
 
     def build(self) -> None:
         """Turn `rows` into ratings and scope buckets, in row order, as
@@ -202,14 +210,26 @@ class RatingStore:
 
     def latest_ratings_for(self, ratee: str, scope: str) -> list:
         """Latest rating per rater for `ratee` in `scope`, sorted by rater
-        so iteration order is deterministic."""
+        so iteration order is deterministic.
+
+        The scope's sorted raters are kept in the ratee's `orders` from the
+        first read until a new rater enters the scope."""
         received = self._received.get(ratee)
         if received is None:
             return []
         if received.rows is not None:
             received.build()
-        return sorted(received.scopes.get(normalize_scope(scope), {}).values(),
-                      key=_BY_RATER)
+        scope = normalize_scope(scope)
+        bucket = received.scopes.get(scope)
+        if bucket is None:
+            return []
+        orders = received.orders
+        if orders is None:
+            orders = received.orders = {}
+        order = orders.get(scope)
+        if order is None or len(order) != len(bucket):
+            order = orders[scope] = sorted(bucket)
+        return list(map(bucket.__getitem__, order))
 
     def received_totals(self, ratee: str) -> tuple[int, int]:
         """(sum of values, count) over the ratee's latest ratings."""

@@ -11,8 +11,9 @@ All randomness is counter-based: every draw hashes (seed, purpose,
 round, agent), so the same scenario under a different variant sees the
 same random stream wherever the same question is asked.  A comparison
 computes each such shared draw once: its worlds share one dict of draws,
-which lives as long as the comparison.  Prices are integers, which keeps
-the money conservation check exact.
+which lives as long as the comparison and holds each round's arrival
+order as one entry.  Prices are integers, which keeps the money
+conservation check exact.
 
 Every state change a run makes, each registration attempt and both
 ratings of each deal, is an `eventlog.EventRecord` written through
@@ -510,13 +511,13 @@ class World:
     completed_deals: int = 0
     first_sale: dict = field(default_factory=dict)
     events: list = field(default_factory=list)   # EventRecords, seq 1, 2, ...
-    draws: dict | None = None   # (seed, *key) -> unit draw, or no cache
+    draws: dict | None = None   # (seed, *key) -> unit draw or arrival order
 
 
 def build_world(scenario: Scenario, draws: dict | None = None) -> World:
     """A world at round 0, its roster registered.  `draws`, if given,
-    caches the world's unit draws by (seed, *key); the worlds of one
-    comparison share it."""
+    caches the world's unit draws by (seed, *key), and its arrival order
+    a round; the worlds of one comparison share it."""
     scenario.validate()
     config = scenario.engine
     if scenario.variant == VARIANT_UNWEIGHTED:
@@ -576,6 +577,24 @@ def _draw(world: World, *key) -> float:
     if value is None:
         value = draws[key] = unit_draw(*key)
     return value
+
+
+def _arrival(world: World) -> list:
+    """The round's buyers in arrival order, which rotates so repeat
+    business spreads over raters.  A world with `draws` keeps each
+    round's order there, as a tuple of buyer names under one key, rather
+    than each buyer's draw."""
+    scenario = world.scenario
+    seed, round_ = scenario.seed, world.round
+    draws = {} if world.draws is None else world.draws
+    key = (seed, "arrival", round_)
+    order = draws.get(key)
+    if order is None:
+        order = draws[key] = tuple(sorted(
+            (buyer.name for buyer in scenario.buyers),
+            key=lambda name: (unit_draw(seed, "arrival", round_, name), name)))
+    buyers = {buyer.name: buyer for buyer in scenario.buyers}
+    return [buyers[name] for name in order]
 
 
 def _post_listing(world: World, state: _SellerState) -> _Listing:
@@ -797,11 +816,7 @@ def step(world: World) -> World:
     # listing of each buyer policy in `best` holds until the next deal.
     views = {}
     best = {}
-    # arrival order rotates so repeat business spreads over raters
-    arrival = sorted(
-        world.scenario.buyers,
-        key=lambda b: (_draw(world, "arrival", world.round, b.name), b.name))
-    for buyer in arrival:
+    for buyer in _arrival(world):
         index = _choose(world, buyer, listings, views, best)
         if index is None:
             continue

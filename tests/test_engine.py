@@ -13,7 +13,7 @@ from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                                 direct_trust, label_for, rater_weight,
                                 weighted_reputation)
 from trustmarket.errors import SelfQuery, UnknownAccount
-from trustmarket.identity import ProfileTier, Registry
+from trustmarket.identity import PolicyConfig, ProfileTier, Registry
 from trustmarket.ratings import Rating, RatingStore
 
 from conftest import credentials_for, record
@@ -40,9 +40,10 @@ def test_cost_weight_monotone_above_floor():
     assert all(0.1 <= w < 1.0 for w in weights)
 
 
-def test_cost_weight_rejects_negative():
+@pytest.mark.parametrize("cost", [-1.0, math.nan, math.inf])
+def test_cost_weight_rejects_negative(cost):
     with pytest.raises(ValueError):
-        cost_weight(-1.0)
+        cost_weight(cost)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -75,6 +76,19 @@ def test_unrated_rater_bootstraps_from_tier(registry, store):
 def test_rater_weight_unknown_account(registry, store):
     with pytest.raises(UnknownAccount):
         rater_weight("A999999", store, registry)
+
+
+@pytest.mark.parametrize("rated", [False, True])
+def test_reputation_refuses_an_unregistered_rater(market, rated):
+    # a store recorded without a registry may hold a rater nobody registered
+    registry, store, ids = market
+    store.record(Rating(rater="A999999", ratee=ids["seller"], scope="laptops",
+                        value=1, cost=50.0, at=1))
+    if rated:
+        store.record(Rating(rater=ids["b1"], ratee="A999999",
+                            scope="laptops", value=1, cost=50.0, at=2))
+    with pytest.raises(UnknownAccount):
+        weighted_reputation(ids["seller"], "laptops", store, registry)
 
 
 # ------------------------------------------------------------------
@@ -381,3 +395,94 @@ def test_cost_weight_ordering_scale_covariant():
         scaled_order = sorted(range(len(costs)),
                               key=lambda i: cost_weight(lam * costs[i], scaled))
         assert base_order == scaled_order
+
+
+# ------------------------------------------------------------------
+# the reputation loop against the weight functions, exactly
+# ------------------------------------------------------------------
+
+ORACLE_TIERS = ("high", "low", "low", "medium", "medium", "high", "high")
+ORACLE_REGISTRY = Registry()
+ORACLE_IDS = [ORACLE_REGISTRY.register(credentials_for(f"o{i}", tier))
+              .account_id for i, tier in enumerate(ORACLE_TIERS)]
+ORACLE_SELLER = ORACLE_IDS[0]
+ORACLE_SCOPES = ("laptops", "cars")
+
+# Floors that tie with a weight: epsilon 0.15 and 0.3 with the medium and
+# high tier trust, epsilon 0.5 with a rater whose mean rating is 0, and
+# w_min 0.5 with a cost of c_half.  The second policy has int trust values.
+oracle_configs = st.builds(
+    EngineConfig,
+    policy=st.sampled_from([
+        PolicyConfig(),
+        PolicyConfig({ProfileTier.LOW: 0, ProfileTier.MEDIUM: 0.5,
+                      ProfileTier.HIGH: 1})]),
+    epsilon=st.sampled_from([0.1, 0.15, 0.3, 0.5, 0.75]),
+    w_min=st.sampled_from([0.1, 0.5]),
+    use_weights=st.booleans())
+oracle_costs = st.one_of(
+    st.sampled_from([0, 0.0, 100, 100.0, math.nextafter(100.0, 0.0),
+                     math.nextafter(100.0, math.inf), 99.5, 100.5]),
+    st.integers(0, 2_000),
+    st.floats(0.0, 2_000.0))
+oracle_events = st.lists(
+    st.tuples(st.sampled_from(ORACLE_IDS), st.sampled_from(ORACLE_IDS),
+              st.sampled_from(ORACLE_SCOPES), st.sampled_from([1, 0, -1]),
+              oracle_costs).filter(lambda event: event[0] != event[1]),
+    max_size=30)
+
+
+def max_rater_weight(rater, snapshot, config):
+    """rater_weight written with max(), from a store snapshot."""
+    received = [r.value for r in snapshot.values() if r.ratee == rater]
+    if received:
+        credibility = (sum(received) / len(received) + 1.0) / 2.0
+    else:
+        credibility = config.policy.initial_trust[
+            ORACLE_REGISTRY.get(rater).tier]
+    return max(config.epsilon, credibility)
+
+
+def max_cost_weight(cost, config):
+    """cost_weight written with max()."""
+    return max(config.w_min, cost / (cost + config.c_half))
+
+
+def reference_reputation(scope, store, config):
+    """Σ rater_weight·cost_weight·v / Σ rater_weight·cost_weight over the
+    seller's latest ratings in `scope`, summed in rater order."""
+    ratings = sorted((r for r in store.snapshot().values()
+                      if r.ratee == ORACLE_SELLER and r.scope == scope),
+                     key=lambda r: r.rater)
+    if not ratings:
+        return None
+    if not config.use_weights:
+        return sum(r.value for r in ratings) / len(ratings)
+    numerator = denominator = 0.0
+    for rating in ratings:
+        weight = (rater_weight(rating.rater, store, ORACLE_REGISTRY, config)
+                  * cost_weight(rating.cost, config))
+        numerator += weight * rating.value
+        denominator += weight
+    return numerator / denominator
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_events, oracle_configs)
+def test_reputation_equals_the_weight_functions_exactly(events, config):
+    # a read after every event, so each scope's kept rater order is read,
+    # replaced into and joined by new raters
+    store = RatingStore()
+    for at, (rater, ratee, scope, value, cost) in enumerate(events, start=1):
+        store.record(Rating(rater, ratee, scope, value, cost, at),
+                     registry=ORACLE_REGISTRY)
+        snapshot = store.snapshot()
+        for account in ORACLE_IDS:
+            assert rater_weight(account, store, ORACLE_REGISTRY, config) \
+                == max_rater_weight(account, snapshot, config)
+        assert cost_weight(cost, config) == max_cost_weight(cost, config)
+        for where in ORACLE_SCOPES:
+            got = weighted_reputation(ORACLE_SELLER, where, store,
+                                      ORACLE_REGISTRY, config)
+            want = reference_reputation(where, store, config)
+            assert got == want and type(got) is type(want)

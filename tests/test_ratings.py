@@ -186,6 +186,8 @@ def assert_index_matches(store, oracle):
 
 @given(event_strategy)
 def test_store_matches_max_timestamp_oracle(events):
+    # checked after every event, so a scope's kept rater order is read
+    # both before and after a new rater joins the scope
     store = RatingStore()
     oracle: dict = {}
     for rater, ratee, scope, value, at in events:
@@ -196,9 +198,9 @@ def test_store_matches_max_timestamp_oracle(events):
             store.record(candidate)
         except StaleTimestamp:
             assert key in oracle and oracle[key].at >= at
-            continue
-        oracle[key] = candidate
-    assert_index_matches(store, oracle)
+        else:
+            oracle[key] = candidate
+        assert_index_matches(store, oracle)
 
 
 # ------------------------------------------------------------------
@@ -402,4 +404,29 @@ def test_restored_store_reads_like_a_recorded_one(rows, reads, pick, value):
                     store, RatingStore.restore(rows, RESTORE_REGISTRY))
             assert_same_store(store, oracle)
 
+    assert_same_store(restored, expected)
+
+
+@settings(max_examples=200)
+@given(rows=distinct_rows.filter(bool), pick=st.integers(0, 99),
+       value=st.sampled_from(RATING_VALUES))
+def test_restored_scope_reads_a_rater_that_joins_it(rows, pick, value):
+    # read a restored bucket, record a rater new to it, and read it again
+    _, ratee, scope, _, _, at = rows[pick % len(rows)]
+    scope = normalize_scope(scope)
+    keys = set(map(key_of, rows))
+    joining = [rater for rater in RESTORE_IDS
+               if rater != ratee and (rater, ratee, scope) not in keys]
+    restored = RatingStore.restore(rows, RESTORE_REGISTRY)
+    expected = record_each(rows, RESTORE_REGISTRY)
+
+    def scanned():
+        return [rating for key, rating in sorted(expected.snapshot().items())
+                if key[1:] == (ratee, scope)]
+    for rater in joining:
+        assert restored.latest_ratings_for(ratee, scope) == scanned()
+        for store in (restored, expected):
+            store.record(Rating(rater, ratee, scope, value, 1.0, at + 1),
+                         registry=RESTORE_REGISTRY)
+        assert restored.latest_ratings_for(ratee, scope) == scanned()
     assert_same_store(restored, expected)
