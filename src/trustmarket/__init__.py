@@ -16,7 +16,7 @@ from .engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
 from .errors import (CorruptLog, DuplicateIdentity, EmptyGroup, GroupTooSmall,
                      IncompleteCredentials, InvalidScenario, SelfQuery,
                      SelfRating, StaleTimestamp, TooFewGroups, TooFewSamples,
-                     TrustMarketError, UnknownAccount, UnsupportedParameters)
+                     TrustMarketError, UnknownAccount)
 from .eventlog import EventLog, EventRecord, MarketState, replay
 from .identity import (DEFAULT_POLICY, Account, BusinessDetails, CredentialSet,
                        EvidenceDetails, PersonalDetails, PolicyConfig,

@@ -312,6 +312,7 @@ def cmd_stats_kruskal(args) -> int:
         f"H (tie-corrected): {result.h_tie_corrected:.4f}",
         f"df: {result.df}",
         f"critical value (alpha {result.alpha:g}): {result.critical:.2f}",
+        f"p-value: {result.p_value:.3g}",
         f"decision: {'REJECT' if result.reject else 'RETAIN'}",
         "rank sums: " + ", ".join(
             f"{name}={total:g}"
@@ -321,8 +322,8 @@ def cmd_stats_kruskal(args) -> int:
     payload = {
         "h": result.h, "h_tie_corrected": result.h_tie_corrected,
         "df": result.df, "critical": result.critical,
-        "alpha": result.alpha, "reject": result.reject,
-        "rank_sums": result.rank_sums,
+        "alpha": result.alpha, "p_value": result.p_value,
+        "reject": result.reject, "rank_sums": result.rank_sums,
         "rank_sum_total": result.rank_sum_total,
         "midranks": {str(k): v for k, v in result.midranks.items()},
     }

@@ -49,10 +49,6 @@ class TooFewGroups(TrustMarketError):
     pass
 
 
-class UnsupportedParameters(TrustMarketError):
-    """df/alpha combination outside the compiled critical-value table."""
-
-
 class CorruptLog(TrustMarketError):
     """Event log is structurally damaged at a specific line."""
 

@@ -3,8 +3,8 @@
 Works on 5-point agreement responses grouped by treatment.  The rank
 arithmetic runs on exact rationals (midranks are halves) so the
 rank-sum identity and the H >= 0 property hold bit-exactly, then
-results are floated for reporting.  A compiled chi-square critical
-table provides the decision threshold; a bundled dataset plus the
+results are floated for reporting.  A closed-form chi-square tail
+gives the p-value and the critical value; a bundled dataset plus the
 figures previously reported for it serve as the worked example, with
 `compare_reported` surfacing where those figures fail to add up.
 """
@@ -16,8 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (EmptyGroup, GroupTooSmall, TooFewGroups, TooFewSamples,
-                     UnsupportedParameters)
+from .errors import EmptyGroup, GroupTooSmall, TooFewGroups, TooFewSamples
 
 LIKERT_MIN = 1
 LIKERT_MAX = 5
@@ -31,23 +30,6 @@ SCALE_LABELS = {
     3: "neutral",
     2: "disagree",
     1: "strongly disagree",
-}
-
-# Upper-tail critical values, three digits, the small table a desk
-# analysis actually uses.  Verified in the test suite against a CDF
-# oracle built from the regularized incomplete gamma recurrence.
-_CHI_SQUARE_ALPHAS = (0.10, 0.05, 0.01)
-_CHI_SQUARE_CRITICAL = {
-    1: (2.706, 3.841, 6.635),
-    2: (4.605, 5.991, 9.210),
-    3: (6.251, 7.815, 11.345),
-    4: (7.779, 9.488, 13.277),
-    5: (9.236, 11.070, 15.086),
-    6: (10.645, 12.592, 16.812),
-    7: (12.017, 14.067, 18.475),
-    8: (13.362, 15.507, 20.090),
-    9: (14.684, 16.919, 21.666),
-    10: (15.987, 18.307, 23.209),
 }
 
 
@@ -150,6 +132,7 @@ class KruskalResult:
     rank_sum_total: float
     alpha: float
     critical: float
+    p_value: float
     reject: bool
 
 
@@ -158,8 +141,8 @@ def kruskal_wallis(dataset: dict, alpha: float = 0.05) -> KruskalResult:
 
     H = 12/(N(N+1)) * sum(R_j^2/n_j) - 3(N+1) on midranks, then divided
     by the tie correction 1 - sum(t^3-t)/(N^3-N).  The null hypothesis
-    of equal group distributions is rejected when the tie-corrected H
-    exceeds the chi-square critical value at df = k-1.
+    of equal group distributions is rejected when the chi-square upper
+    tail of the tie-corrected H at df = k-1 is below alpha.
     """
     groups = {name: _check_responses(values)
               for name, values in dataset.items()}
@@ -189,7 +172,7 @@ def kruskal_wallis(dataset: dict, alpha: float = 0.05) -> KruskalResult:
     h_corrected = h_exact / correction if correction > 0 else Fraction(0)
 
     df = len(groups) - 1
-    critical = chi_square_critical(df, alpha)
+    p_value = chi_square_sf(float(h_corrected), df)
     return KruskalResult(
         h=float(h_exact),
         h_tie_corrected=float(h_corrected),
@@ -200,22 +183,38 @@ def kruskal_wallis(dataset: dict, alpha: float = 0.05) -> KruskalResult:
         tie_counts=tie_counts,
         rank_sum_total=float(sum(rank_sums.values())),
         alpha=alpha,
-        critical=critical,
-        reject=float(h_corrected) > critical,
+        critical=chi_square_critical(df, alpha),
+        p_value=p_value,
+        reject=p_value < alpha,
     )
 
 
+def chi_square_sf(x: float, df: int) -> float:
+    """Upper tail P(X > x) of chi-square with integer df >= 1: with
+    y = x/2, erfc(sqrt(y)) for odd df plus y^a e^-y / Gamma(a+1) over
+    a = df/2 - 1, df/2 - 2, ... >= 0 (Abramowitz & Stegun 1964, ch. 26)."""
+    y, half = x / 2, df / 2
+    def term(a):                        # from logs: no underflow at large df
+        return math.exp(a * math.log(y) - y - math.lgamma(a + 1))
+    if y < half:        # one minus the lower tail: the sum wobbles near 1
+        lower, a = 0.0, half
+        while y > 0 and (t := term(a)) > lower * 1e-17:   # terms fall in a
+            lower, a = lower + t, a + 1
+        return 1.0 - lower
+    return (math.erfc(math.sqrt(y)) if df % 2 else 0.0) + sum(
+        term(half - 1 - k) for k in range(df // 2))
+
+
 def chi_square_critical(df: int, alpha: float) -> float:
-    """Tabulated upper-tail chi-square quantile for df 1..10."""
-    row = _CHI_SQUARE_CRITICAL.get(df)
-    if row is None:
-        raise UnsupportedParameters(
-            f"df {df} outside tabulated range 1..{max(_CHI_SQUARE_CRITICAL)}")
-    for column, table_alpha in enumerate(_CHI_SQUARE_ALPHAS):
-        if abs(alpha - table_alpha) < 1e-9:
-            return row[column]
-    raise UnsupportedParameters(
-        f"alpha {alpha} not tabulated; choose one of {_CHI_SQUARE_ALPHAS}")
+    """Upper-tail chi-square quantile: the x whose chi_square_sf is alpha."""
+    if not 0 < alpha < 1:                  # NaN fails this too
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    low, high = 0.0, float(df)
+    while chi_square_sf(high, df) > alpha:
+        low, high = high, 2 * high
+    while low < (x := (low + high) / 2) < high:       # to adjacent floats
+        low, high = (x, high) if chi_square_sf(x, df) > alpha else (low, x)
+    return high
 
 
 # ------------------------------------------------------------------
@@ -294,7 +293,7 @@ def compare_reported(result: KruskalResult, reported: dict) -> list:
     if "critical" in reported and abs(result.critical - reported["critical"]) > 0.005:
         lines.append(
             f"reported critical value {reported['critical']:g}, "
-            f"table gives {result.critical:g}")
+            f"chi-square gives {result.critical:g}")
     return lines
 
 
@@ -310,32 +309,33 @@ def load_likert_csv(path) -> dict:
     row of counts per group.
     """
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = [row for row in csv.reader(handle) if row and any(row)]
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, row) for row in reader if any(row)]
     if not rows:
         raise ValueError(f"{path}: empty dataset")
-    header = [cell.strip().lower() for cell in rows[0]]
-    if header == ["group", "response"]:
-        dataset: dict = {}
-        for row in rows[1:]:
-            dataset.setdefault(row[0].strip(), []).append(int(row[1]))
-        return dataset
-    if header and header[0] == "group":
-        points = [int(cell) for cell in header[1:]]
-        dataset = {}
-        for row in rows[1:]:
-            counts = {point: int(cell)
-                      for point, cell in zip(points, row[1:])}
-            dataset[row[0].strip()] = expand_frequencies(counts)
-        return dataset
-    raise ValueError(
-        f"{path}: unrecognized header {rows[0]!r}; expected 'group,response' "
-        f"or 'group' followed by scale points")
+    header = [cell.strip().lower() for cell in rows[0][1]]
+    if header[0] != "group":
+        raise ValueError(
+            f"{path}: unrecognized header {rows[0][1]!r}; expected "
+            f"'group,response' or 'group' followed by scale points")
+    long_layout = header == ["group", "response"]
+    points = [] if long_layout else [int(cell) for cell in header[1:]]
+    if len(set(points)) != len(points):
+        raise ValueError(f"{path}: line {rows[0][0]}: repeated scale point")
+    dataset: dict = {}
+    for line, row in rows[1:]:
+        if len(row) != len(header):
+            raise ValueError(f"{path}: line {line}: wrong number of cells")
+        dataset.setdefault(row[0].strip(), []).extend(
+            [int(row[1])] if long_layout else expand_frequencies(
+                dict(zip(points, map(int, row[1:])))))
+    return dataset
 
 
 __all__ = [
     "FrequencyTable", "KruskalResult", "frequency_table", "expand_frequencies",
-    "summarize", "midranks", "kruskal_wallis", "chi_square_critical",
-    "compare_reported", "load_likert_csv", "new_seller_support_dataset",
-    "NEW_SELLER_SUPPORT", "REPORTED_NEW_SELLER_SUPPORT",
-    "SCALE_POINTS", "SCALE_LABELS", "LIKERT_MIN", "LIKERT_MAX",
+    "summarize", "midranks", "kruskal_wallis", "chi_square_sf", "LIKERT_MIN",
+    "chi_square_critical", "compare_reported", "load_likert_csv", "LIKERT_MAX",
+    "new_seller_support_dataset", "NEW_SELLER_SUPPORT", "SCALE_POINTS",
+    "REPORTED_NEW_SELLER_SUPPORT", "SCALE_LABELS",
 ]

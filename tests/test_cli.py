@@ -394,10 +394,12 @@ def test_readme_cli_and_simulation_examples_run(capsys, tmp_path,
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("TRUSTMARKET_LOG", raising=False)
     (tmp_path / "data").symlink_to(DATA_DIR)
-    session = readme_session("## CLI") + readme_session("### Simulation")
+    session = (readme_session("## CLI") + readme_session("### Simulation")
+               + readme_session("### Statistics"))
     assert [argv[0] for argv, _ in session] == [
         "register", "register", "rate", "opinion", "replay",
-        "simulate", "compare", "simulate", "replay"]
+        "simulate", "compare", "simulate", "replay", "stats", "stats",
+        "stats"]
     for argv, expected in session:
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)
@@ -710,6 +712,21 @@ def test_stats_kruskal_csv_without_reference_has_no_comparison(capsys, tmp_path)
     payload = json.loads(out)
     assert payload["reject"] is False
     assert "reported_discrepancies" not in payload
+
+
+@pytest.mark.parametrize("text,line", [
+    ("group,response\na\n", 2),
+    ("group,5,4,3,2,1\nx,1,1,1,1,1\ny,1,1\n", 3),
+    ("group,5,5,3\nx,1,2,3\n", 1),
+], ids=["long row of one cell", "short frequency row",
+        "repeated scale point"])
+def test_stats_csv_row_off_its_header_is_exit_1(capsys, tmp_path, text,
+                                                 line):
+    data = tmp_path / "bad.csv"
+    data.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "stats", "kruskal", str(data))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {data}: line {line}: ")
 
 
 def test_stats_kruskal_too_small_group(capsys, tmp_path):

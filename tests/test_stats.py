@@ -1,3 +1,4 @@
+import json
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -7,15 +8,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from trustmarket.cli import main
 from trustmarket.errors import (EmptyGroup, GroupTooSmall, TooFewGroups,
-                                TooFewSamples, UnsupportedParameters)
+                                TooFewSamples)
 from trustmarket.stats import (NEW_SELLER_SUPPORT, REPORTED_NEW_SELLER_SUPPORT,
-                               chi_square_critical, compare_reported,
-                               expand_frequencies, frequency_table,
-                               kruskal_wallis, load_likert_csv, midranks,
+                               chi_square_critical, chi_square_sf,
+                               compare_reported, expand_frequencies,
+                               frequency_table, kruskal_wallis,
+                               load_likert_csv, midranks,
                                new_seller_support_dataset, summarize)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+# Upper-tail critical values to three digits, the printed table a desk
+# analysis uses, by df and then alpha 0.10, 0.05, 0.01.
+PRINTED_TABLE = {
+    1: (2.706, 3.841, 6.635),
+    2: (4.605, 5.991, 9.210),
+    3: (6.251, 7.815, 11.345),
+    4: (7.779, 9.488, 13.277),
+    5: (9.236, 11.070, 15.086),
+    6: (10.645, 12.592, 16.812),
+    7: (12.017, 14.067, 18.475),
+    8: (13.362, 15.507, 20.090),
+    9: (14.684, 16.919, 21.666),
+    10: (15.987, 18.307, 23.209),
+}
+TABLE_ALPHAS = (0.10, 0.05, 0.01)
 
 
 # ------------------------------------------------------------------
@@ -251,29 +270,96 @@ def test_h_matches_explicit_sort_oracle(dataset):
 
 
 # ------------------------------------------------------------------
-# chi-square table
+# chi-square tail
 # ------------------------------------------------------------------
 
 def test_critical_value_examples():
     assert chi_square_critical(2, 0.05) == pytest.approx(5.99, abs=0.005)
-    assert chi_square_critical(1, 0.05) == 3.841
+    assert chi_square_critical(1, 0.05) == pytest.approx(3.841, abs=5e-4)
     assert chi_square_critical(2, 0.05) \
         == kruskal_wallis(new_seller_support_dataset()).critical
 
 
-def test_unsupported_parameters():
-    with pytest.raises(UnsupportedParameters):
-        chi_square_critical(11, 0.05)
-    with pytest.raises(UnsupportedParameters):
-        chi_square_critical(2, 0.2)
+def test_any_df_and_alpha_give_a_value():
+    # df 11 and alpha 0.2 lie outside the printed table
+    assert chi_square_critical(11, 0.05) == pytest.approx(19.675, abs=5e-4)
+    # at df 2 the tail is exp(-x/2), so the quantile is -2 ln(alpha)
+    assert chi_square_critical(2, 0.2) == pytest.approx(-2 * math.log(0.2),
+                                                        rel=1e-12)
 
 
 def test_whole_table_against_cdf_oracle():
-    for df in range(1, 11):
-        for alpha in (0.10, 0.05, 0.01):
+    for df, row in PRINTED_TABLE.items():
+        for alpha, printed in zip(TABLE_ALPHAS, row):
             critical = chi_square_critical(df, alpha)
+            assert critical == pytest.approx(printed, abs=5e-4), (df, alpha)
             tail = 1.0 - chi2_cdf(critical, df)
             assert tail == pytest.approx(alpha, abs=5e-4), (df, alpha)
+
+
+def test_decisions_at_the_rounded_table_boundary():
+    # the printed 5.991 lies below the true 5.9914645, so an H between
+    # them has p > 0.05 and is retained
+    assert chi_square_critical(2, 0.05) > 5.9914
+    assert chi_square_sf(5.9912, 2) > 0.05
+    # the printed 6.635 lies above the true 6.6348966
+    assert chi_square_critical(1, 0.01) < 6.635
+
+
+def test_bundled_dataset_p_value():
+    result = kruskal_wallis(new_seller_support_dataset())
+    assert result.p_value == pytest.approx(
+        math.exp(-result.h_tie_corrected / 2), rel=1e-12)
+    assert result.p_value < 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=1e-3, max_value=200.0),
+       st.integers(min_value=1, max_value=40))
+def test_tail_matches_incomplete_gamma_oracle(x, df):
+    assert chi_square_sf(x, df) == pytest.approx(1.0 - chi2_cdf(x, df),
+                                                 abs=1e-12)
+
+
+@pytest.mark.parametrize("df", [1, 2, 3, 2000])
+def test_tail_is_monotone_non_increasing(df):
+    # fine steps near 0, where the tail is within an ulp of 1, then
+    # coarse steps out past the mean into the far tail
+    xs = [i * 1e-3 for i in range(2000)] \
+        + [2 + i * (df + 15) / 250 for i in range(2001)]
+    tails = [chi_square_sf(x, df) for x in xs]
+    assert tails[0] == 1.0 and tails[-1] < 1e-10
+    assert all(later <= earlier for earlier, later in zip(tails, tails[1:]))
+
+
+def test_large_df_meets_wilson_hilferty():
+    df, z = 2000, 1.6448536269514722              # z of 0.95
+    approx = df * (1 - 2 / (9 * df) + z * math.sqrt(2 / (9 * df))) ** 3
+    assert chi_square_critical(df, 0.05) == pytest.approx(approx, abs=1e-3)
+
+
+@pytest.mark.parametrize("alpha", ["0", "1", "-0.1", "nan", "inf"])
+def test_alpha_outside_the_open_unit_interval_is_exit_1(capsys, alpha):
+    assert main(["stats", "kruskal", "--alpha", alpha]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: alpha must lie in (0, 1)")
+
+
+def test_kruskal_cli_at_alpha_0_2_and_twelve_groups(capsys, tmp_path):
+    assert main(["stats", "kruskal", "--alpha", "0.2"]) == 0
+    out = capsys.readouterr().out
+    assert "critical value (alpha 0.2): 3.22" in out
+    assert "p-value: 2.47e-16" in out
+    data = tmp_path / "twelve.csv"
+    data.write_text("group,response\n" + "".join(
+        f"g{g},{v}\n" for g in range(12) for v in (1, 2, 3, 4, 5)),
+        encoding="utf-8")
+    assert main(["stats", "kruskal", str(data), "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["df"] == 11
+    assert payload["critical"] == pytest.approx(19.675, abs=5e-4)
+    assert (payload["p_value"], payload["reject"]) == (1.0, False)
 
 
 # ------------------------------------------------------------------
@@ -308,6 +394,10 @@ def test_frequency_layout_roundtrip(tmp_path):
     path = tmp_path / "freq.csv"
     path.write_text("group,5,4,3,2,1\nx,2,1,0,0,1\n", encoding="utf-8")
     assert sorted(load_likert_csv(path)["x"]) == [1, 4, 5, 5]
+    # a group on two rows has the counts of both
+    path.write_text("group,5,4,3,2,1\nx,2,1,0,0,1\nx,0,0,1,0,0\n",
+                    encoding="utf-8")
+    assert sorted(load_likert_csv(path)["x"]) == [1, 3, 4, 5, 5]
 
 
 def test_unrecognized_header(tmp_path):
