@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import SelfQuery
 from .identity import DEFAULT_POLICY, PolicyConfig, ProfileTier, initial_trust
-from .ratings import normalize_scope
+from .ratings import MAX_COST, normalize_scope
 
 MODE_ATC = "atc"
 MODE_DTC = "dtc"
@@ -153,10 +153,10 @@ def cost_weight(cost: float, config: EngineConfig = DEFAULT_ENGINE) -> float:
     """Weight of a rating by the money at stake, in [w_min, 1).
 
     Saturating in cost: c/(c + c_half), floored at w_min so cheap deals
-    still count a little.  A cost outside [0, inf) is refused, as
+    still count a little.  A cost outside [0, MAX_COST] is refused, as
     `Rating` refuses it.
     """
-    if not 0 <= cost < math.inf:
+    if not 0 <= cost <= MAX_COST:
         raise ValueError(f"cost must lie in [0, inf), got {cost}")
     share = cost / (cost + config.c_half)
     floor = config.w_min

@@ -24,28 +24,33 @@ too deeply for either is damage too.
 A writing command also keeps a checkpoint beside the log, `<log>.ckpt`:
 one JSON object holding the state that the replay of the log's first
 `offset` bytes (`lines` complete lines) produced, with the sha256 of
-those bytes, `last_seq`, the store revision, the rejections, each
-account's id and credentials in registration order and the latest
-ratings in `at` order; keys it does not read, such as the role flags
-that older checkpoints and register events carry, are ignored.
-`locked()` and `EventLog.read_state()` hash the log's prefix, a chunk at
-a time, and, when the hash and every field check out, rebuild that
-state and replay only the lines past `offset`: the accounts through the
-registry, the ratings through `RatingStore.restore`, which checks them
-column by column under the same rules as `Rating` and `record` and
-refuses a key that appears twice.  Each ratee's totals are summed at
-once, but its `Rating` objects are built when a read or write first
-needs them, so an `opinion` builds only the seller's; saving a
-checkpoint builds them all.
+those bytes, `last_seq`, the store revision and the rejections.  Its
+layout (version 2) is built for a restore without a Python loop per
+rating or a dict per account: `ratings` holds six lists of one length,
+keyed by the field names of `Rating`, whose i-th items make the i-th
+latest rating in `at` order; `accounts` holds the account ids in
+registration order, one [personal, business, evidence] entry per
+account, each block the list of its field values or null, and those
+blocks' field names once, under `fields`.  Keys it does not read are
+ignored.  `locked()` and `EventLog.read_state()` hash the log's prefix, a
+chunk at a time, and, when the hash and every field check out, rebuild
+that state and replay only the lines past `offset`.  The accounts go
+back through `Registry.restore`, which registers each one and refuses
+the checkpoint unless each gets back its own id; the ratings through
+`RatingStore.restore`, which checks them under the same rules as
+`Rating` and `record` with one pass per column and refuses a key that
+appears twice.  Each ratee's totals are summed at once, but its
+`Rating` objects are built when a read or write first needs them, so an
+`opinion` builds only the seller's; saving a checkpoint builds them all.
 `locked()` saves a new checkpoint only when no valid one was restored
 or the tail it replayed has grown long enough that saving costs less
 than replaying it again, which at a couple of thousand live ratings is
 a few dozen lines; so the tail a command replays stays short without a
-save on every write.  A missing, stale or damaged checkpoint is ignored
-and the whole log is replayed, so the file is safe to delete.  It is
-derived data, trusted as far as the log's directory is: the hash
-catches a changed log, not a forged checkpoint.  `replay()` never reads
-it.
+save on every write.  A missing, stale or damaged checkpoint, or one of
+another version, is ignored and the whole log is replayed, so the file
+is safe to delete.  It is derived data, trusted as far as the log's
+directory is: the hash catches a changed log, not a forged checkpoint.
+`replay()` never reads it.
 """
 
 import fcntl
@@ -55,11 +60,12 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import CorruptLog, TrustMarketError
-from .identity import CredentialSet, Registry
-from .ratings import Rating, RatingStore
+from .identity import BLOCK_FIELDS, CredentialSet, Registry
+from .ratings import RATING_FIELDS, Rating, RatingStore
 
 KIND_REGISTER = "register"
 KIND_RATING = "rating"
@@ -244,7 +250,9 @@ class EventLog:
         three sets of 11 runs of 21 calls) `_save_checkpoint` after a
         restore, which builds every restored rating, took 8.2 ms, so
         s = 4.3 us, and a full replay 21.5 ms, so c = 10.8 us: T* = 38.9
-        lines there.
+        lines there.  These are the figures of the version 1 layout;
+        `_SAVE_RATIO` keeps them, since a new fit would change how often
+        a command saves.
         The rule keeps `2*s/c` as a constant and counts lines; it times
         nothing.  A full replay, after a missing or bad checkpoint,
         always saves: each live item comes from a line of its own, and
@@ -385,7 +393,7 @@ def _replay(handle, checkpoint=None):
 # checkpoint
 # ------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 # 2*s/c, save cost per live item over replay cost per line; see locked().
 # At most 1, so that a full replay always reaches the interval.
@@ -426,17 +434,18 @@ def _save_checkpoint(path, state, scan, prefix):
         ratings = sorted(state.store.snapshot().values(), key=lambda r: r.at)
     except TypeError:       # a hand-written `at` that is not a number
         return
+    accounts = state.registry.accounts
     data = {
         "version": CHECKPOINT_VERSION, "offset": scan.end,
         "lines": scan.lines, "sha256": prefix.hexdigest(),
         "last_seq": state.last_seq, "revision": state.store.revision,
         "rejections": state.rejections,
-        "accounts": [
-            {"id": account.account_id,
-             "credentials": account.credentials.to_dict()}
-            for account in state.registry.accounts.values()],
-        "ratings": [[r.rater, r.ratee, r.scope, r.value, r.cost, r.at]
-                    for r in ratings],
+        "accounts": {
+            "fields": BLOCK_FIELDS, "ids": list(accounts),
+            "credentials": [account.credentials.blocks()
+                            for account in accounts.values()]},
+        "ratings": {name: list(map(attrgetter(name), ratings))
+                    for name in RATING_FIELDS},
     }
     temporary = path.with_name(path.name + ".tmp")
     try:
@@ -456,13 +465,18 @@ def _restore(handle, path):
     is valid for the open log, else None; leaves the handle at its
     offset.
 
-    Valid means: it parses, has this version, its sha256 is that of the
-    log's first `offset` bytes, its accounts pass every check of the
-    registry, each getting back its own id, and its ratings pass every
-    check of `Rating` and `RatingStore.record`, run column by column by
-    `RatingStore.restore`, with no key twice.  Those checks all run here;
-    only the building of each ratee's `Rating` objects waits for the
-    first read of that ratee, and a save builds every ratee.
+    Valid means: it parses, has this version (one of another version,
+    such as a version 1 file with a dict per account and a list per
+    rating, is ignored like a damaged one), its sha256 is that of the
+    log's first `offset` bytes, its block field names are those of the
+    credential dataclasses, so that a later change of fields cannot
+    shift values into other fields, its accounts pass every check of
+    `Registry.restore` and so of `register`, each getting back its own
+    id, and its rating columns pass every check of `Rating` and
+    `RatingStore.record`, run once per column by `RatingStore.restore`,
+    with no key twice.  Those checks all run here; only the building of
+    each ratee's `Rating` objects waits for the first read of that
+    ratee, and a save builds every ratee.
     """
     try:
         with open(path, "rb") as source:
@@ -478,13 +492,12 @@ def _restore(handle, path):
         prefix = _hash_next(hashlib.sha256(), handle, offset)
         if prefix.hexdigest() != data["sha256"]:
             return None
-        state = MarketState(last_seq=data["last_seq"])
-        for entry in data["accounts"]:
-            account = state.registry.register(
-                CredentialSet.from_dict(entry["credentials"]))
-            if account.account_id != entry["id"]:
-                return None
-        state.store = RatingStore.restore(data["ratings"], state.registry)
+        accounts = data["accounts"]
+        if tuple(map(tuple, accounts["fields"])) != BLOCK_FIELDS:
+            return None
+        registry = Registry.restore(accounts["ids"], accounts["credentials"])
+        state = MarketState(registry=registry, last_seq=data["last_seq"])
+        state.store = RatingStore.restore(data["ratings"], registry)
         state.store.revision = data["revision"]
         state.rejections = [(line_no, seq, message)
                             for line_no, seq, message in data["rejections"]]

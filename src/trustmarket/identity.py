@@ -10,7 +10,7 @@ configurable initial trust score that gives brand-new sellers a non-zero
 starting point.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 import re
 
@@ -45,8 +45,8 @@ class PersonalDetails:
     country: str = ""
 
     def complete(self) -> bool:
-        return all(v.strip() for v in (self.full_name, self.address,
-                                       self.phone, self.city, self.country))
+        return all(map(str.strip, (self.full_name, self.address, self.phone,
+                                   self.city, self.country)))
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,8 @@ class BusinessDetails:
     business_address: str = ""
 
     def complete(self) -> bool:
-        return all(v.strip() for v in (self.national_id, self.bank_or_card,
-                                       self.business_phone, self.business_address))
+        return all(map(str.strip, (self.national_id, self.bank_or_card,
+                                   self.business_phone, self.business_address)))
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,15 @@ class EvidenceDetails:
     registration_document: str = ""   # token for the company registration scan
     signed_declaration: bool = False
 
+    def __post_init__(self):
+        # "no" is truthy, and would read as signed
+        if type(self.signed_declaration) is not bool:
+            raise TypeError("signed_declaration must be true or false, got "
+                            f"{self.signed_declaration!r}")
+
     def complete(self) -> bool:
-        return (all(v.strip() for v in (self.reference_account, self.id_document,
-                                        self.registration_document))
+        return (all(map(str.strip, (self.reference_account, self.id_document,
+                                    self.registration_document)))
                 and self.signed_declaration)
 
 
@@ -87,6 +93,13 @@ class CredentialSet:
             raise ValueError("evidence block requires a business block")
         if self.business is not None and self.personal is None:
             raise ValueError("business block requires a personal block")
+
+    def blocks(self) -> list:
+        """[personal, business, evidence]: each block the list of its
+        field values in field order, or None; what `Registry.restore`
+        reads."""
+        return [None if block is None else list(vars(block).values())
+                for block in (self.personal, self.business, self.evidence)]
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -106,12 +119,32 @@ class CredentialSet:
         return cls(personal=personal, business=business, evidence=evidence)
 
 
+# Each credential block's field names, in order: a block kept as a list,
+# as `CredentialSet.blocks` writes it and `Registry.restore` reads it,
+# holds its values in this order.
+BLOCK_FIELDS = tuple(tuple(spec.name for spec in fields(kind))
+                     for kind in (PersonalDetails, BusinessDetails,
+                                  EvidenceDetails))
+
+
+def _block(kind, values):
+    """The `kind` block whose field values `values` lists in field order,
+    or None for None."""
+    if values is None:
+        return None
+    if type(values) is not list \
+            or len(values) != len(kind.__dataclass_fields__):
+        raise ValueError(f"a {kind.__name__} block is the list of its "
+                         f"{len(kind.__dataclass_fields__)} field values")
+    return kind(*values)
+
+
 _NOT_ALNUM = re.compile(r"[^0-9a-z]+")
 
 
 def normalize_identity(value: str) -> str:
     """Trim, case-fold and strip separators, so "AB-12 34" == "ab1234"."""
-    return _NOT_ALNUM.sub("", value.strip().casefold())
+    return _NOT_ALNUM.sub("", str.strip(value).casefold())
 
 
 def classify_profile(credentials: CredentialSet) -> ProfileTier:
@@ -197,6 +230,29 @@ class Registry:
         except KeyError:
             raise UnknownAccount(f"no account {account_id!r}") from None
 
+    @classmethod
+    def restore(cls, ids, entries) -> "Registry":
+        """The registry that registering `entries` in order builds, when
+        that gives its accounts exactly the ids `ids` lists, in order.
+
+        Each entry is [personal, business, evidence], as
+        `CredentialSet.blocks` writes it: each block None or the list of
+        exactly its fields' values, in the order of `BLOCK_FIELDS`, so a
+        string cannot be spread over a block's fields.  Every account
+        goes through `register`, so one it refuses raises as it does
+        there; a block of another shape, or ids that differ, raise
+        ValueError.
+        """
+        registry = cls()
+        for personal, business, evidence in entries:
+            registry.register(CredentialSet(
+                _block(PersonalDetails, personal),
+                _block(BusinessDetails, business),
+                _block(EvidenceDetails, evidence)))
+        if list(registry.accounts) != ids:
+            raise ValueError("registering the entries gives other account ids")
+        return registry
+
     def register(self, credentials: CredentialSet) -> Account:
         """Classify, enforce identity uniqueness, and append a new account.
 
@@ -234,6 +290,7 @@ class Registry:
 
 __all__ = [
     "ProfileTier", "PersonalDetails", "BusinessDetails", "EvidenceDetails",
+    "BLOCK_FIELDS",
     "CredentialSet", "PolicyConfig", "DEFAULT_POLICY", "Account", "Registry",
     "classify_profile", "initial_trust", "normalize_identity",
 ]

@@ -6,8 +6,7 @@ bad mark.  Scopes partition reputation so a laptop seller starts from
 scratch in the car category.
 """
 
-import math
-from collections import defaultdict
+import sys
 from dataclasses import dataclass, fields
 from operator import eq, itemgetter
 
@@ -18,8 +17,16 @@ _VALUE = itemgetter(3)
 # A rating's value: positive, neutral or negative.
 RATING_VALUES = (1, 0, -1)
 
+# The largest cost: the largest finite float.  A cost lies in [0, MAX_COST],
+# which the refusals call [0, inf), the finite float amounts: NaN and inf
+# are refused, and so is an int above it, which `cost < inf` would pass and
+# the float arithmetic of a cost weight would overflow on.
+MAX_COST = sys.float_info.max
+
 
 def normalize_scope(scope: str) -> str:
+    if not isinstance(scope, str):
+        raise TypeError(f"scope must be a string, got {scope!r}")
     normalized = scope.strip().lower()
     if not normalized:
         raise ValueError("scope must be a non-empty category name")
@@ -48,7 +55,7 @@ class Rating:
         if type(value) is not int or value not in RATING_VALUES:
             raise ValueError(
                 f"rating value must be the int +1, 0 or -1, got {value!r}")
-        if not 0 <= cost < math.inf:
+        if not 0 <= cost <= MAX_COST:
             raise ValueError(f"cost must lie in [0, inf), got {cost}")
         _set_rater(self, rater)
         _set_ratee(self, ratee)
@@ -62,6 +69,11 @@ class Rating:
 # both `Rating.__init__` and `_Received.build` fill in a rating.
 _set_rater, _set_ratee, _set_scope, _set_value, _set_cost, _set_at = (
     Rating.__dict__[spec.name].__set__ for spec in fields(Rating))
+
+# The names of a rating's fields, in order: the keys of the columns that
+# `RatingStore.restore` reads.
+RATING_FIELDS = tuple(spec.name for spec in fields(Rating))
+_FIELD_SET = frozenset(RATING_FIELDS)
 
 
 class _Received:
@@ -126,30 +138,46 @@ class RatingStore:
         return self._size
 
     @classmethod
-    def restore(cls, rows, registry) -> "RatingStore":
-        """The store that `record` builds from `rows` through `registry`,
-        one `Rating(*row)` per row in order, when no two rows share a key.
+    def restore(cls, columns, registry) -> "RatingStore":
+        """The store that `record` builds through `registry` from the
+        ratings whose fields `columns` holds, when no two share a key.
 
-        Each check of `Rating` and `record` runs once over a column of
-        rows rather than once per rating.  A row that breaks one raises
-        ValueError, TypeError, AttributeError or a TrustMarketError, as
-        the per-rating path would; so do two rows on one key, which
-        `record` would have taken as a replacement.  Each ratee's totals
-        are summed at once, but its `Rating` objects are built only when
-        a read first needs them: `record`, `latest_ratings_for`,
-        `ratings_between` and `latest` build one ratee, `snapshot` builds
-        them all.
+        `columns` maps each name of `RATING_FIELDS` to a list, all of one
+        length, whose i-th items make the i-th rating; recording them one
+        by one, in order, gives this store.  Each check of `Rating` and
+        `record` runs as one pass over a column, with no Python loop per
+        rating: the columns are lists of one length under exactly those
+        keys, the values are the int +1, 0 or -1, the costs lie in [0,
+        MAX_COST] (NaN is the one cost not equal to itself, and the bounds
+        are compared before any float conversion, so a huge int is
+        refused, never raised), no rater is its ratee, both parties are
+        registered, and the scopes are non-blank strings, normalised.  A
+        column that breaks one raises ValueError, TypeError or a
+        TrustMarketError, as the per-rating path would; so do two
+        ratings on one key, which `record` would have taken as a
+        replacement.
+
+        The ratings are grouped by ratee, in first-seen order.  Each
+        ratee's totals are summed at once, but its `Rating` objects are
+        built only when a read first needs them: `record`,
+        `latest_ratings_for`, `ratings_between` and `latest` build one
+        ratee, `snapshot` builds them all.
         """
+        if type(columns) is not dict or columns.keys() != _FIELD_SET:
+            raise ValueError(f"rating columns are keyed {RATING_FIELDS}")
+        columns = list(map(columns.__getitem__, RATING_FIELDS))
+        if set(map(type, columns)) != {list} \
+                or len(set(map(len, columns))) != 1:
+            raise ValueError("rating columns are lists of one length")
+        raters, ratees, scopes, values, costs, ats = columns
         store = cls()
-        if not rows:
+        if not raters:
             return store
-        if set(map(len, rows)) != {6}:
-            raise ValueError("a rating row has 6 fields")
-        raters, ratees, scopes, values, costs, ats = zip(*rows)
-        if not (set(map(type, values)) <= {int}
+        if not (set(map(type, values)) == {int}
                 and set(values).issubset(RATING_VALUES)):
             raise ValueError("rating values must be the int +1, 0 or -1")
-        if not all(0 <= cost < math.inf for cost in costs):
+        if not (all(map(eq, costs, costs))
+                and min(costs) >= 0 and max(costs) <= MAX_COST):
             raise ValueError("costs must lie in [0, inf)")
         if any(map(eq, raters, ratees)):
             raise SelfRating("a rating names its rater as its ratee")
@@ -157,22 +185,23 @@ class RatingStore:
         if unknown:
             raise UnknownAccount(f"no account {unknown.pop()!r}")
         normalized = {scope: normalize_scope(scope) for scope in set(scopes)}
-        scopes = tuple(map(normalized.__getitem__, scopes))
-        if len(set(zip(raters, ratees, scopes))) != len(rows):
+        scopes = list(map(normalized.__getitem__, scopes))
+        if len(set(zip(raters, ratees, scopes))) != len(raters):
             seen = set()
             for key in zip(raters, ratees, scopes):
                 if key in seen:
                     raise ValueError(f"two ratings for key {key}")
                 seen.add(key)
-        by_ratee = defaultdict(list)
-        for row in zip(raters, ratees, scopes, values, costs, ats):
-            by_ratee[row[1]].append(row)
-        for ratee, ratee_rows in by_ratee.items():
+        by_ratee = {ratee: [] for ratee in dict.fromkeys(ratees)}
+        # list.append returns None, so any() runs the appends to the end
+        any(map(list.append, map(by_ratee.__getitem__, ratees),
+                zip(raters, ratees, scopes, values, costs, ats)))
+        for ratee, rows in by_ratee.items():
             received = store._received[ratee] = _Received()
-            received.rows = ratee_rows
-            received.total = sum(map(_VALUE, ratee_rows))
-            received.count = len(ratee_rows)
-        store._size = store.revision = len(rows)
+            received.rows = rows
+            received.total = sum(map(_VALUE, rows))
+            received.count = len(rows)
+        store._size = store.revision = len(raters)
         return store
 
     def record(self, rating: Rating, registry=None) -> None:
@@ -268,4 +297,5 @@ class RatingStore:
                 for rater, rating in bucket.items()}
 
 
-__all__ = ["RATING_VALUES", "Rating", "RatingStore", "normalize_scope"]
+__all__ = ["MAX_COST", "RATING_FIELDS", "RATING_VALUES", "Rating",
+           "RatingStore", "normalize_scope"]

@@ -319,16 +319,23 @@ def load_likert_csv(path) -> dict:
             f"{path}: unrecognized header {rows[0][1]!r}; expected "
             f"'group,response' or 'group' followed by scale points")
     long_layout = header == ["group", "response"]
-    points = [] if long_layout else [int(cell) for cell in header[1:]]
+    try:
+        points = [] if long_layout else [int(cell) for cell in header[1:]]
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {rows[0][0]}: {exc}") from None
     if len(set(points)) != len(points):
         raise ValueError(f"{path}: line {rows[0][0]}: repeated scale point")
     dataset: dict = {}
     for line, row in rows[1:]:
-        if len(row) != len(header):
-            raise ValueError(f"{path}: line {line}: wrong number of cells")
-        dataset.setdefault(row[0].strip(), []).extend(
-            [int(row[1])] if long_layout else expand_frequencies(
-                dict(zip(points, map(int, row[1:])))))
+        try:
+            if len(row) != len(header):
+                raise ValueError("wrong number of cells")
+            values = (_check_responses([int(row[1])]) if long_layout
+                      else expand_frequencies(
+                          dict(zip(points, map(int, row[1:])))))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line}: {exc}") from None
+        dataset.setdefault(row[0].strip(), []).extend(values)
     return dataset
 
 

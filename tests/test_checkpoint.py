@@ -2,6 +2,7 @@
 checkpoint that is stale or damaged is ignored without a trace in the
 output."""
 
+import hashlib
 import io
 import json
 import math
@@ -24,6 +25,7 @@ from trustmarket.engine import ListingContext, compute_opinion
 from trustmarket.eventlog import (KIND_RATING, KIND_REGISTER, EventLog,
                                   EventRecord, replay)
 from trustmarket.identity import CredentialSet, PersonalDetails
+from trustmarket.ratings import RATING_FIELDS
 
 
 def run(*argv):
@@ -202,21 +204,34 @@ def edit_one_byte(log, early):
     log.write_bytes(data[:at] + b"0" + data[at + 1:])
 
 
-def set_rating_field(index, value):
+def set_rating_field(name, value):
+    # the last rating, which a min() or max() over a column with a NaN
+    # before it would not see
     def change(data):
-        data["ratings"][0][index] = value
+        data["ratings"][name][-1] = value
     return change
 
 
 def self_rating(data):
-    data["ratings"][0][0] = data["ratings"][0][1]
+    data["ratings"]["rater"][0] = data["ratings"]["ratee"][0]
 
 
 def repeated_key(data):
     # a later rating on the first one's key, which replaying the rows
     # one by one would have taken as a replacement
-    rater, ratee, scope = data["ratings"][0][:3]
-    data["ratings"].append([rater, ratee, scope, -1, 5, 99])
+    columns = data["ratings"]
+    for name, value in zip(RATING_FIELDS, [*(columns[name][0] for name in
+                                              ("rater", "ratee", "scope")),
+                                           -1, 5, 99]):
+        columns[name].append(value)
+
+
+def set_block(index, edit):
+    # edit the second account's credential block `index`
+    def change(data):
+        blocks = data["accounts"]["credentials"][1]
+        blocks[index] = edit(blocks[index])
+    return change
 
 
 DAMAGES = {
@@ -227,27 +242,44 @@ DAMAGES = {
     "checkpoint not JSON": write_checkpoint(lambda text: "checkpoint"),
     "checkpoint nested too deeply": write_checkpoint(
         lambda text: "[" * 100_000 + "]" * 100_000),
-    "wrong version": edit_checkpoint(lambda data: data.update(version=2)),
+    "wrong version": edit_checkpoint(lambda data: data.update(version=1)),
     "offset past the end": edit_checkpoint(lambda data: data.update(offset=10**15)),
-    "rating value true": edit_checkpoint(set_rating_field(3, True)),
-    "rating cost NaN": edit_checkpoint(set_rating_field(4, float("nan"))),
+    "rating value true": edit_checkpoint(set_rating_field("value", True)),
+    "rating cost NaN": edit_checkpoint(set_rating_field("cost", float("nan"))),
+    "rating cost too large for a float": edit_checkpoint(
+        set_rating_field("cost", 10**400)),
     "self-rating": edit_checkpoint(self_rating),
     "rating from an unknown account": edit_checkpoint(
-        set_rating_field(0, "A000099")),
+        set_rating_field("rater", "A000099")),
     "account id out of order": edit_checkpoint(
-        lambda data: data["accounts"].reverse()),
+        lambda data: data["accounts"]["ids"].reverse()),
+    "credential block given as a string": edit_checkpoint(
+        set_block(0, lambda block: "".join(value[0] for value in block))),
+    "credential block one field short": edit_checkpoint(
+        set_block(1, lambda block: block[:-1])),
+    "credential block one field long": edit_checkpoint(
+        set_block(1, lambda block: [*block, "x"])),
+    "credential field not a string": edit_checkpoint(
+        set_block(0, lambda block: [5, *block[1:]])),
+    "credential declaration not a bool": edit_checkpoint(
+        set_block(2, lambda block: ["ref", "scan", "cert", "no"])),
+    "credential field names differ": edit_checkpoint(
+        lambda data: data["accounts"]["fields"][0].reverse()),
     "repeated rating key": edit_checkpoint(repeated_key),
-    "rating row of 5 fields": edit_checkpoint(
-        lambda data: data["ratings"][0].pop()),
-    "rating row of 7 fields": edit_checkpoint(
-        lambda data: data["ratings"][0].append(0)),
-    "rating value 1.0": edit_checkpoint(set_rating_field(3, 1.0)),
-    "rating cost -1": edit_checkpoint(set_rating_field(4, -1)),
-    "rating cost inf": edit_checkpoint(set_rating_field(4, float("inf"))),
-    "rating scope blank": edit_checkpoint(set_rating_field(2, " ")),
-    "rating scope not a string": edit_checkpoint(set_rating_field(2, 7)),
+    "rating column one short": edit_checkpoint(
+        lambda data: data["ratings"]["at"].pop()),
+    "rating columns with a seventh key": edit_checkpoint(
+        lambda data: data["ratings"].update(extra=data["ratings"]["at"])),
+    "rating column not a list": edit_checkpoint(
+        lambda data: data["ratings"].update(
+            at="9" * len(data["ratings"]["at"]))),
+    "rating value 1.0": edit_checkpoint(set_rating_field("value", 1.0)),
+    "rating cost -1": edit_checkpoint(set_rating_field("cost", -1)),
+    "rating cost inf": edit_checkpoint(set_rating_field("cost", float("inf"))),
+    "rating scope blank": edit_checkpoint(set_rating_field("scope", " ")),
+    "rating scope not a string": edit_checkpoint(set_rating_field("scope", 7)),
     "rating of an unknown account": edit_checkpoint(
-        set_rating_field(1, "A000099")),
+        set_rating_field("ratee", "A000099")),
 }
 
 
@@ -478,7 +510,7 @@ def test_checkpoint_does_not_cover_a_torn_tail(ledger):
 
 
 # ------------------------------------------------------------------
-# logs and checkpoints that carry the old account role flags
+# logs that carry the old account role flags, and checkpoints of version 1
 # ------------------------------------------------------------------
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -524,19 +556,53 @@ def test_a_log_with_role_flags_replays_as_without_them(flagged, tmp_path):
     assert json.loads(opinion[1])["direct"]["value"] == 1
 
 
-def test_a_checkpoint_with_role_flags_is_restored(flagged):
-    accounts = json.loads(checkpoint_of(flagged).read_text())["accounts"]
-    assert all(set(ROLE_FLAGS) <= set(entry) for entry in accounts)
-    log, full = EventLog(flagged), replay(flagged)
-    with counted_parse() as parsed:
-        same_state(log.read_state(), full)
-    assert parsed == [7, 8]
+def test_a_v1_checkpoint_with_role_flags_is_replaced(flagged, tmp_path):
+    # a checkpoint of version 1 is ignored like a damaged one, and the
+    # first writing command saves one of version 2
+    assert json.loads(checkpoint_of(flagged).read_text())["version"] == 1
+    bare = tmp_path / "bare" / "market.jsonl"
+    bare.parent.mkdir()
+    shutil.copyfile(flagged, bare)               # the same log, no checkpoint
+    full = replay(flagged)
+    outputs = {}
+    for log in (flagged, bare):
+        with counted_parse() as parsed:
+            same_state(EventLog(log).read_state(), full)
+            outputs[log] = [run(*opinion_args(log, "A000004")),
+                            run(*rate_args(log, "A000004", "A000001", 1))]
+        assert parsed == list(range(1, 9)) * 3
+        with counted_parse() as parsed:
+            outputs[log] += [run(*opinion_args(log, "A000004")),
+                             run("replay", log, "--format", "json")]
+        assert parsed == [9, *range(1, 10)]
+    assert outputs[flagged] == outputs[bare]
+    assert outputs[flagged][1][0] == 0
+    assert checkpoint_of(flagged).read_bytes() == checkpoint_of(bare).read_bytes()
+    assert json.loads(checkpoint_of(flagged).read_text())["version"] == 2
 
-    checkpoint_of(flagged).unlink()
-    with log.locked():                       # a full replay saves anew
-        pass
-    accounts = json.loads(checkpoint_of(flagged).read_text())["accounts"]
-    assert [set(entry) for entry in accounts] == [{"id", "credentials"}] * 4
+
+def test_a_v1_checkpoint_over_a_deal_line_is_not_read(tmp_path):
+    # A version 1 checkpoint could cover a hand-written `deal` line, and
+    # `opinion` then read a ledger that `replay` refuses.
+    log = tmp_path / "market.jsonl"
+    assert run(*register_args(log, "seller"))[0] == 0
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write('{"seq":2,"kind":"deal","at":2,"payload":{"price":10}}\n')
+    prefix = log.read_bytes()
+    seller = json.loads(prefix.splitlines()[0])["payload"]["credentials"]
+    checkpoint_of(log).write_text(json.dumps({
+        "version": 1, "offset": len(prefix), "lines": 2,
+        "sha256": hashlib.sha256(prefix).hexdigest(), "last_seq": 2,
+        "revision": 0, "rejections": [],
+        "accounts": [{"id": "A000001", "credentials": seller}],
+        "ratings": []}))
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(EventRecord(3, KIND_REGISTER, 3, {
+            "credentials": credentials_for("buyer").to_dict()}).to_json()
+            + "\n")
+    damage = (1, "", "error: line 2: unknown kind 'deal'\n")
+    assert run("replay", log) == damage
+    assert run(*opinion_args(log, "A000002")) == damage
 
 
 # ------------------------------------------------------------------

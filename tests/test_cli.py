@@ -729,6 +729,21 @@ def test_stats_csv_row_off_its_header_is_exit_1(capsys, tmp_path, text,
     assert err.startswith(f"error: {data}: line {line}: ")
 
 
+@pytest.mark.parametrize("text,line", [
+    ("group,5,4,3,2,1\nx,1,1,1,1,1\ny,1,-1,1,1,1\n", 3),
+    ("group,response\na,1\na,2.5\n", 3),
+    ("group,response\na,1\nb,2\nb,7\n", 4),
+    ("group,5,4,x\nx,1,1,1\n", 1),
+], ids=["negative count", "non-integer cell", "response off the scale",
+        "non-integer scale point"])
+def test_stats_csv_bad_value_names_its_line(capsys, tmp_path, text, line):
+    data = tmp_path / "bad.csv"
+    data.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, "stats", "kruskal", str(data))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {data}: line {line}: ")
+
+
 def test_stats_kruskal_too_small_group(capsys, tmp_path):
     data = tmp_path / "small.csv"
     data.write_text("group,response\na,1\nb,2\n", encoding="utf-8")

@@ -14,7 +14,7 @@ from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                                 weighted_reputation)
 from trustmarket.errors import SelfQuery, UnknownAccount
 from trustmarket.identity import PolicyConfig, ProfileTier, Registry
-from trustmarket.ratings import Rating, RatingStore
+from trustmarket.ratings import MAX_COST, Rating, RatingStore
 
 from conftest import credentials_for, record
 
@@ -44,6 +44,18 @@ def test_cost_weight_monotone_above_floor():
 def test_cost_weight_rejects_negative(cost):
     with pytest.raises(ValueError):
         cost_weight(cost)
+
+
+def test_cost_weight_and_rating_share_the_largest_cost():
+    # an int beyond float range passes `cost < inf`, then overflows
+    largest = int(MAX_COST)
+    assert cost_weight(largest) == cost_weight(MAX_COST) \
+        == cost_weight(Rating("a", "b", "books", 1, largest, 1).cost)
+    for cost in (largest + 1, 10**400):
+        with pytest.raises(ValueError, match=r"cost must lie in \[0, inf\)"):
+            cost_weight(cost)
+        with pytest.raises(ValueError, match=r"cost must lie in \[0, inf\)"):
+            Rating("a", "b", "books", 1, cost, 1)
 
 
 @pytest.mark.parametrize("kwargs", [

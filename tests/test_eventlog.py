@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import credentials_for
 from trustmarket import eventlog
+from trustmarket.cli import main
 from trustmarket.errors import CorruptLog, UnknownAccount
 from trustmarket.eventlog import (KIND_RATING, KIND_REGISTER, KINDS, EventLog,
                                   EventRecord, MarketState, apply_event,
@@ -385,6 +386,51 @@ def test_replay_refuses_hostile_rating_values(tmp_path, fields):
     with pytest.raises(CorruptLog) as excinfo:
         replay(path)
     assert excinfo.value.line_no == 3
+
+
+def with_credential(tag, block, name, value):
+    payload = register_payload(tag)
+    payload["credentials"][block][name] = value
+    return payload
+
+
+# A third line that no ledger command may read past.
+HOSTILE_LINES = {
+    "cost beyond float range": (KIND_RATING, {
+        **rating_payload("A000002", "A000001", at=3), "cost": 10**400}),
+    "scope not a string": (KIND_RATING, rating_payload(
+        "A000002", "A000001", at=3, scope=5)),
+    "credential field not a string": (KIND_REGISTER, with_credential(
+        "c", "personal", "full_name", 5)),
+    "declaration not a bool": (KIND_REGISTER, with_credential(
+        "c", "evidence", "signed_declaration", "no")),
+}
+
+
+@pytest.mark.parametrize("command", ["replay", "opinion", "rate"])
+@pytest.mark.parametrize("line", sorted(HOSTILE_LINES))
+def test_a_hostile_line_is_damage_to_every_command(capsys, tmp_path, line,
+                                                   command):
+    path = tmp_path / "m.jsonl"
+    kind, payload = HOSTILE_LINES[line]
+    write_lines(path, [
+        *(EventRecord(seq, KIND_REGISTER, seq, register_payload(tag)).to_json()
+          for seq, tag in ((1, "a"), (2, "b"))),
+        EventRecord(3, kind, 3, payload).to_json()])
+    before = path.read_bytes()
+    log = ["--log", str(path)]
+    argv = {"replay": ["replay", str(path)],
+            "opinion": ["opinion", *log, "--buyer", "A000002", "--seller",
+                        "A000001", "--scope", "laptops", "--price", "10"],
+            "rate": ["rate", *log, "--rater", "A000002", "--ratee",
+                     "A000001", "--scope", "laptops", "--value", "1"]}[command]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: line 3: malformed {kind} payload: ")
+    assert err.count("\n") == 1
+    assert path.read_bytes() == before
+    assert not path.with_name(path.name + ".ckpt").exists()
 
 
 def test_apply_event_refuses_other_kinds():

@@ -1,12 +1,16 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from trustmarket.errors import (DuplicateIdentity, IncompleteCredentials,
-                                UnknownAccount)
-from trustmarket.identity import (DEFAULT_POLICY, CredentialSet, PolicyConfig,
-                                  ProfileTier, Registry, classify_profile,
-                                  initial_trust, normalize_identity)
+                                TrustMarketError, UnknownAccount)
+from trustmarket.identity import (DEFAULT_POLICY, BusinessDetails,
+                                  CredentialSet, EvidenceDetails,
+                                  PersonalDetails, PolicyConfig, ProfileTier,
+                                  Registry, classify_profile, initial_trust,
+                                  normalize_identity)
 
 from conftest import (business_block, credentials_for, evidence_block,
                       personal_block)
@@ -188,3 +192,40 @@ def test_classification_matches_longest_prefix_oracle(tier, blank_biz, unsign):
         if creds.evidence is not None and creds.evidence.complete():
             expected = ProfileTier.HIGH
     assert classify_profile(creds) is expected
+
+
+# A few values per field, so that blocks are often blank, incomplete or
+# repeat an identity string.
+field_values = st.sampled_from(["", " ", "Ada", "nid-1", "NID 1", "card-2"])
+
+
+def blocks(kind):
+    return st.builds(kind, *(
+        st.booleans() if name == "signed_declaration" else field_values
+        for name in kind.__dataclass_fields__))
+
+
+credential_sets = st.builds(
+    lambda personal, business, evidence: CredentialSet(
+        personal, business if personal else None,
+        evidence if personal and business else None),
+    st.none() | blocks(PersonalDetails), st.none() | blocks(BusinessDetails),
+    st.none() | blocks(EvidenceDetails))
+
+
+@given(st.lists(credential_sets, max_size=12))
+def test_restore_rebuilds_what_register_built(requests):
+    registry = Registry()
+    for credentials in requests:
+        try:
+            registry.register(credentials)
+        except TrustMarketError:
+            pass
+    ids = list(registry.accounts)
+    entries = json.loads(json.dumps([account.credentials.blocks()
+                                     for account in registry.accounts.values()]))
+    restored = Registry.restore(ids, entries)
+    assert vars(restored) == vars(registry)     # ids, tiers, credentials, index
+    if len(ids) > 1:
+        with pytest.raises(ValueError):
+            Registry.restore(ids[::-1], entries)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from trustmarket.errors import (SelfRating, StaleTimestamp, TrustMarketError,
                                 UnknownAccount)
 from trustmarket.identity import Registry
-from trustmarket.ratings import (RATING_VALUES, Rating, RatingStore,
-                                 normalize_scope)
+from trustmarket.ratings import (RATING_FIELDS, RATING_VALUES, Rating,
+                                 RatingStore, normalize_scope)
 
 from conftest import credentials_for, record
 
@@ -239,7 +239,7 @@ damages = st.one_of(
         (3, True), (3, False), (3, 1.0), (3, -1.0), (3, 2), (3, "1"),
         (3, None),
         (4, math.nan), (4, math.inf), (4, -math.inf), (4, -1), (4, -0.5),
-        (4, "5"), (4, None),
+        (4, 10**400), (4, "5"), (4, None),
         (5, "noon"), (5, None)]),
     st.sampled_from(["self-rating", "5 fields", "7 fields"]))
 
@@ -255,6 +255,17 @@ def damage(row, edit):
         row[edit[0]] = edit[1]
 
 
+def columns_of(rows):
+    """The rows as the columns `RatingStore.restore` reads, keyed by
+    `RATING_FIELDS`: a short row leaves the columns of its missing fields
+    short, and a long row adds a seventh key."""
+    width = max(map(len, rows), default=len(RATING_FIELDS))
+    names = [*RATING_FIELDS, *(f"field {index}"
+                               for index in range(len(RATING_FIELDS), width))]
+    return {name: [row[index] for row in rows if index < len(row)]
+            for index, name in enumerate(names)}
+
+
 def record_each(rows, registry):
     store = RatingStore()
     for row in rows:
@@ -267,6 +278,9 @@ def record_each(rows, registry):
        edits=st.lists(st.tuples(st.integers(0, 9), damages), max_size=2))
 @example(rows=[["A000001", "A000002", "books", 1, 0, 1]],
          edits=[(0, "5 fields"), (0, (5, "noon"))])
+@example(rows=[["A000001", "A000002", "books", 1, 0, 1],
+               ["A000002", "A000001", "books", 1, 0, 2]],
+         edits=[(1, (4, math.nan))])
 def test_restore_matches_recording_each_row(rows, edits):
     for index, edit in edits:
         if rows:
@@ -276,7 +290,7 @@ def test_restore_matches_recording_each_row(rows, edits):
     except RESTORE_ERRORS:
         expected = None
     try:
-        restored = RatingStore.restore(rows, RESTORE_REGISTRY)
+        restored = RatingStore.restore(columns_of(rows), RESTORE_REGISTRY)
     except RESTORE_ERRORS:
         # it refuses whatever recording refuses, and beyond that only rows
         # that repeat a key, which recording takes as replacements
@@ -298,7 +312,7 @@ def test_restore_refuses_a_repeated_key():
     rows = [[a, b, "books", 1, 10, 1], [a, b, " Books", -1, 10, 2]]
     assert record_each(rows, RESTORE_REGISTRY).received_totals(b) == (-1, 1)
     with pytest.raises(ValueError, match="two ratings for key"):
-        RatingStore.restore(rows, RESTORE_REGISTRY)
+        RatingStore.restore(columns_of(rows), RESTORE_REGISTRY)
 
 
 # ------------------------------------------------------------------
@@ -353,7 +367,7 @@ def writes_on(row, rows, value):
                       unique_by=lambda read: read[0]),
        pick=st.integers(0, 99), value=st.sampled_from(RATING_VALUES))
 def test_restored_store_reads_like_a_recorded_one(rows, reads, pick, value):
-    restored = RatingStore.restore(rows, RESTORE_REGISTRY)
+    restored = RatingStore.restore(columns_of(rows), RESTORE_REGISTRY)
     expected = record_each(rows, RESTORE_REGISTRY)
     ratees = list(dict.fromkeys(row[1] for row in rows))
     assert unbuilt(restored) == ratees
@@ -390,7 +404,7 @@ def test_restored_store_reads_like_a_recorded_one(rows, reads, pick, value):
 
     if rows:
         for rating, refusal in writes_on(rows[pick % len(rows)], rows, value):
-            store = RatingStore.restore(rows, RESTORE_REGISTRY)
+            store = RatingStore.restore(columns_of(rows), RESTORE_REGISTRY)
             oracle = record_each(rows, RESTORE_REGISTRY)
             assert rating.ratee in unbuilt(store)
             if refusal is None:
@@ -400,8 +414,8 @@ def test_restored_store_reads_like_a_recorded_one(rows, reads, pick, value):
                 for target in (store, oracle):
                     with pytest.raises(refusal):
                         target.record(rating, registry=RESTORE_REGISTRY)
-                assert_same_store(
-                    store, RatingStore.restore(rows, RESTORE_REGISTRY))
+                assert_same_store(store, RatingStore.restore(
+                    columns_of(rows), RESTORE_REGISTRY))
             assert_same_store(store, oracle)
 
     assert_same_store(restored, expected)
@@ -417,7 +431,7 @@ def test_restored_scope_reads_a_rater_that_joins_it(rows, pick, value):
     keys = set(map(key_of, rows))
     joining = [rater for rater in RESTORE_IDS
                if rater != ratee and (rater, ratee, scope) not in keys]
-    restored = RatingStore.restore(rows, RESTORE_REGISTRY)
+    restored = RatingStore.restore(columns_of(rows), RESTORE_REGISTRY)
     expected = record_each(rows, RESTORE_REGISTRY)
 
     def scanned():
