@@ -172,11 +172,11 @@ def rater_weight(rater: str, store, registry,
     weighted by its tier's initial trust so fresh markets can bootstrap.
     """
     account = registry.get(rater)
-    total, count = store.received_totals(rater)
-    if count:
-        credibility = (total / count + 1.0) / 2.0
-    else:
+    received = store.received.get(rater)
+    if received is None:
         credibility = initial_trust(account.tier, config.policy)
+    else:
+        credibility = (received.total / received.count + 1.0) / 2.0
     floor = config.epsilon
     return credibility if credibility > floor else floor
 
@@ -189,9 +189,9 @@ def weighted_reputation(seller: str, scope: str, store, registry,
     `rater_weight(rater) * cost_weight(cost)`; None when the seller has no
     ratings in the scope (a newcomer there).  Those two functions define
     the weights.  The loop inlines them, in the same conditional form, with
-    each config field read once and no call per rating but the rater's
-    totals; it sums in rater order, so it equals the sum over the two
-    functions bit for bit.
+    each config field read once and no call per rating: a rater's totals
+    are one lookup in `store.received`.  It sums in rater order, so it
+    equals the sum over the two functions bit for bit.
     """
     registry.get(seller)   # raises UnknownAccount
     ratings = store.latest_ratings_for(seller, scope)
@@ -202,18 +202,18 @@ def weighted_reputation(seller: str, scope: str, store, registry,
     epsilon, w_min, c_half = config.epsilon, config.w_min, config.c_half
     trust = config.policy.initial_trust
     accounts = registry.accounts
-    received_totals = store.received_totals
+    totals_of = store.received.get
     numerator = 0.0
     denominator = 0.0
     for rating in ratings:
         rater = rating.rater
         if rater not in accounts:
             registry.get(rater)   # raises UnknownAccount
-        total, count = received_totals(rater)
-        if count:
-            credibility = (total / count + 1.0) / 2.0
-        else:
+        totals = totals_of(rater)
+        if totals is None:
             credibility = trust[accounts[rater].tier]
+        else:
+            credibility = (totals.total / totals.count + 1.0) / 2.0
         cost = rating.cost
         share = cost / (cost + c_half)
         weight = ((credibility if credibility > epsilon else epsilon)
@@ -266,7 +266,7 @@ def listing_view(seller: str, listing: ListingContext, store, registry,
     advisories = set()
     score = weighted_reputation(seller, listing.scope, store, registry, config)
     if score is None:
-        if store.received_totals(seller)[1]:
+        if seller in store.received:
             advisories.add(ADVISORY_NEW_IN_SCOPE)
         else:
             advisories.add(ADVISORY_NEW_SELLER)

@@ -430,10 +430,7 @@ def _save_checkpoint(path, state, scan, prefix):
     checkpoint or the new one; no fsync, since a lost checkpoint only
     costs a full replay.  Failing to write it is not an error.
     """
-    try:
-        ratings = sorted(state.store.snapshot().values(), key=lambda r: r.at)
-    except TypeError:       # a hand-written `at` that is not a number
-        return
+    ratings = sorted(state.store.snapshot().values(), key=lambda r: r.at)
     accounts = state.registry.accounts
     data = {
         "version": CHECKPOINT_VERSION, "offset": scan.end,

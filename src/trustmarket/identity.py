@@ -36,6 +36,17 @@ class ProfileTier(IntEnum):
             raise ValueError(f"unknown profile tier {text!r}") from None
 
 
+def _refuse_non_text(block, values) -> None:
+    """Raise TypeError unless every one of a block's text `values` is a
+    str.  `complete()` strips fields only up to the first blank one, so
+    without this a later field of another type would be stored as is."""
+    try:
+        "".join(values)     # one pass, raising on an item that is not a str
+    except TypeError:
+        raise TypeError(f"{type(block).__name__} text fields must be "
+                        f"strings, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class PersonalDetails:
     full_name: str = ""
@@ -43,6 +54,10 @@ class PersonalDetails:
     phone: str = ""
     city: str = ""
     country: str = ""
+
+    def __post_init__(self):
+        _refuse_non_text(self, (self.full_name, self.address, self.phone,
+                                self.city, self.country))
 
     def complete(self) -> bool:
         return all(map(str.strip, (self.full_name, self.address, self.phone,
@@ -55,6 +70,10 @@ class BusinessDetails:
     bank_or_card: str = ""       # bank account or credit card number
     business_phone: str = ""
     business_address: str = ""
+
+    def __post_init__(self):
+        _refuse_non_text(self, (self.national_id, self.bank_or_card,
+                                self.business_phone, self.business_address))
 
     def complete(self) -> bool:
         return all(map(str.strip, (self.national_id, self.bank_or_card,
@@ -69,6 +88,8 @@ class EvidenceDetails:
     signed_declaration: bool = False
 
     def __post_init__(self):
+        _refuse_non_text(self, (self.reference_account, self.id_document,
+                                self.registration_document))
         # "no" is truthy, and would read as signed
         if type(self.signed_declaration) is not bool:
             raise TypeError("signed_declaration must be true or false, got "

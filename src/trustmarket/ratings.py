@@ -37,10 +37,10 @@ def normalize_scope(scope: str) -> str:
 class Rating:
     """One party's latest feedback about another, within one scope.
 
-    `cost` is the currency amount of the rated transaction and `at` a
-    logical timestamp (monotone simulation/ledger clock, not wall time).
-    Slotted, with the checks in a hand-written `__init__`, because replay
-    builds one per rating event.
+    `cost` is the currency amount of the rated transaction and `at` an
+    int logical timestamp (monotone simulation/ledger clock, not wall
+    time).  Slotted, with the checks in a hand-written `__init__`,
+    because replay builds one per rating event.
     """
 
     rater: str
@@ -57,6 +57,10 @@ class Rating:
                 f"rating value must be the int +1, 0 or -1, got {value!r}")
         if not 0 <= cost <= MAX_COST:
             raise ValueError(f"cost must lie in [0, inf), got {cost}")
+        # readers order ratings by `at`: a str there would replay, then
+        # fail the first comparison; a bool or float is refused alike
+        if type(at) is not int:
+            raise ValueError(f"rating at must be an int, got {at!r}")
         _set_rater(self, rater)
         _set_ratee(self, ratee)
         _set_scope(self, normalize_scope(scope))
@@ -127,10 +131,18 @@ class RatingStore:
 
     Single-writer, many-reader: the revision counter identifies snapshots
     and drives cache invalidation in the trust engine.
+
+    `received` maps each ratee to its `_Received` record, and is the one
+    way to read a ratee's totals: its `total`, the sum of the values of
+    its latest ratings, and its `count`, how many there are.  A ratee is
+    in it exactly when its count is at least 1.  Both are exact from
+    `restore` on, also for a ratee whose `Rating` objects are not built
+    yet.  It is read-only outside the store: readers touch `total` and
+    `count` and nothing else.
     """
 
     def __init__(self):
-        self._received: dict[str, _Received] = {}
+        self.received: dict[str, _Received] = {}
         self._size = 0
         self.revision = 0
 
@@ -150,10 +162,10 @@ class RatingStore:
         keys, the values are the int +1, 0 or -1, the costs lie in [0,
         MAX_COST] (NaN is the one cost not equal to itself, and the bounds
         are compared before any float conversion, so a huge int is
-        refused, never raised), no rater is its ratee, both parties are
-        registered, and the scopes are non-blank strings, normalised.  A
-        column that breaks one raises ValueError, TypeError or a
-        TrustMarketError, as the per-rating path would; so do two
+        refused, never raised), the ats are ints, no rater is its ratee,
+        both parties are registered, and the scopes are non-blank strings,
+        normalised.  A column that breaks one raises ValueError, TypeError
+        or a TrustMarketError, as the per-rating path would; so do two
         ratings on one key, which `record` would have taken as a
         replacement.
 
@@ -179,6 +191,8 @@ class RatingStore:
         if not (all(map(eq, costs, costs))
                 and min(costs) >= 0 and max(costs) <= MAX_COST):
             raise ValueError("costs must lie in [0, inf)")
+        if set(map(type, ats)) != {int}:
+            raise ValueError("rating ats must be ints")
         if any(map(eq, raters, ratees)):
             raise SelfRating("a rating names its rater as its ratee")
         unknown = (set(raters) | set(ratees)) - registry.accounts.keys()
@@ -197,7 +211,7 @@ class RatingStore:
         any(map(list.append, map(by_ratee.__getitem__, ratees),
                 zip(raters, ratees, scopes, values, costs, ats)))
         for ratee, rows in by_ratee.items():
-            received = store._received[ratee] = _Received()
+            received = store.received[ratee] = _Received()
             received.rows = rows
             received.total = sum(map(_VALUE, rows))
             received.count = len(rows)
@@ -217,9 +231,9 @@ class RatingStore:
             for account_id in (rating.rater, rating.ratee):
                 if account_id not in accounts:
                     raise UnknownAccount(f"no account {account_id!r}")
-        received = self._received.get(rating.ratee)
+        received = self.received.get(rating.ratee)
         if received is None:
-            received = self._received[rating.ratee] = _Received()
+            received = self.received[rating.ratee] = _Received()
         elif received.rows is not None:
             received.build()
         bucket = received.scopes.setdefault(rating.scope, {})
@@ -243,7 +257,7 @@ class RatingStore:
 
         The scope's sorted raters are kept in the ratee's `orders` from the
         first read until a new rater enters the scope."""
-        received = self._received.get(ratee)
+        received = self.received.get(ratee)
         if received is None:
             return []
         if received.rows is not None:
@@ -260,14 +274,9 @@ class RatingStore:
             order = orders[scope] = sorted(bucket)
         return list(map(bucket.__getitem__, order))
 
-    def received_totals(self, ratee: str) -> tuple[int, int]:
-        """(sum of values, count) over the ratee's latest ratings."""
-        received = self._received.get(ratee)
-        return (0, 0) if received is None else (received.total, received.count)
-
     def ratings_between(self, rater: str, ratee: str) -> list:
         """The rater's latest rating of the ratee in each scope, by scope."""
-        received = self._received.get(ratee)
+        received = self.received.get(ratee)
         if received is None:
             return []
         if received.rows is not None:
@@ -278,7 +287,7 @@ class RatingStore:
 
     def latest(self, rater: str, ratee: str, scope: str) -> Rating | None:
         """The rater's latest rating of the ratee in `scope`, or None."""
-        received = self._received.get(ratee)
+        received = self.received.get(ratee)
         if received is None:
             return None
         if received.rows is not None:
@@ -288,11 +297,11 @@ class RatingStore:
 
     def snapshot(self) -> dict:
         """Copy of the key -> rating map, for comparison and replay checks."""
-        for received in self._received.values():
+        for received in self.received.values():
             if received.rows is not None:
                 received.build()
         return {(rater, ratee, scope): rating
-                for ratee, received in self._received.items()
+                for ratee, received in self.received.items()
                 for scope, bucket in received.scopes.items()
                 for rater, rating in bucket.items()}
 

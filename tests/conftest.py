@@ -67,3 +67,10 @@ def record(store, registry, ids, rater, ratee, value, cost, at, scope="laptops")
                     value=value, cost=cost, at=at)
     store.record(rating, registry=registry)
     return rating
+
+
+def totals_of(store):
+    """{ratee: (total, count)} as the store's `received` mapping holds them;
+    reads no rating, so it builds no restored ratee."""
+    return {ratee: (received.total, received.count)
+            for ratee, received in store.received.items()}

@@ -245,6 +245,7 @@ DAMAGES = {
     "wrong version": edit_checkpoint(lambda data: data.update(version=1)),
     "offset past the end": edit_checkpoint(lambda data: data.update(offset=10**15)),
     "rating value true": edit_checkpoint(set_rating_field("value", True)),
+    "rating at not an int": edit_checkpoint(set_rating_field("at", "noon")),
     "rating cost NaN": edit_checkpoint(set_rating_field("cost", float("nan"))),
     "rating cost too large for a float": edit_checkpoint(
         set_rating_field("cost", 10**400)),
@@ -261,6 +262,8 @@ DAMAGES = {
         set_block(1, lambda block: [*block, "x"])),
     "credential field not a string": edit_checkpoint(
         set_block(0, lambda block: [5, *block[1:]])),
+    "credential field not a string after a blank one": edit_checkpoint(
+        set_block(1, lambda block: ["", block[1], 5, block[3]])),
     "credential declaration not a bool": edit_checkpoint(
         set_block(2, lambda block: ["ref", "scan", "cert", "no"])),
     "credential field names differ": edit_checkpoint(
@@ -306,21 +309,24 @@ def test_bad_checkpoint_falls_back_to_a_full_replay(ledger, tmp_path, damage):
         == checkpoint_of(reference).read_bytes()
 
 
-def test_ratings_that_cannot_be_ordered_are_not_checkpointed(tmp_path):
+def test_a_rating_at_that_is_not_an_int_is_damage(tmp_path):
     log = tmp_path / "market.jsonl"
-    for tag in ("seller", "b2", "b3"):
+    for tag in ("seller", "b2"):
         assert run(*register_args(log, tag))[0] == 0
-    covered = json.loads(checkpoint_of(log).read_text())["lines"]
-    for rater, at in (("A000002", "noon"), ("A000003", 5)):   # hand-written
+    for scope, at in (("laptops", "noon"), ("cars", 5)):    # hand-written
         EventLog(log).append(KIND_RATING, {
-            "rater": rater, "ratee": "A000001", "scope": "laptops",
+            "rater": "A000002", "ratee": "A000001", "scope": scope,
             "value": 1, "cost": 10, "at": at})
-    assert run(*rate_args(log, "A000001", "A000002", 1))[0] == 0
-    assert json.loads(checkpoint_of(log).read_text())["lines"] == covered
-    opinion = run(*opinion_args(log, "A000002"))
-    assert opinion[0] == 0 and json.loads(opinion[1])["revision"] == 3
-    checkpoint_of(log).unlink()
-    assert run(*opinion_args(log, "A000002")) == opinion
+    kept = log.read_bytes(), checkpoint_of(log).read_bytes()
+    for argv in (["replay", log],
+                 ["opinion", "--log", log, "--buyer", "A000002", "--seller",
+                  "A000001", "--scope", "garden", "--price", "5"],
+                 rate_args(log, "A000001", "A000002", 1)):
+        code, out, err = run(*argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: line 3: malformed rating payload: ")
+        assert err.count("\n") == 1
+    assert (log.read_bytes(), checkpoint_of(log).read_bytes()) == kept
 
 
 def test_unwritable_checkpoint_is_not_an_error(tmp_path):
@@ -429,7 +435,7 @@ def test_an_opinion_builds_only_the_sellers_ratings(tmp_path):
     listing = ListingContext(scope="garden", price=50.0)
 
     def unbuilt_after_opinion(state):
-        received = state.store._received
+        received = state.store.received
         assert all(ratee.rows is not None for ratee in received.values())
         assert compute_opinion(buyer, seller, listing, state.store,
                                state.registry) \
@@ -439,7 +445,7 @@ def test_an_opinion_builds_only_the_sellers_ratings(tmp_path):
                 if ratings.rows is not None}
 
     assert unbuilt_after_opinion(log.read_state()) \
-        == set(full.store._received) - {seller}
+        == set(full.store.received) - {seller}
     with open(log.path, "rb") as handle:        # what read_state restores
         state, scan, prefix = eventlog._replay(handle, checkpoint_of(log.path))
     assert len(unbuilt_after_opinion(state)) == 11

@@ -10,13 +10,14 @@ from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                                 EngineConfig, ListingContext, TrustEngine,
                                 MODE_ATC, MODE_DTC, SOURCE_INITIAL_TRUST,
                                 SOURCE_RATINGS, compute_opinion, cost_weight,
-                                direct_trust, label_for, rater_weight,
-                                weighted_reputation)
-from trustmarket.errors import SelfQuery, UnknownAccount
+                                direct_trust, label_for, listing_view,
+                                rater_weight, weighted_reputation)
+from trustmarket.errors import (SelfQuery, SelfRating, StaleTimestamp,
+                                UnknownAccount)
 from trustmarket.identity import PolicyConfig, ProfileTier, Registry
-from trustmarket.ratings import MAX_COST, Rating, RatingStore
+from trustmarket.ratings import MAX_COST, RATING_FIELDS, Rating, RatingStore
 
-from conftest import credentials_for, record
+from conftest import credentials_for, record, totals_of
 
 
 def listing(scope="laptops", price=100.0, days=3.0, deliverable=True):
@@ -498,3 +499,85 @@ def test_reputation_equals_the_weight_functions_exactly(events, config):
                                       ORACLE_REGISTRY, config)
             want = reference_reputation(where, store, config)
             assert got == want and type(got) is type(want)
+
+
+def assert_reads_agree(restored, recorded, config):
+    """Rater weights, reputations and listing views read from a restored
+    store equal those of the recorded one and the references, with the
+    same type."""
+    snapshot = recorded.snapshot()
+    for account in ORACLE_IDS:
+        got = rater_weight(account, restored, ORACLE_REGISTRY, config)
+        want = max_rater_weight(account, snapshot, config)
+        assert got == rater_weight(account, recorded, ORACLE_REGISTRY,
+                                   config) == want
+        assert type(got) is type(want)
+    for where in ORACLE_SCOPES:
+        got = weighted_reputation(ORACLE_SELLER, where, restored,
+                                  ORACLE_REGISTRY, config)
+        want = reference_reputation(where, recorded, config)
+        assert got == want and type(got) is type(want)
+        place = ListingContext(where, 100.0)
+        view = listing_view(ORACLE_SELLER, place, restored, ORACLE_REGISTRY,
+                            config)
+        kept = listing_view(ORACLE_SELLER, place, recorded, ORACLE_REGISTRY,
+                            config)
+        assert view == kept and list(map(type, view)) == list(map(type, kept))
+        if want is not None:
+            assert view[0] == want and type(view[0]) is type(want)
+        elif any(r.ratee == ORACLE_SELLER for r in snapshot.values()):
+            assert view[3] == {ADVISORY_NEW_IN_SCOPE}
+        else:
+            assert view[3] == {ADVISORY_NEW_SELLER}
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_events, st.integers(0, 30), oracle_configs)
+def test_a_restored_store_weighs_raters_as_a_recorded_one(events, cut,
+                                                          config):
+    recorded = RatingStore()
+    for at, (rater, ratee, scope, value, cost) in enumerate(events[:cut],
+                                                            start=1):
+        recorded.record(Rating(rater, ratee, scope, value, cost, at),
+                        registry=ORACLE_REGISTRY)
+    latest = sorted(recorded.snapshot().values(), key=lambda r: r.at)
+    restored = RatingStore.restore(
+        {name: [getattr(r, name) for r in latest] for name in RATING_FIELDS},
+        ORACLE_REGISTRY)
+    assert all(received.rows is not None
+               for received in restored.received.values())
+    assert_reads_agree(restored, recorded, config)
+    # raters are weighed by their totals alone, with no rating built
+    assert {ratee for ratee, received in restored.received.items()
+            if received.rows is None} <= {ORACLE_SELLER}
+
+    def write(rating, refusal=None):
+        kept = totals_of(recorded)
+        for store in (recorded, restored):
+            if refusal is None:
+                store.record(rating, registry=ORACLE_REGISTRY)
+            else:
+                with pytest.raises(refusal):
+                    store.record(rating, registry=ORACLE_REGISTRY)
+                assert totals_of(store) == kept
+        assert totals_of(restored) == totals_of(recorded)
+        assert_reads_agree(restored, recorded, config)
+
+    at = min(cut, len(events))
+    for rater, ratee, scope, value, cost in events[cut:]:
+        at += 1
+        write(Rating(rater, ratee, scope, value, cost, at))
+    # a replacement, a rater new to a bucket already read, and each refusal
+    seller, rater = ORACLE_SELLER, ORACLE_IDS[1]
+    write(Rating(rater, seller, "laptops", 1, 100.0, at + 1))
+    write(Rating(rater, seller, "laptops", -1, 250.0, at + 2))
+    raters = {r.rater for r in recorded.latest_ratings_for(seller, "laptops")}
+    for newcomer in ORACLE_IDS[2:]:
+        if newcomer not in raters:
+            write(Rating(newcomer, seller, "laptops", 0, 60.0, at + 3))
+            break
+    write(Rating(rater, seller, "laptops", 1, 100.0, at + 2), StaleTimestamp)
+    write(Rating(seller, seller, "laptops", 1, 100.0, at + 4), SelfRating)
+    for stranger in (Rating("A999999", seller, "laptops", 1, 100.0, at + 4),
+                     Rating(rater, "A999999", "laptops", 1, 100.0, at + 4)):
+        write(stranger, UnknownAccount)

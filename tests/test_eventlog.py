@@ -404,6 +404,11 @@ HOSTILE_LINES = {
         "c", "personal", "full_name", 5)),
     "declaration not a bool": (KIND_REGISTER, with_credential(
         "c", "evidence", "signed_declaration", "no")),
+    "business field not a string after a blank one": (KIND_REGISTER, {
+        "credentials": {**credentials_for("c", "low").to_dict(),
+                        "business": {"national_id": "", "bank_or_card": "x",
+                                     "business_phone": 5,
+                                     "business_address": [1]}}}),
 }
 
 

@@ -66,6 +66,32 @@ def test_credentials_roundtrip():
     assert CredentialSet.from_dict(creds.to_dict()) == creds
 
 
+TEXT_FIELDS = [(make, name)
+               for make, kind in ((personal_block, PersonalDetails),
+                                  (business_block, BusinessDetails),
+                                  (evidence_block, EvidenceDetails))
+               for name in kind.__dataclass_fields__
+               if name != "signed_declaration"]
+
+
+@pytest.mark.parametrize("make, name", TEXT_FIELDS,
+                         ids=[name for _, name in TEXT_FIELDS])
+def test_a_text_field_that_is_not_a_string_is_refused(make, name):
+    for value in (5, None, ["x"]):
+        with pytest.raises(TypeError, match="text fields must be strings"):
+            make(**{name: value})
+
+
+def test_a_later_field_behind_a_blank_one_is_checked_too():
+    # complete() stops at the first blank field and never reads the rest
+    with pytest.raises(TypeError, match="BusinessDetails text fields"):
+        CredentialSet.from_dict({
+            "personal": vars(personal_block()),
+            "business": {"national_id": "", "bank_or_card": "x",
+                         "business_phone": 5, "business_address": [1]},
+            "evidence": {"reference_account": 7}})
+
+
 # ------------------------------------------------------------------
 # identity normalization and uniqueness
 # ------------------------------------------------------------------

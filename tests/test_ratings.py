@@ -13,7 +13,7 @@ from trustmarket.identity import Registry
 from trustmarket.ratings import (RATING_FIELDS, RATING_VALUES, Rating,
                                  RatingStore, normalize_scope)
 
-from conftest import credentials_for, record
+from conftest import credentials_for, record, totals_of
 
 
 def rating(rater, ratee, value=1, cost=100.0, at=1, scope="laptops"):
@@ -79,6 +79,10 @@ def test_rating_is_a_frozen_slotted_value():
     ("cost", math.inf, "cost must lie in [0, inf), got inf"),
     ("cost", -1.0, "cost must lie in [0, inf), got -1.0"),
     ("scope", "  ", "scope must be a non-empty category name"),
+    ("at", "noon", "rating at must be an int, got 'noon'"),
+    ("at", 5.0, "rating at must be an int, got 5.0"),
+    ("at", True, "rating at must be an int, got True"),
+    ("at", None, "rating at must be an int, got None"),
 ])
 def test_rating_refusals_keep_their_messages(field, bad, message):
     fields = dict(rater="a", ratee="b", scope="books", value=1, cost=1.0,
@@ -137,13 +141,14 @@ def test_revision_counts_mutations(market):
     store.record(rating(buyer, seller, at=1), registry=registry)
     store.record(rating(buyer, seller, at=2), registry=registry)
     assert store.revision == 2
-    kept = (store.revision, len(store), store.snapshot())
+    kept = (store.revision, len(store), store.snapshot(), totals_of(store))
     for refused, error in ((rating(buyer, buyer, at=3), SelfRating),
                            (rating("ghost", seller, at=3), UnknownAccount),
                            (rating(buyer, seller, at=2), StaleTimestamp)):
         with pytest.raises(error):
             store.record(refused, registry=registry)
-        assert (store.revision, len(store), store.snapshot()) == kept
+        assert (store.revision, len(store), store.snapshot(),
+                totals_of(store)) == kept
 
 
 def test_unknown_ratee_queries_empty(store):
@@ -173,8 +178,10 @@ def assert_index_matches(store, oracle):
             assert store.latest_ratings_for(ratee, scope) == sorted(
                 (r for r in received if r.scope == scope),
                 key=lambda r: r.rater)
-        assert store.received_totals(ratee) == (
-            sum(r.value for r in received), len(received))
+        # a ratee is in the mapping exactly when it holds a rating
+        assert totals_of(store).get(ratee) == (
+            (sum(r.value for r in received), len(received))
+            if received else None)
         for rater in "abcd":
             assert store.ratings_between(rater, ratee) == sorted(
                 (r for r in received if r.rater == rater),
@@ -240,7 +247,7 @@ damages = st.one_of(
         (3, None),
         (4, math.nan), (4, math.inf), (4, -math.inf), (4, -1), (4, -0.5),
         (4, 10**400), (4, "5"), (4, None),
-        (5, "noon"), (5, None)]),
+        (5, "noon"), (5, 5.0), (5, True), (5, None)]),
     st.sampled_from(["self-rating", "5 fields", "7 fields"]))
 
 
@@ -302,15 +309,13 @@ def test_restore_matches_recording_each_row(rows, edits):
     assert list(restored.snapshot().items()) \
         == list(expected.snapshot().items())
     assert len(restored) == len(expected) == restored.revision == len(rows)
-    for ratee in RESTORE_IDS:
-        assert restored.received_totals(ratee) \
-            == expected.received_totals(ratee)
+    assert totals_of(restored) == totals_of(expected)
 
 
 def test_restore_refuses_a_repeated_key():
     a, b = RESTORE_IDS[:2]
     rows = [[a, b, "books", 1, 10, 1], [a, b, " Books", -1, 10, 2]]
-    assert record_each(rows, RESTORE_REGISTRY).received_totals(b) == (-1, 1)
+    assert totals_of(record_each(rows, RESTORE_REGISTRY)) == {b: (-1, 1)}
     with pytest.raises(ValueError, match="two ratings for key"):
         RatingStore.restore(columns_of(rows), RESTORE_REGISTRY)
 
@@ -330,7 +335,7 @@ distinct_rows = st.lists(valid_row, max_size=12, unique_by=key_of)
 def unbuilt(store):
     """The ratees, in store order, whose restored rows no read has turned
     into ratings yet."""
-    return [ratee for ratee, received in store._received.items()
+    return [ratee for ratee, received in store.received.items()
             if received.rows is not None]
 
 
@@ -338,9 +343,7 @@ def assert_same_store(store, expected):
     assert list(store.snapshot().items()) \
         == list(expected.snapshot().items())
     assert (len(store), store.revision) == (len(expected), expected.revision)
-    for account in RESTORE_IDS:
-        assert store.received_totals(account) \
-            == expected.received_totals(account)
+    assert totals_of(store) == totals_of(expected)
 
 
 def writes_on(row, rows, value):
@@ -371,9 +374,7 @@ def test_restored_store_reads_like_a_recorded_one(rows, reads, pick, value):
     expected = record_each(rows, RESTORE_REGISTRY)
     ratees = list(dict.fromkeys(row[1] for row in rows))
     assert unbuilt(restored) == ratees
-    for account in RESTORE_IDS:                 # from the totals alone
-        assert restored.received_totals(account) \
-            == expected.received_totals(account)
+    assert totals_of(restored) == totals_of(expected)   # from the totals alone
     assert unbuilt(restored) == ratees
 
     for clone in (copy.deepcopy(restored),
