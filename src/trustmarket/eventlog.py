@@ -136,7 +136,7 @@ def _parse_line(line: str, line_no: int) -> EventRecord:
         payload = data["payload"]
     except KeyError as exc:
         raise CorruptLog(f"missing field {exc.args[0]!r}", line_no) from exc
-    if not isinstance(seq, int) or not isinstance(at, int):
+    if type(seq) is not int or type(at) is not int:
         raise CorruptLog("seq and at must be integers", line_no)
     if kind not in KINDS:
         raise CorruptLog(f"unknown kind {kind!r}", line_no)

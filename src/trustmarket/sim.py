@@ -767,23 +767,19 @@ def _record_cross_ratings(world: World, buyer: BuyerSpec, state: _SellerState,
 def _record_deal(world: World, buyer: BuyerSpec, state: _SellerState,
                  listing: _Listing, outcome: str, listings: list,
                  views: dict) -> None:
-    """Write the deal's two ratings, then drop the kept view of every
-    listing whose (seller, scope) bucket holds a rating by a party whose
-    rater weight the deal moved."""
+    """Write the deal's two ratings, then, if they moved the buyer's rater
+    weight, drop the kept view of every listing whose (seller, scope)
+    bucket holds a rating by the buyer; `step` says why that suffices."""
     store, registry = world.state.store, world.state.registry
-    parties = (world.accounts[buyer.name], state.account_id)
-    before = [rater_weight(party, store, registry, world.config)
-              for party in parties]
+    buyer_id = world.accounts[buyer.name]
+    before = rater_weight(buyer_id, store, registry, world.config)
     _record_cross_ratings(world, buyer, state, listing, outcome)
-    moved = [party for party, weight in zip(parties, before)
-             if rater_weight(party, store, registry, world.config) != weight]
-    if not moved:
+    if rater_weight(buyer_id, store, registry, world.config) == before:
         return
     for index in list(views):
         other = listings[index]
-        seller_id = world.sellers[other.seller].account_id
-        if any(store.latest(party, seller_id, other.scope) is not None
-               for party in moved):
+        if store.latest(buyer_id, world.sellers[other.seller].account_id,
+                        other.scope) is not None:
             del views[index]
 
 
@@ -810,10 +806,11 @@ def step(world: World) -> World:
     # scope bucket, its raters' weights, the seller's received count and
     # tier.  A deal's two ratings write only the sold seller's buckets (its
     # one listing is never read again) and the buyer's, and move only the
-    # two parties' received totals, so a kept view goes stale only where a
-    # party whose rater weight moved has rated its bucket; `_record_deal`
-    # drops those.  Between deals nothing a view reads changes, so the best
-    # listing of each buyer policy in `best` holds until the next deal.
+    # two parties' received totals, hence rater weights.  Only buyers rate
+    # sellers, so a kept view goes stale only where the buyer's weight
+    # moved and the buyer has rated its bucket; `_record_deal` drops those.
+    # Between deals nothing a view reads changes, so the best listing of
+    # each buyer policy in `best` holds until the next deal.
     views = {}
     best = {}
     for buyer in _arrival(world):

@@ -10,6 +10,13 @@ from trustmarket.ratings import Rating, RatingStore
 settings.register_profile("ci", print_blob=True)
 
 
+def profile_examples(default: int, ci: int) -> int:
+    """A property test's example count: `ci` under the ci profile, else
+    `default`.  The hypothesis plugin loads the profile before any test
+    module is imported, so a decorator may call this."""
+    return ci if settings.default is settings.get_profile("ci") else default
+
+
 def personal_block(name="Ada Example", **over):
     fields = dict(full_name=name, address=f"1 {name} way",
                   phone=f"tel-{name}", city="Springfield", country="US")

@@ -373,6 +373,19 @@ def test_a_deal_line_is_damage_to_every_command(capsys, log, command,
     assert checkpoint_of(log).exists() == checkpointed
 
 
+def test_a_bool_seq_or_at_is_damage(capsys, log):
+    line = {"seq": True, "kind": KIND_REGISTER, "at": True,
+            "payload": {"credentials": credentials_for("seller").to_dict()}}
+    log.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    before = log.read_bytes()
+    for argv in (["replay", str(log)], register_args(log, "buyer")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err == "error: line 1: seq and at must be integers\n"
+    assert log.read_bytes() == before
+    assert not checkpoint_of(log).exists()
+
+
 def readme_session(heading):
     """[argv, expected output] for each `trustmarket` command in the first
     sh block under `heading` of the README, with backslash continuations

@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import profile_examples
 from trustmarket import sim
 from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                                 ADVISORY_NEW_SELLER, DEFAULT_ENGINE,
                                 EngineConfig, ListingContext, compute_opinion,
-                                listing_view)
+                                listing_view, rater_weight)
 from trustmarket.errors import DuplicateIdentity, InvalidScenario
 from trustmarket.eventlog import KIND_RATING, MarketState, apply_event
 from trustmarket.identity import PolicyConfig, ProfileTier
-from trustmarket.ratings import Rating
+from trustmarket.ratings import Rating, RatingStore
 from trustmarket.sim import (STRATEGY_KINDS, VARIANT_EBAY, VARIANT_INTEGRATED,
                              VARIANT_UNWEIGHTED, VARIANTS, BallotStuffing,
                              BuyerPolicy, BuyerSpec, Honest, IdentityReset,
@@ -543,6 +544,36 @@ def _bundled_and_view_scenarios():
         yield f"view-{seed}", _view_scenario(seed, 3, 5.0)
 
 
+def _stepped_world(scenario):
+    """A world run to its horizon, and every account its sellers held,
+    fresh reset ids included."""
+    world = build_world(scenario)
+    seller_ids = set()
+    for _ in range(scenario.horizon):
+        step(world)
+        seller_ids.update(state.account_id for state in world.sellers.values())
+    return world, seller_ids
+
+
+def _assert_ratings_pair_a_buyer_with_a_seller(world, seller_ids):
+    """Every rating of the run is between one buyer and one seller
+    account, so no seller account rates a seller: the rule that lets a
+    deal's moved seller weight leave every kept view alone."""
+    buyer_ids = {world.accounts[spec.name] for spec in world.scenario.buyers}
+    assert not buyer_ids & seller_ids
+    for record in world.events:
+        if record.kind == KIND_RATING:
+            pair = {record.payload["rater"], record.payload["ratee"]}
+            assert len(pair & buyer_ids) == len(pair & seller_ids) == 1
+
+
+def test_only_buyers_rate_sellers():
+    for name, scenario in _bundled_and_view_scenarios():
+        world, seller_ids = _stepped_world(scenario)
+        assert world.completed_deals, name
+        _assert_ratings_pair_a_buyer_with_a_seller(world, seller_ids)
+
+
 @pytest.mark.parametrize("variant", (VARIANT_INTEGRATED, VARIANT_UNWEIGHTED))
 def test_each_listing_view_is_computed_once_a_round(monkeypatch, variant):
     # in a plain market a deal moves no weight that an open listing's
@@ -553,7 +584,7 @@ def test_each_listing_view_is_computed_once_a_round(monkeypatch, variant):
         assert counts and max(counts.values()) == 1, name
 
 
-def test_deal_drops_only_views_its_moved_weights_reach():
+def test_deal_drops_only_views_its_moved_weights_reach(monkeypatch):
     scenario = basic_scenario(
         sellers=tuple(honest_seller(name) for name in ("s1", "s2", "s3")),
         buyers=(buyer("b"), buyer("b2")), scopes=("c", "d"))
@@ -579,17 +610,59 @@ def test_deal_drops_only_views_its_moved_weights_reach():
             ListingContext(scope=listing.scope, price=listing.price,
                            delivery_days=listing.delivery_days),
             store, registry, world.config)[2:]
+    calls = Counter()
+
+    def counted(name, function):
+        def call(*args):
+            calls[name] += 1
+            return function(*args)
+        return call
+    monkeypatch.setattr(sim, "rater_weight",
+                        counted("rater_weight", rater_weight))
+    monkeypatch.setattr(RatingStore, "latest",
+                        counted("latest", RatingStore.latest))
+
+    def deal(buyer_spec, listing, outcome):
+        """`_record_deal` of `buyer_spec` buying `listing`; its calls."""
+        calls.clear()
+        listing.sold = True
+        sim._record_deal(world, buyer_spec, world.sellers[listing.seller],
+                         listing, outcome, listings, views)
+        return dict(calls)
+
     views = {}
     sim._choose(world, scenario.buyers[0], listings, views, {})
     before = dict(views)
     assert set(before) == {0, 1, 2, 3}
 
     # b's weight moves from epsilon (one -1 received) to 0.5
-    sim._record_deal(world, scenario.buyers[0], world.sellers["s1"],
-                     listings[0], sim.OUTCOME_SUCCESS, listings, views)
+    assert deal(scenario.buyers[0], listings[0],
+                sim.OUTCOME_SUCCESS)["rater_weight"] == 2
     assert 1 not in views and fresh(listings[1]) != before[1]
     assert {2, 3} <= set(views)
     for index in (2, 3):
+        assert views[index] == fresh(listings[index])
+
+    # b2, already rated +1, keeps its weight of 1 when s3 rates it +1, and
+    # its -1 moves s3's weight; only buyers rate sellers, so no view reads
+    # s3's weight, none is dropped and no rating is looked up
+    world.clock += 1
+    store.record(Rating(rater=ids["s1"], ratee=ids["b2"], scope="d", value=1,
+                        cost=100, at=world.clock), registry=registry)
+    views.clear()
+    sim._choose(world, scenario.buyers[1], listings, views, {})
+    kept = dict(views)
+    assert set(kept) == {1, 2, 3}
+    weights = [rater_weight(ids[name], store, registry, world.config)
+               for name in ("b2", "s3")]
+    assert deal(scenario.buyers[1], listings[3],
+                sim.OUTCOME_FAILURE) == {"rater_weight": 2}
+    assert rater_weight(ids["b2"], store, registry,
+                        world.config) == weights[0]
+    assert rater_weight(ids["s3"], store, registry,
+                        world.config) != weights[1]
+    assert views == kept
+    for index in (1, 2):
         assert views[index] == fresh(listings[index])
 
 
@@ -716,7 +789,8 @@ def scenarios(draw):
         engine=EngineConfig(**engine))
 
 
-@settings(max_examples=40, deadline=None)
+# the exactness oracle of kept views: more examples on CI than in a local run
+@settings(max_examples=profile_examples(40, 200), deadline=None)
 @given(scenario=scenarios())
 def test_generated_scenarios(scenario):
     # the file format round-trips through JSON
@@ -731,7 +805,6 @@ def test_generated_scenarios(scenario):
     _compared_runs_match_single_runs(
         scenario, {variant: shared[variant][0] for variant in VARIANTS})
     # the world's state is the fold of its event stream
-    world = build_world(scenario)
-    for _ in range(scenario.horizon):
-        step(world)
+    world, seller_ids = _stepped_world(scenario)
     assert _fold(world.events).describe() == world.state.describe()
+    _assert_ratings_pair_a_buyer_with_a_seller(world, seller_ids)
