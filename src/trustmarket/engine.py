@@ -15,7 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SelfQuery
-from .identity import DEFAULT_POLICY, PolicyConfig, ProfileTier, initial_trust
+from .identity import (DEFAULT_POLICY, PolicyConfig, ProfileTier,
+                       check_field_types, initial_trust)
 from .ratings import MAX_COST, normalize_scope
 
 MODE_ATC = "atc"
@@ -58,6 +59,7 @@ class EngineConfig:
     use_weights: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if not isinstance(self.policy, PolicyConfig):
             raise TypeError(
                 f"policy must be a PolicyConfig, got {self.policy!r}")
@@ -79,9 +81,6 @@ class EngineConfig:
                 f"{self.low_max}, {self.med_max}")
         if not 0.0 <= self.max_delivery_days < math.inf:
             raise ValueError("max_delivery_days must lie in [0, inf)")
-        if type(self.use_weights) is not bool:
-            raise TypeError(
-                f"use_weights must be true or false, got {self.use_weights!r}")
 
 
 DEFAULT_ENGINE = EngineConfig()

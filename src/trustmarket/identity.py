@@ -7,11 +7,12 @@ three is High.  Business identity strings (national id, bank/card number)
 are normalized and held unique across all live accounts, so the same
 person cannot operate parallel identities, and a verified tier earns a
 configurable initial trust score that gives brand-new sellers a non-zero
-starting point.
+starting point.  The one field type rule, `check_field_types`, is here.
 """
 
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
+from functools import cache
 import re
 
 from .errors import DuplicateIdentity, IncompleteCredentials, UnknownAccount
@@ -36,15 +37,24 @@ class ProfileTier(IntEnum):
             raise ValueError(f"unknown profile tier {text!r}") from None
 
 
-def _refuse_non_text(block, values) -> None:
-    """Raise TypeError unless every one of a block's text `values` is a
-    str.  `complete()` strips fields only up to the first blank one, so
-    without this a later field of another type would be stored as is."""
-    try:
-        "".join(values)     # one pass, raising on an item that is not a str
-    except TypeError:
-        raise TypeError(f"{type(block).__name__} text fields must be "
-                        f"strings, got {values!r}") from None
+# type(), not isinstance(): a bool is an int, and would pass as a number
+_TYPE_RULES = {float: ((int, float), "a number"), int: ((int,), "an int"),
+               bool: ((bool,), "true or false"), str: ((str,), "a string")}
+
+
+@cache
+def field_type_table(cls) -> tuple:
+    """(name, admitted types, noun) of each ruled field of dataclass `cls`."""
+    return tuple((spec.name, *_TYPE_RULES[spec.type])
+                 for spec in fields(cls) if spec.type in _TYPE_RULES)
+
+
+def check_field_types(obj) -> None:
+    """Raise TypeError at a field of dataclass `obj` of a type not admitted."""
+    for name, admitted, noun in field_type_table(type(obj)):
+        value = getattr(obj, name)
+        if type(value) not in admitted:
+            raise TypeError(f"{name} must be {noun}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,9 +65,7 @@ class PersonalDetails:
     city: str = ""
     country: str = ""
 
-    def __post_init__(self):
-        _refuse_non_text(self, (self.full_name, self.address, self.phone,
-                                self.city, self.country))
+    __post_init__ = check_field_types
 
     def complete(self) -> bool:
         return all(map(str.strip, (self.full_name, self.address, self.phone,
@@ -71,9 +79,7 @@ class BusinessDetails:
     business_phone: str = ""
     business_address: str = ""
 
-    def __post_init__(self):
-        _refuse_non_text(self, (self.national_id, self.bank_or_card,
-                                self.business_phone, self.business_address))
+    __post_init__ = check_field_types
 
     def complete(self) -> bool:
         return all(map(str.strip, (self.national_id, self.bank_or_card,
@@ -85,15 +91,9 @@ class EvidenceDetails:
     reference_account: str = ""       # reference marketplace account
     id_document: str = ""             # token for the scanned id/licence
     registration_document: str = ""   # token for the company registration scan
-    signed_declaration: bool = False
+    signed_declaration: bool = False    # "no" is truthy: a bool only
 
-    def __post_init__(self):
-        _refuse_non_text(self, (self.reference_account, self.id_document,
-                                self.registration_document))
-        # "no" is truthy, and would read as signed
-        if type(self.signed_declaration) is not bool:
-            raise TypeError("signed_declaration must be true or false, got "
-                            f"{self.signed_declaration!r}")
+    __post_init__ = check_field_types
 
     def complete(self) -> bool:
         return (all(map(str.strip, (self.reference_account, self.id_document,
@@ -123,14 +123,8 @@ class CredentialSet:
                 for block in (self.personal, self.business, self.evidence)]
 
     def to_dict(self) -> dict:
-        out: dict = {}
-        if self.personal is not None:
-            out["personal"] = vars(self.personal).copy()
-        if self.business is not None:
-            out["business"] = vars(self.business).copy()
-        if self.evidence is not None:
-            out["evidence"] = vars(self.evidence).copy()
-        return out
+        return {name: dict(vars(block)) for name, block in vars(self).items()
+                if block is not None}
 
     @classmethod
     def from_dict(cls, data: dict) -> "CredentialSet":
@@ -204,6 +198,9 @@ class PolicyConfig:
             if tier not in table:
                 raise ValueError(f"initial_trust missing tier {tier.label}")
             score = table[tier]
+            if type(score) not in _TYPE_RULES[float][0]:
+                raise TypeError(f"initial_trust[{tier.label}] must be a "
+                                f"number, got {score!r}")
             if not 0.0 <= score <= 1.0:
                 raise ValueError(f"initial_trust[{tier.label}] out of [0,1]: {score}")
         if not (table[ProfileTier.LOW] <= table[ProfileTier.MEDIUM]
@@ -311,7 +308,7 @@ class Registry:
 
 __all__ = [
     "ProfileTier", "PersonalDetails", "BusinessDetails", "EvidenceDetails",
-    "BLOCK_FIELDS",
+    "BLOCK_FIELDS", "check_field_types", "field_type_table",
     "CredentialSet", "PolicyConfig", "DEFAULT_POLICY", "Account", "Registry",
     "classify_profile", "initial_trust", "normalize_identity",
 ]

@@ -55,8 +55,8 @@ class Rating:
         if type(value) is not int or value not in RATING_VALUES:
             raise ValueError(
                 f"rating value must be the int +1, 0 or -1, got {value!r}")
-        if not 0 <= cost <= MAX_COST:
-            raise ValueError(f"cost must lie in [0, inf), got {cost}")
+        if type(cost) not in (int, float) or not 0 <= cost <= MAX_COST:
+            raise ValueError(f"cost must lie in [0, inf), got {cost!r}")
         # readers order ratings by `at`: a str there would replay, then
         # fail the first comparison; a bool or float is refused alike
         if type(at) is not int:
@@ -159,9 +159,9 @@ class RatingStore:
         by one, in order, gives this store.  Each check of `Rating` and
         `record` runs as one pass over a column, with no Python loop per
         rating: the columns are lists of one length under exactly those
-        keys, the values are the int +1, 0 or -1, the costs lie in [0,
-        MAX_COST] (NaN is the one cost not equal to itself, and the bounds
-        are compared before any float conversion, so a huge int is
+        keys, the values are the int +1, 0 or -1, the costs ints or floats
+        in [0, MAX_COST] (NaN is the one cost not equal to itself, and the
+        bounds are compared before any float conversion, so a huge int is
         refused, never raised), the ats are ints, no rater is its ratee,
         both parties are registered, and the scopes are non-blank strings,
         normalised.  A column that breaks one raises ValueError, TypeError
@@ -188,7 +188,8 @@ class RatingStore:
         if not (set(map(type, values)) == {int}
                 and set(values).issubset(RATING_VALUES)):
             raise ValueError("rating values must be the int +1, 0 or -1")
-        if not (all(map(eq, costs, costs))
+        if not (set(map(type, costs)) <= {int, float}
+                and all(map(eq, costs, costs))
                 and min(costs) >= 0 and max(costs) <= MAX_COST):
             raise ValueError("costs must lie in [0, inf)")
         if set(map(type, ats)) != {int}:

@@ -37,7 +37,8 @@ from .errors import DuplicateIdentity, InvalidScenario
 from .eventlog import (KIND_RATING, KIND_REGISTER, MarketState, apply_event,
                        next_record)
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
-                       PersonalDetails, PolicyConfig, ProfileTier)
+                       PersonalDetails, PolicyConfig, ProfileTier,
+                       check_field_types, normalize_identity)
 from .stats import midranks
 
 VARIANT_INTEGRATED = "integrated"
@@ -78,17 +79,10 @@ def _in_range(unit: float, low: int, high: int) -> int:
 # strategies and rosters
 # ------------------------------------------------------------------
 
-def _is_int(value) -> bool:
-    """True for a real int: bools and floats (NaN and inf among them)
-    fail."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_counts(**counts) -> None:
     for name, value in counts.items():
-        if not _is_int(value) or value < 0:
-            raise ValueError(
-                f"{name} must be a non-negative int, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
 def _expect(value, kind, what: str):
@@ -109,6 +103,7 @@ class Honest:
     marginal_rate: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.quality <= 1.0:
             raise ValueError("quality must lie in [0, 1]")
         if not 0.0 <= self.marginal_rate <= 1.0:
@@ -125,6 +120,7 @@ class ValueImbalance:
     defect_cost: int = 500
 
     def __post_init__(self):
+        check_field_types(self)
         _check_counts(honest_phase=self.honest_phase, low_cost=self.low_cost,
                       defect_cost=self.defect_cost)
 
@@ -142,10 +138,8 @@ class IdentityReset:
     fresh_ids: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         _check_counts(defect_after=self.defect_after)
-        if type(self.fresh_ids) is not bool:
-            raise TypeError(
-                f"fresh_ids must be true or false, got {self.fresh_ids!r}")
 
 
 @dataclass(frozen=True)
@@ -158,6 +152,7 @@ class BallotStuffing:
     quality: float = 0.5
 
     def __post_init__(self):
+        check_field_types(self)
         _check_counts(fake_raters=self.fake_raters)
         if not 0.0 <= self.quality <= 1.0:
             raise ValueError("quality must lie in [0, 1]")
@@ -184,11 +179,9 @@ class BuyerPolicy:
     new_seller_discount: float = 0.0
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        if type(self.refuse_on_avoid_delivery) is not bool:
-            raise TypeError("refuse_on_avoid_delivery must be true or false, "
-                            f"got {self.refuse_on_avoid_delivery!r}")
         if not 0.0 <= self.new_seller_discount <= 1.0:
             raise ValueError("new_seller_discount must lie in [0, 1]")
 
@@ -233,11 +226,12 @@ class Scenario:
     engine: EngineConfig = field(default_factory=lambda: DEFAULT_ENGINE)
 
     def validate(self) -> None:
-        if not _is_int(self.seed):
-            raise InvalidScenario(f"seed must be an int, got {self.seed!r}")
-        if not _is_int(self.horizon) or self.horizon < 1:
-            raise InvalidScenario(
-                f"horizon must be an int >= 1, got {self.horizon!r}")
+        try:
+            check_field_types(self)
+        except TypeError as exc:
+            raise InvalidScenario(str(exc)) from None
+        if self.horizon < 1:
+            raise InvalidScenario(f"horizon must be >= 1, got {self.horizon}")
         if not self.sellers:
             raise InvalidScenario("roster needs at least one seller")
         if self.variant not in VARIANTS:
@@ -259,9 +253,30 @@ class Scenario:
                 raise InvalidScenario(
                     f"buyer {buyer.name!r} colludes with unknown seller "
                     f"{buyer.colludes_with!r}")
+        # `make_credentials` gives a name above tier low, as a fresh-ids reset
+        # f"{name}-r{n}", a national id f"nid-{name}" the registry holds unique
+        keys = {}
+        for spec in (*self.sellers, *self.buyers):
+            if spec.tier != "low":
+                key = normalize_identity(spec.name)
+                if keys.setdefault(key, spec.name) != spec.name:
+                    raise InvalidScenario(f"roster names {keys[key]!r} and "
+                                          f"{spec.name!r} give one identity")
+        fresh = {normalize_identity(seller.name): seller.name
+                 for seller in self.sellers if seller.tier != "low"
+                 and getattr(seller.strategy, "fresh_ids", False)}
+        for key, name in keys.items() if fresh else ():
+            stem, _, n = key.rpartition("r")
+            seller = fresh.get(stem)
+            if seller and n.isdecimal() and n[0] != "0" \
+                    and normalize_identity(f"{seller}-r{n}") == key:
+                first, second = sorted((seller, name), key=names.index)
+                raise InvalidScenario(
+                    f"roster names {first!r} and {second!r} give one "
+                    f"identity, at reset {n} of {seller!r}")
         for bounds, label in ((self.price_range, "price_range"),
                               (self.delivery_range, "delivery_range")):
-            if len(bounds) != 2 or not all(map(_is_int, bounds)) \
+            if len(bounds) != 2 or set(map(type, bounds)) != {int} \
                     or bounds[0] < 0 or bounds[1] < bounds[0]:
                 raise InvalidScenario(f"bad {label}: {bounds!r}, need two "
                                       f"ints with 0 <= low <= high")
@@ -315,7 +330,7 @@ class Scenario:
                 engine["policy"] = PolicyConfig(
                     {ProfileTier.from_label(label): value
                      for label, value in table.items()})
-            kwargs["engine"] = EngineConfig(**engine)
+            kwargs["engine"] = _build(EngineConfig, engine, "engine")
             scenario = cls(**kwargs)
             scenario.validate()
         except (TypeError, ValueError) as exc:
@@ -604,12 +619,10 @@ def _post_listing(world: World, state: _SellerState) -> _Listing:
     if isinstance(strategy, ValueImbalance):
         price = (strategy.low_cost if state.deals_done < strategy.honest_phase
                  else strategy.defect_cost)
-        return _Listing(seller=spec.name, scope=scenario.scopes[0],
-                        price=price,
-                        delivery_days=scenario.delivery_range[0])
-    price = _in_range(_draw(world, "price", world.round, spec.name),
-                      *scenario.price_range)
-    if isinstance(strategy, (IdentityReset, BallotStuffing)):
+    else:
+        price = _in_range(_draw(world, "price", world.round, spec.name),
+                          *scenario.price_range)
+    if not isinstance(strategy, Honest):
         return _Listing(seller=spec.name, scope=scenario.scopes[0],
                         price=price,
                         delivery_days=scenario.delivery_range[0])
@@ -723,24 +736,20 @@ def _choose(world: World, buyer: BuyerSpec, listings: list, views: dict,
 
 def _deal_outcome(world: World, state: _SellerState, buyer_name: str) -> str:
     strategy = state.spec.strategy
-    if isinstance(strategy, Honest):
-        roll = _draw(world, "outcome", world.round,
-                     state.spec.name, buyer_name)
-        if roll >= strategy.quality:
-            return OUTCOME_FAILURE
-        if strategy.marginal_rate and _draw(
-                world, "marginal", world.round,
-                state.spec.name, buyer_name) < strategy.marginal_rate:
-            return OUTCOME_MARGINAL
-        return OUTCOME_SUCCESS
     if isinstance(strategy, ValueImbalance):
         return (OUTCOME_SUCCESS if state.deals_done < strategy.honest_phase
                 else OUTCOME_FAILURE)
     if isinstance(strategy, IdentityReset):
         return (OUTCOME_SUCCESS if state.deals_done < strategy.defect_after
                 else OUTCOME_FAILURE)
-    roll = _draw(world, "outcome", world.round, state.spec.name, buyer_name)
-    return OUTCOME_SUCCESS if roll < strategy.quality else OUTCOME_FAILURE
+    # honest, or a ballot stuffer, whose deliveries are never marginal
+    key = (world.round, state.spec.name, buyer_name)
+    if _draw(world, "outcome", *key) >= strategy.quality:
+        return OUTCOME_FAILURE
+    marginal = getattr(strategy, "marginal_rate", 0.0)
+    if marginal and _draw(world, "marginal", *key) < marginal:
+        return OUTCOME_MARGINAL
+    return OUTCOME_SUCCESS
 
 
 def _record_cross_ratings(world: World, buyer: BuyerSpec, state: _SellerState,
@@ -853,14 +862,6 @@ def step(world: World) -> World:
     return world
 
 
-def _honesty_index(strategy) -> float:
-    if isinstance(strategy, Honest):
-        return strategy.quality
-    if isinstance(strategy, BallotStuffing):
-        return strategy.quality
-    return 0.0
-
-
 def _spearman(xs, ys) -> float | None:
     if len(xs) < 2:
         return None
@@ -889,7 +890,8 @@ def world_report(world: World) -> SimReport:
     ttfs = {name: world.first_sale.get(name, censored)
             for name in world.sellers}
     final_scores = [world.trajectories[name][-1] for name in world.sellers]
-    honesty = [_honesty_index(state.spec.strategy)
+    # a seller's honesty is its strategy's delivery quality, 0 for a defector
+    honesty = [getattr(state.spec.strategy, "quality", 0.0)
                for state in world.sellers.values()]
     return SimReport(
         variant=scenario.variant,

@@ -36,7 +36,7 @@ SCALE_LABELS = {
 def _check_responses(group) -> list:
     values = list(group)
     for value in values:
-        if not isinstance(value, int) or isinstance(value, bool):
+        if type(value) is not int:
             raise ValueError(f"responses must be integers, got {value!r}")
         if not LIKERT_MIN <= value <= LIKERT_MAX:
             raise ValueError(

@@ -279,6 +279,7 @@ DAMAGES = {
     "rating value 1.0": edit_checkpoint(set_rating_field("value", 1.0)),
     "rating cost -1": edit_checkpoint(set_rating_field("cost", -1)),
     "rating cost inf": edit_checkpoint(set_rating_field("cost", float("inf"))),
+    "rating cost true": edit_checkpoint(set_rating_field("cost", True)),
     "rating scope blank": edit_checkpoint(set_rating_field("scope", " ")),
     "rating scope not a string": edit_checkpoint(set_rating_field("scope", 7)),
     "rating of an unknown account": edit_checkpoint(

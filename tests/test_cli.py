@@ -373,17 +373,31 @@ def test_a_deal_line_is_damage_to_every_command(capsys, log, command,
     assert checkpoint_of(log).exists() == checkpointed
 
 
+def registration(seq, tag):
+    return {"seq": seq, "kind": KIND_REGISTER, "at": seq,
+            "payload": {"credentials": credentials_for(tag).to_dict()}}
+
+
 def test_a_bool_seq_or_at_is_damage(capsys, log):
-    line = {"seq": True, "kind": KIND_REGISTER, "at": True,
-            "payload": {"credentials": credentials_for("seller").to_dict()}}
-    log.write_text(json.dumps(line) + "\n", encoding="utf-8")
-    before = log.read_bytes()
-    for argv in (["replay", str(log)], register_args(log, "buyer")):
-        code, out, err = run(capsys, *argv)
-        assert code == 1 and out == ""
-        assert err == "error: line 1: seq and at must be integers\n"
-    assert log.read_bytes() == before
-    assert not checkpoint_of(log).exists()
+    # a bool cost is no number either
+    bool_cost = {"seq": 3, "kind": "rating", "at": 3, "payload": {
+        "rater": "A000002", "ratee": "A000001", "scope": "books",
+        "value": 1, "cost": True, "at": 3}}
+    for lines, named in (
+            ([registration(True, "seller")],
+             "line 1: seq and at must be integers"),
+            ([registration(1, "seller"), registration(2, "buyer"), bool_cost],
+             "line 3: malformed rating payload: cost must lie in [0, inf), "
+             "got True")):
+        log.write_text("".join(json.dumps(line) + "\n" for line in lines),
+                       encoding="utf-8")
+        before = log.read_bytes()
+        for argv in (["replay", str(log)], register_args(log, "other")):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert err == f"error: {named}\n"
+        assert log.read_bytes() == before
+        assert not checkpoint_of(log).exists()
 
 
 def readme_session(heading):
@@ -605,6 +619,24 @@ def _first(entries, **edit):
      "argument: 'name'"),
     (lambda d: {**d, "sellers": _first(d["sellers"], tier="ultra")},
      "sellers[0]: tier must be one of"),
+    (lambda d: {**d, "buyers": _first(d["buyers"], threshold=True)},
+     "buyers[0]: threshold must be a number, got True"),
+    (lambda d: {**d, "buyers": _first(d["buyers"], new_seller_discount=True)},
+     "buyers[0]: new_seller_discount must be a number, got True"),
+    (lambda d: {**d, "sellers": _first(d["sellers"], strategy={
+        "kind": "honest", "quality": True})},
+     "sellers[0].strategy: quality must be a number, got True"),
+    (lambda d: {**d, "engine": {"c_half": True}},
+     "engine: c_half must be a number, got True"),
+    (lambda d: {**d, "engine": {"max_delivery_days": False}},
+     "engine: max_delivery_days must be a number, got False"),
+    (lambda d: {**d, "engine": {"low_max": False}},
+     "engine: low_max must be a number, got False"),
+    (lambda d: {**d, "initial_trust": {"low": False, "medium": 0.15,
+                                       "high": True}},
+     "initial_trust[low] must be a number, got False"),
+    (lambda d: {**d, "engine": {"c_half": "100"}},
+     "engine: c_half must be a number, got '100'"),
 ], ids=["pair_global_replacement", "policy", "engine_list", "colludes_with",
         "seller_name", "scope_int", "scopes_string", "strategy_string",
         "initial_trust_list", "top_level_list", "fresh_ids_string",
@@ -613,14 +645,18 @@ def _first(entries, **edit):
         "seller_tierr", "nested_buyer_policy", "engine_epsilonn",
         "strategy_qualty", "strategy_kind_list", "nested_too_deeply",
         "epsilon_w_min_underflow", "buyer_threshold_value",
-        "buyer_without_name", "seller_tier_value"])
+        "buyer_without_name", "seller_tier_value", "threshold_bool",
+        "new_seller_discount_bool", "quality_bool", "c_half_bool",
+        "max_delivery_days_bool", "low_max_bool", "initial_trust_bools",
+        "c_half_string"])
 def test_hostile_scenario_file_is_exit_1(capsys, tmp_path, edit, named):
     # each edit gives a bundled scenario a key that no field has, named by
     # its path, a part of the wrong JSON type, a bad value in an entry,
     # named by the entry's path, or text too deeply nested to parse; the
     # file is refused as it loads, before a trace path is created or
     # truncated.  A string flag would be truthy: "fresh_ids": "false" would
-    # turn the whitewash's 24 blocked re-registrations into successful ones
+    # turn the whitewash's 24 blocked re-registrations into successful ones;
+    # and a bool is no number, though True == 1
     scenario = tmp_path / "hostile.json"
     hostile = edit(json.loads(ONBOARDING.read_text()))
     scenario.write_text(hostile if isinstance(hostile, str)

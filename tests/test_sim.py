@@ -169,22 +169,29 @@ def test_bundled_scenario_files_parse():
         assert report.total_spend == report.fraud_gain + report.honest_revenue
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"quality": 1.5},
-    {"marginal_rate": -0.1},
-    {"kind": "value-imbalance", "low_cost": 20.0},
-    {"kind": "value-imbalance", "defect_cost": float("nan")},
-    {"kind": "value-imbalance", "defect_cost": float("inf")},
-    {"kind": "value-imbalance", "honest_phase": True},
-    {"kind": "value-imbalance", "low_cost": -1},
-    {"kind": "identity-reset", "defect_after": 2.5},
-    {"kind": "ballot-stuffing", "fake_raters": 2.5},
-    {"kind": "ballot-stuffing", "fake_raters": False},
-])
-def test_bad_strategy_parameters(kwargs):
+# a float or bool in an int field is a TypeError, a value out of its range
+# a ValueError; the ids keep each case's name from when it had no class
+BAD_STRATEGY_PARAMETERS = [
+    ({"quality": 1.5}, ValueError),
+    ({"marginal_rate": -0.1}, ValueError),
+    ({"kind": "value-imbalance", "low_cost": 20.0}, TypeError),
+    ({"kind": "value-imbalance", "defect_cost": float("nan")}, TypeError),
+    ({"kind": "value-imbalance", "defect_cost": float("inf")}, TypeError),
+    ({"kind": "value-imbalance", "honest_phase": True}, TypeError),
+    ({"kind": "value-imbalance", "low_cost": -1}, ValueError),
+    ({"kind": "identity-reset", "defect_after": 2.5}, TypeError),
+    ({"kind": "ballot-stuffing", "fake_raters": 2.5}, TypeError),
+    ({"kind": "ballot-stuffing", "fake_raters": False}, TypeError),
+]
+
+
+@pytest.mark.parametrize("kwargs, error", BAD_STRATEGY_PARAMETERS,
+                         ids=[f"kwargs{i}" for i
+                              in range(len(BAD_STRATEGY_PARAMETERS))])
+def test_bad_strategy_parameters(kwargs, error):
     spec = {"kind": "honest", **kwargs}
     params = {k: v for k, v in spec.items() if k != "kind"}
-    with pytest.raises(ValueError):
+    with pytest.raises(error):
         STRATEGY_KINDS[spec["kind"]](**params)
     data = basic_scenario().to_dict()
     data["sellers"][0]["strategy"] = spec
