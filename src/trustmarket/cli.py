@@ -212,17 +212,18 @@ def _report_lines(report) -> list:
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
-    world = build_world(scenario)
+    events = []         # the run's event stream, kept only for a trace
+    world = build_world(scenario, sink=events.append if args.trace else None)
     for _ in range(scenario.horizon):
         step(world)
     report = world_report(world)
     if args.trace:
-        # the run's event stream, replacing any file already there, with
-        # one write and one fsync
+        # written once the run is done, replacing any file already there,
+        # with one write and one fsync
         open(args.trace, "wb").close()
         log = EventLog(args.trace)
         with log.locked():
-            for record in world.events:
+            for record in events:
                 log.append(record.kind, record.payload, at=record.at)
     if args.format == "json":
         print(report.to_json())
@@ -245,7 +246,9 @@ def cmd_compare(args) -> int:
             print(line)
     print(f"--- deltas vs {comparison.baseline} ---")
     for name, delta in comparison.deltas.items():
-        parts = ", ".join(f"{metric}={value:+g}"
+        # an int delta exactly: a sum of prices may lie beyond the floats
+        parts = ", ".join(f"{metric}={value:+d}" if type(value) is int
+                          else f"{metric}={value:+g}"
                           for metric, value in delta.items())
         print(f"{name}: {parts}")
     return 0

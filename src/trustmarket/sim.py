@@ -16,10 +16,12 @@ order as one entry.  Prices are integers, which keeps the money
 conservation check exact.
 
 Every state change a run makes, each registration attempt and both
-ratings of each deal, is an `eventlog.EventRecord` written through
-`eventlog.apply_event` and kept in `World.events`, so the run's state is
-the fold of its event stream and `simulate --trace` writes that stream.
-A refused registration is kept as a rejection, as a replay would.
+ratings of each deal, is an `eventlog.EventRecord`, numbered from the
+state's `last_seq` and written through `eventlog.apply_event`, so the
+run's state is the fold of its event stream.  A world keeps no copy of
+that stream: it hands each record to its `sink`, if it has one, as
+`simulate --trace` does.  A refused registration is kept as a rejection,
+as a replay would.
 """
 
 import hashlib
@@ -39,6 +41,7 @@ from .eventlog import (KIND_RATING, KIND_REGISTER, MarketState, apply_event,
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, PolicyConfig, ProfileTier,
                        check_field_types, normalize_identity)
+from .ratings import MAX_COST
 from .stats import midranks
 
 VARIANT_INTEGRATED = "integrated"
@@ -85,6 +88,14 @@ def _check_counts(**counts) -> None:
             raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
+def _check_costs(**costs) -> None:
+    """Refuse a price outside [0, MAX_COST], which no rating could carry."""
+    for name, value in costs.items():
+        if not 0 <= value <= MAX_COST:
+            raise ValueError(f"{name} must be an int in [0, {MAX_COST!r}], "
+                             f"got {value!r}")
+
+
 def _expect(value, kind, what: str):
     """`value`, refused unless it is a `kind`, dict or list, as JSON."""
     if not isinstance(value, kind):
@@ -121,8 +132,8 @@ class ValueImbalance:
 
     def __post_init__(self):
         check_field_types(self)
-        _check_counts(honest_phase=self.honest_phase, low_cost=self.low_cost,
-                      defect_cost=self.defect_cost)
+        _check_counts(honest_phase=self.honest_phase)
+        _check_costs(low_cost=self.low_cost, defect_cost=self.defect_cost)
 
 
 @dataclass(frozen=True)
@@ -276,10 +287,13 @@ class Scenario:
                     f"identity, at reset {n} of {seller!r}")
         for bounds, label in ((self.price_range, "price_range"),
                               (self.delivery_range, "delivery_range")):
+            # a price or a day count above the float range would stop
+            # the run where it meets a float
             if len(bounds) != 2 or set(map(type, bounds)) != {int} \
-                    or bounds[0] < 0 or bounds[1] < bounds[0]:
+                    or not 0 <= bounds[0] <= bounds[1] <= MAX_COST:
                 raise InvalidScenario(f"bad {label}: {bounds!r}, need two "
-                                      f"ints with 0 <= low <= high")
+                                      f"ints with 0 <= low <= high <= "
+                                      f"{MAX_COST!r}")
 
     def to_dict(self) -> dict:
         """JSON data that `from_dict` loads back to this scenario; a field
@@ -525,14 +539,16 @@ class World:
     total_spend: int = 0
     completed_deals: int = 0
     first_sale: dict = field(default_factory=dict)
-    events: list = field(default_factory=list)   # EventRecords, seq 1, 2, ...
     draws: dict | None = None   # (seed, *key) -> unit draw or arrival order
+    sink: object = None         # None, or a callable given each EventRecord
 
 
-def build_world(scenario: Scenario, draws: dict | None = None) -> World:
+def build_world(scenario: Scenario, draws: dict | None = None,
+                sink=None) -> World:
     """A world at round 0, its roster registered.  `draws`, if given,
     caches the world's unit draws by (seed, *key), and its arrival order
-    a round; the worlds of one comparison share it."""
+    a round; the worlds of one comparison share it.  `sink`, if given, is
+    called with each event the world writes, the roster's first."""
     scenario.validate()
     config = scenario.engine
     if scenario.variant == VARIANT_UNWEIGHTED:
@@ -543,7 +559,7 @@ def build_world(scenario: Scenario, draws: dict | None = None) -> World:
         accounts={}, sellers={},
         ebay_tally={spec.name: [0, 0] for spec in scenario.sellers},
         trajectories={spec.name: [] for spec in scenario.sellers},
-        draws=draws)
+        draws=draws, sink=sink)
     for spec in (*scenario.sellers, *scenario.buyers):
         account = _register(world, make_credentials(spec.name, spec.tier))
         world.accounts[spec.name] = account.account_id
@@ -554,11 +570,14 @@ def build_world(scenario: Scenario, draws: dict | None = None) -> World:
 
 
 def _apply(world: World, kind: str, payload: dict, at: int | None = None):
-    """Append the next event to the world's stream and write it through
-    `apply_event`; its domain errors propagate."""
-    record = next_record(len(world.events), kind, payload, at)
-    world.events.append(record)
-    return apply_event(record, world.state, record.seq)
+    """Number the next event, hand it to the world's sink and write it
+    through `apply_event`; its domain errors propagate."""
+    state = world.state
+    record = next_record(state.last_seq, kind, payload, at)
+    state.last_seq = record.seq
+    if world.sink is not None:
+        world.sink(record)
+    return apply_event(record, state, record.seq)
 
 
 def _register(world: World, credentials: CredentialSet):
@@ -573,7 +592,7 @@ def _attempt_blocked_registration(world: World,
     try:
         _register(world, credentials)
     except DuplicateIdentity as exc:
-        seq = len(world.events)
+        seq = world.state.last_seq
         world.state.rejections.append((seq, seq, str(exc)))
 
 

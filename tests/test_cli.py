@@ -2,6 +2,7 @@ import fcntl
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -449,6 +450,21 @@ COMPARE_DIGESTS = {
 }
 
 
+# sha256 and line count of the `simulate --trace` file of each bundled
+# scenario: the simulator's event stream, byte for byte.
+TRACE_DIGESTS = {
+    "onboarding": (
+        "9d796b67804995fa3afc495b4874e12aa0381e221b2a9ff70e65af4ca867c44f",
+        55),
+    "value_imbalance": (
+        "b8e519a22ab5eac33a66002228a262d2f57f7fb752610c485c04f65959cdf316",
+        110),
+    "whitewash": (
+        "132e31fcce6a456e21aeb4fe523d6eefae6a4fea07cf7d01a8f67bb9c7a83225",
+        111),
+}
+
+
 @pytest.mark.parametrize("name", sorted(COMPARE_DIGESTS))
 def test_bundled_compare_output_is_pinned(capsys, name):
     code, out, _ = run(capsys, "compare",
@@ -457,6 +473,18 @@ def test_bundled_compare_output_is_pinned(capsys, name):
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
         == COMPARE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_DIGESTS))
+def test_bundled_trace_is_pinned(capsys, tmp_path, name):
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run(capsys, "simulate",
+                     str(DATA_DIR / "scenarios" / f"{name}.json"),
+                     "--trace", str(trace))
+    assert code == 0
+    data = trace.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) \
+        == TRACE_DIGESTS[name]
 
 
 def test_simulate_text_output(capsys):
@@ -637,6 +665,14 @@ def _first(entries, **edit):
      "initial_trust[low] must be a number, got False"),
     (lambda d: {**d, "engine": {"c_half": "100"}},
      "engine: c_half must be a number, got '100'"),
+    (lambda d: {**d, "price_range": [0, 10 ** 400]}, "bad price_range"),
+    (lambda d: {**d, "delivery_range": [1, 10 ** 400]}, "bad delivery_range"),
+    (lambda d: {**d, "sellers": _first(d["sellers"], strategy={
+        "kind": "value-imbalance", "low_cost": 10 ** 400})},
+     "sellers[0].strategy: low_cost must be an int in [0, "),
+    (lambda d: {**d, "sellers": _first(d["sellers"], strategy={
+        "kind": "value-imbalance", "defect_cost": 10 ** 400})},
+     "sellers[0].strategy: defect_cost must be an int in [0, "),
 ], ids=["pair_global_replacement", "policy", "engine_list", "colludes_with",
         "seller_name", "scope_int", "scopes_string", "strategy_string",
         "initial_trust_list", "top_level_list", "fresh_ids_string",
@@ -648,7 +684,9 @@ def _first(entries, **edit):
         "buyer_without_name", "seller_tier_value", "threshold_bool",
         "new_seller_discount_bool", "quality_bool", "c_half_bool",
         "max_delivery_days_bool", "low_max_bool", "initial_trust_bools",
-        "c_half_string"])
+        "c_half_string", "price_range_above_floats",
+        "delivery_range_above_floats", "low_cost_above_floats",
+        "defect_cost_above_floats"])
 def test_hostile_scenario_file_is_exit_1(capsys, tmp_path, edit, named):
     # each edit gives a bundled scenario a key that no field has, named by
     # its path, a part of the wrong JSON type, a bad value in an entry,
@@ -656,7 +694,8 @@ def test_hostile_scenario_file_is_exit_1(capsys, tmp_path, edit, named):
     # file is refused as it loads, before a trace path is created or
     # truncated.  A string flag would be truthy: "fresh_ids": "false" would
     # turn the whitewash's 24 blocked re-registrations into successful ones;
-    # and a bool is no number, though True == 1
+    # and a bool is no number, though True == 1.  A price or day count
+    # above the float range would stop the run where it meets a float
     scenario = tmp_path / "hostile.json"
     hostile = edit(json.loads(ONBOARDING.read_text()))
     scenario.write_text(hostile if isinstance(hostile, str)
@@ -672,6 +711,22 @@ def test_hostile_scenario_file_is_exit_1(capsys, tmp_path, edit, named):
             assert err.startswith("error:") and named in err
             assert (trace.read_text() if trace.exists() else None) \
                 == existing
+
+
+def test_largest_prices_run_to_a_report(capsys, tmp_path):
+    # a price range up to the largest float loads, and the totals of a run,
+    # beyond the float range, are reported exactly
+    largest = int(sys.float_info.max)
+    scenario = tmp_path / "dear.json"
+    scenario.write_text(json.dumps({**json.loads(ONBOARDING.read_text()),
+                                    "price_range": [largest, largest]}))
+    for command in ("simulate", "compare"):
+        code, out, _ = run(capsys, command, str(scenario))
+        assert code == 0
+        spends = re.findall(r"^deals (\d+) spend (\d+) ", out, re.M)
+        assert max(int(deals) for deals, _ in spends) > 1
+        assert all(int(spend) == int(deals) * largest
+                   for deals, spend in spends)
 
 
 def test_compare_selected_variants(capsys):
@@ -739,6 +794,11 @@ def test_stats_kruskal_csv_with_reference(capsys):
     "[1, 2]", '"text"', '{"h": "x"}', '{"critical": null}',
     '{"rank_sums": [1]}', '{"rank_sums": {"a": "x"}}',
     pytest.param("[" * 100_000 + "]" * 100_000, id="nested too deeply"),
+    # an int above the float range, which math.isfinite cannot take
+    pytest.param('{"h": 1%s}' % ("0" * 400), id="h above floats"),
+    pytest.param('{"critical": 1%s}' % ("0" * 400), id="critical above floats"),
+    pytest.param('{"rank_sums": {"a": 1%s}}' % ("0" * 400),
+                 id="rank sum above floats"),
 ])
 def test_stats_kruskal_malformed_reference_is_exit_1(capsys, tmp_path,
                                                       reference):
@@ -746,7 +806,20 @@ def test_stats_kruskal_malformed_reference_is_exit_1(capsys, tmp_path,
     path.write_text(reference, encoding="utf-8")
     code, out, err = run(capsys, "stats", "kruskal", "--reference", str(path))
     assert (code, out) == (1, "")
-    assert err.startswith("error: reported")
+    assert err.startswith("error: reported") and err.count("\n") == 1
+
+
+def test_stats_kruskal_reference_sums_beyond_floats_are_compared(capsys,
+                                                                tmp_path):
+    # each rank sum is a finite number, but their total is not
+    largest = int(sys.float_info.max)
+    path = tmp_path / "reference.json"
+    path.write_text(json.dumps({"rank_sums": {"ebay": largest,
+                                              "tradera": largest}}),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "stats", "kruskal", "--reference", str(path))
+    assert code == 0
+    assert "reported rank sums total inf, but N=" in out
 
 
 def test_stats_kruskal_csv_without_reference_has_no_comparison(capsys, tmp_path):

@@ -552,23 +552,24 @@ def _bundled_and_view_scenarios():
 
 
 def _stepped_world(scenario):
-    """A world run to its horizon, and every account its sellers held,
-    fresh reset ids included."""
-    world = build_world(scenario)
+    """A world run to its horizon, every account its sellers held, fresh
+    reset ids included, and the events it wrote, collected by its sink."""
+    events = []
+    world = build_world(scenario, sink=events.append)
     seller_ids = set()
     for _ in range(scenario.horizon):
         step(world)
         seller_ids.update(state.account_id for state in world.sellers.values())
-    return world, seller_ids
+    return world, seller_ids, events
 
 
-def _assert_ratings_pair_a_buyer_with_a_seller(world, seller_ids):
+def _assert_ratings_pair_a_buyer_with_a_seller(world, seller_ids, events):
     """Every rating of the run is between one buyer and one seller
     account, so no seller account rates a seller: the rule that lets a
     deal's moved seller weight leave every kept view alone."""
     buyer_ids = {world.accounts[spec.name] for spec in world.scenario.buyers}
     assert not buyer_ids & seller_ids
-    for record in world.events:
+    for record in events:
         if record.kind == KIND_RATING:
             pair = {record.payload["rater"], record.payload["ratee"]}
             assert len(pair & buyer_ids) == len(pair & seller_ids) == 1
@@ -576,9 +577,9 @@ def _assert_ratings_pair_a_buyer_with_a_seller(world, seller_ids):
 
 def test_only_buyers_rate_sellers():
     for name, scenario in _bundled_and_view_scenarios():
-        world, seller_ids = _stepped_world(scenario)
+        world, seller_ids, events = _stepped_world(scenario)
         assert world.completed_deals, name
-        _assert_ratings_pair_a_buyer_with_a_seller(world, seller_ids)
+        _assert_ratings_pair_a_buyer_with_a_seller(world, seller_ids, events)
 
 
 @pytest.mark.parametrize("variant", (VARIANT_INTEGRATED, VARIANT_UNWEIGHTED))
@@ -718,11 +719,12 @@ def _fold(events):
 @pytest.mark.parametrize("seed", range(3))
 def test_world_state_is_the_fold_of_its_events(seed):
     scenario = _view_scenario(seed, 3, 5.0)
-    world = build_world(scenario)
+    events = []
+    world = build_world(scenario, sink=events.append)
     for _ in range(scenario.horizon):
         step(world)
-    events = world.events
     assert [record.seq for record in events] == list(range(1, len(events) + 1))
+    assert world.state.last_seq == len(events)
     ratings = [record for record in events if record.kind == KIND_RATING]
     assert len(ratings) == 2 * world.completed_deals
     assert [record.at for record in ratings] \
@@ -812,6 +814,6 @@ def test_generated_scenarios(scenario):
     _compared_runs_match_single_runs(
         scenario, {variant: shared[variant][0] for variant in VARIANTS})
     # the world's state is the fold of its event stream
-    world, seller_ids = _stepped_world(scenario)
-    assert _fold(world.events).describe() == world.state.describe()
-    _assert_ratings_pair_a_buyer_with_a_seller(world, seller_ids)
+    world, seller_ids, events = _stepped_world(scenario)
+    assert _fold(events).describe() == world.state.describe()
+    _assert_ratings_pair_a_buyer_with_a_seller(world, seller_ids, events)

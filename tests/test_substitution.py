@@ -1,10 +1,11 @@
 """Hostile values at every input boundary.
 
 A substitution fuzzer replaces one leaf of a valid document (a scenario
-file, or a register or rating line of a ledger) by a hostile JSON value.
-The reader either refuses the document with one `error:` line and exit 1,
-or accepts it with every field's type kept: no bool in a number field,
-and a scenario that writes back to itself.  It never gives a traceback.
+file, a register or rating line of a ledger, or the reported figures of
+`stats kruskal --reference`) by a hostile JSON value.  The reader either
+refuses the document with one `error:` line and exit 1, or accepts it
+with every field's type kept: no bool in a number field, and a scenario
+that writes back to itself.  It never gives a traceback.
 Besides: the one type rule covers every annotated field of each checked
 class, and roster names whose synthetic identities collide are refused.
 """
@@ -33,9 +34,12 @@ from trustmarket.sim import (BallotStuffing, BuyerPolicy, Honest,
                              IdentityReset, Scenario, ValueImbalance,
                              run_scenario)
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "data" / "scenarios"
+DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+SCENARIO_DIR = DATA_DIR / "scenarios"
 BUNDLED = [json.loads(path.read_text())
            for path in sorted(SCENARIO_DIR.glob("*.json"))]
+REFERENCE = json.loads(
+    (DATA_DIR / "new_seller_support.reference.json").read_text())
 
 # The hostile values, as JSON text; 1e999 reads as inf.
 HOSTILE = ("true", "false", "null", "1e999", "NaN", "1" + "0" * 400, "-0.0",
@@ -117,7 +121,7 @@ class _Loaded(Exception):
     accepted; a horizon such as 10**400 loads but would never finish."""
 
 
-def _loaded(scenario, *args):
+def _loaded(scenario, *args, **kwargs):
     raise _Loaded(scenario)
 
 
@@ -175,6 +179,17 @@ def test_a_substituted_ledger_line_is_refused_or_kept(scratch, lines):
         _assert_typed(credentials)
     for rating in state.store.snapshot().values():
         _assert_typed(rating)
+
+
+@settings(max_examples=profile_examples(150, 600), deadline=None)
+@given(text=substituted(st.just(REFERENCE)))
+def test_a_substituted_reference_is_refused_or_compared(scratch, text):
+    # the reported figures are compared with the bundled survey's
+    path = scratch / "reference.json"
+    path.write_text(text, encoding="utf-8")
+    code, err = _main("stats", "kruskal", "--reference", str(path))
+    if code != 0:
+        _assert_refused(code, err, "reported ")
 
 
 # ------------------------------------------------------------------
