@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .engine import DEFAULT_ENGINE, ListingContext, compute_opinion
 from .errors import TrustMarketError
@@ -45,28 +45,18 @@ def _emit(args, payload: dict, text_lines) -> None:
 # ledger subcommands
 # ------------------------------------------------------------------
 
+# The credential blocks in order; `register` has one flag per field.
+_BLOCKS = (PersonalDetails, BusinessDetails, EvidenceDetails)
+
+
 def _credentials_from_args(args) -> CredentialSet:
-    personal = PersonalDetails(
-        full_name=args.full_name, address=args.address, phone=args.phone,
-        city=args.city, country=args.country)
-    business = None
-    if any((args.national_id, args.bank_or_card,
-            args.business_phone, args.business_address)):
-        business = BusinessDetails(
-            national_id=args.national_id or "",
-            bank_or_card=args.bank_or_card or "",
-            business_phone=args.business_phone or "",
-            business_address=args.business_address or "")
-    evidence = None
-    if any((args.reference_account, args.id_document,
-            args.registration_document, args.signed_declaration)):
-        evidence = EvidenceDetails(
-            reference_account=args.reference_account or "",
-            id_document=args.id_document or "",
-            registration_document=args.registration_document or "",
-            signed_declaration=args.signed_declaration)
-    return CredentialSet(personal=personal, business=business,
-                         evidence=evidence)
+    """The personal block, and each later block one of whose flags is set."""
+    blocks = []
+    for kind in _BLOCKS:
+        values = {spec.name: getattr(args, spec.name) for spec in fields(kind)}
+        blocks.append(kind(**values) if kind is PersonalDetails
+                      or any(values.values()) else None)
+    return CredentialSet(*blocks)
 
 
 def cmd_register(args) -> int:
@@ -357,19 +347,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("register", help="register an account on the ledger")
     p.add_argument("--log", help="event log path")
-    p.add_argument("--full-name", required=True)
-    p.add_argument("--address", required=True)
-    p.add_argument("--phone", required=True)
-    p.add_argument("--city", required=True)
-    p.add_argument("--country", required=True)
-    p.add_argument("--national-id")
-    p.add_argument("--bank-or-card")
-    p.add_argument("--business-phone")
-    p.add_argument("--business-address")
-    p.add_argument("--reference-account")
-    p.add_argument("--id-document")
-    p.add_argument("--registration-document")
-    p.add_argument("--signed-declaration", action="store_true")
+    for kind in _BLOCKS:
+        for spec in fields(kind):
+            flag = "--" + spec.name.replace("_", "-")
+            if spec.type is bool:
+                p.add_argument(flag, action="store_true")
+            else:
+                p.add_argument(flag, required=kind is PersonalDetails,
+                               default="")
     _add_format(p)
     p.set_defaults(func=cmd_register)
 

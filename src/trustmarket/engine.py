@@ -96,6 +96,7 @@ class ListingContext:
     deliverable: bool = True
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 <= self.price < math.inf:
             raise ValueError(f"price must lie in [0, inf), got {self.price}")
         if not 0.0 <= self.delivery_days < math.inf:

@@ -40,7 +40,7 @@ from .eventlog import (KIND_RATING, KIND_REGISTER, MarketState, apply_event,
                        next_record)
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, PolicyConfig, ProfileTier,
-                       check_field_types, normalize_identity)
+                       check_field_types)
 from .ratings import MAX_COST
 from .stats import midranks
 
@@ -264,27 +264,6 @@ class Scenario:
                 raise InvalidScenario(
                     f"buyer {buyer.name!r} colludes with unknown seller "
                     f"{buyer.colludes_with!r}")
-        # `make_credentials` gives a name above tier low, as a fresh-ids reset
-        # f"{name}-r{n}", a national id f"nid-{name}" the registry holds unique
-        keys = {}
-        for spec in (*self.sellers, *self.buyers):
-            if spec.tier != "low":
-                key = normalize_identity(spec.name)
-                if keys.setdefault(key, spec.name) != spec.name:
-                    raise InvalidScenario(f"roster names {keys[key]!r} and "
-                                          f"{spec.name!r} give one identity")
-        fresh = {normalize_identity(seller.name): seller.name
-                 for seller in self.sellers if seller.tier != "low"
-                 and getattr(seller.strategy, "fresh_ids", False)}
-        for key, name in keys.items() if fresh else ():
-            stem, _, n = key.rpartition("r")
-            seller = fresh.get(stem)
-            if seller and n.isdecimal() and n[0] != "0" \
-                    and normalize_identity(f"{seller}-r{n}") == key:
-                first, second = sorted((seller, name), key=names.index)
-                raise InvalidScenario(
-                    f"roster names {first!r} and {second!r} give one "
-                    f"identity, at reset {n} of {seller!r}")
         for bounds, label in ((self.price_range, "price_range"),
                               (self.delivery_range, "delivery_range")):
             # a price or a day count above the float range would stop
@@ -477,28 +456,37 @@ class ComparisonReport:
 # world state
 # ------------------------------------------------------------------
 
-def make_credentials(name: str, tier: str) -> CredentialSet:
-    """Synthetic but well-formed credentials whose identifying values
-    are a function of the roster name (so reuse collides)."""
+def make_credentials(name: str, tier: str, reset: int = 0) -> CredentialSet:
+    """Synthetic but well-formed credentials of roster name `name` after
+    `reset` fresh-ids resets.
+
+    The national id and bank/card hold the hex of the name's UTF-8 bytes,
+    followed by `r{reset}` after a reset; `r` is no hex digit, so no
+    normalisation merges two (name, reset) pairs, and an identity repeats
+    only where the simulator repeats one on purpose: a blocked reset or a
+    fake rater.  The other fields read `{name}`, or `{name}-r{reset}`.
+    """
+    label = f"{name}-r{reset}" if reset else name
+    key = name.encode("utf-8").hex() + (f"r{reset}" if reset else "")
     personal = PersonalDetails(
-        full_name=f"{name} holder",
-        address=f"1 {name} street",
-        phone=f"tel-{name}",
+        full_name=f"{label} holder",
+        address=f"1 {label} street",
+        phone=f"tel-{label}",
         city="Springfield",
         country="US")
     business = None
     evidence = None
     if tier in ("medium", "high"):
         business = BusinessDetails(
-            national_id=f"nid-{name}",
-            bank_or_card=f"card-{name}",
-            business_phone=f"biz-{name}",
-            business_address=f"2 {name} road")
+            national_id=f"nid-{key}",
+            bank_or_card=f"card-{key}",
+            business_phone=f"biz-{label}",
+            business_address=f"2 {label} road")
     if tier == "high":
         evidence = EvidenceDetails(
-            reference_account=f"ref-{name}",
-            id_document=f"iddoc-{name}",
-            registration_document=f"regdoc-{name}",
+            reference_account=f"ref-{label}",
+            id_document=f"iddoc-{label}",
+            registration_document=f"regdoc-{label}",
             signed_declaration=True)
     return CredentialSet(personal=personal, business=business,
                          evidence=evidence)
@@ -664,8 +652,8 @@ def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
             _attempt_blocked_registration(world, credentials)
     if isinstance(strategy, IdentityReset) and state.defected:
         if strategy.fresh_ids:
-            fresh = make_credentials(
-                f"{state.spec.name}-r{state.resets + 1}", state.spec.tier)
+            fresh = make_credentials(state.spec.name, state.spec.tier,
+                                     state.resets + 1)
             account = _register(world, fresh)
             state.account_id = account.account_id
             world.accounts[state.spec.name] = account.account_id

@@ -76,6 +76,9 @@ def expand_frequencies(counts: dict) -> list:
         count = counts[point]
         if count < 0:
             raise ValueError(f"negative count for scale point {point}")
+        if count > sys.maxsize:
+            raise ValueError(f"count for scale point {point} above "
+                             f"{sys.maxsize}")
         out.extend([point] * count)
     return out
 

@@ -454,13 +454,13 @@ COMPARE_DIGESTS = {
 # scenario: the simulator's event stream, byte for byte.
 TRACE_DIGESTS = {
     "onboarding": (
-        "9d796b67804995fa3afc495b4874e12aa0381e221b2a9ff70e65af4ca867c44f",
+        "9a6d40672905b06531617917f454d51025a2e45a18d5293acef0995bbccb3456",
         55),
     "value_imbalance": (
-        "b8e519a22ab5eac33a66002228a262d2f57f7fb752610c485c04f65959cdf316",
+        "93f82523ad683205ab1adf5fe19893b001007ca06113bd21b90fd3f08b4e4e1c",
         110),
     "whitewash": (
-        "132e31fcce6a456e21aeb4fe523d6eefae6a4fea07cf7d01a8f67bb9c7a83225",
+        "78fd6459fd23221294f6f1b9e43f7622d0511d28f5e40c8237fad76d9356d659",
         111),
 }
 

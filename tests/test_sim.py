@@ -742,6 +742,11 @@ def test_world_state_is_the_fold_of_its_events(seed):
 UNIT = st.floats(0, 1)
 OPEN_UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
 SCOPES = ("books", "cars", "garden")
+# Roster names from case variants, separators, a space, fullwidth forms
+# (U+FF29 U+FF24, "ID") and accented letters, which the registry's
+# normalisation folds together, and from the r and digit of a reset's name.
+NAMES = st.text(st.sampled_from("aAbB-. \uff29\uff24\u00e9\u00ebr1"),
+                min_size=1, max_size=4).filter(str.strip)
 
 
 @st.composite
@@ -749,7 +754,9 @@ def scenarios(draw):
     """Every strategy kind and tier, colluders, 1-3 scopes, and initial
     trust and engine overrides, each also left at its default; at least
     two sellers, as `_run_with_history` needs, and horizons up to 8.  Only
-    configs `EngineConfig` accepts: epsilon * w_min must not round to 0."""
+    configs `EngineConfig` accepts: epsilon * w_min must not round to 0.
+    Roster names are distinct `NAMES`, a buyer's perhaps a seller's name
+    at a reset, `{seller}-r{n}` or `{seller}r{n}`."""
     tiers = st.sampled_from(sim.TIER_LABELS)
     strategies = st.one_of(
         st.just(Honest()),
@@ -762,16 +769,22 @@ def scenarios(draw):
         st.builds(BallotStuffing, fake_raters=st.integers(0, 3),
                   quality=UNIT))
     sellers = tuple(
-        SellerSpec(name=f"s{i}", strategy=draw(strategies), tier=draw(tiers))
-        for i in range(draw(st.integers(2, 6))))
+        SellerSpec(name=name, strategy=draw(strategies), tier=draw(tiers))
+        for name in draw(st.lists(NAMES, min_size=2, max_size=6,
+                                  unique=True)))
+    resets = [f"{seller.name}{dash}r{n}" for seller in sellers
+              for dash in ("-", "") for n in (1, 2)]
+    names = draw(st.lists(NAMES | st.sampled_from(resets), max_size=8,
+                          unique=True))
+    taken = {seller.name for seller in sellers}
     policies = st.one_of(st.just(BuyerPolicy()), st.builds(
         BuyerPolicy, threshold=UNIT, refuse_on_avoid_delivery=st.booleans(),
         new_seller_discount=UNIT))
     targets = st.one_of(st.none(), st.sampled_from([s.name for s in sellers]))
     buyers = tuple(
-        BuyerSpec(name=f"b{i}", policy=draw(policies), tier=draw(tiers),
+        BuyerSpec(name=name, policy=draw(policies), tier=draw(tiers),
                   colludes_with=draw(targets))
-        for i in range(draw(st.integers(0, 8))))
+        for name in names if name not in taken)
     engine = draw(st.fixed_dictionaries({}, optional={
         "epsilon": OPEN_UNIT, "c_half": st.floats(1, 500), "w_min": OPEN_UNIT,
         "max_delivery_days": st.floats(0, 20), "use_weights": st.booleans()})

@@ -1,15 +1,17 @@
 """Hostile values at every input boundary.
 
 A substitution fuzzer replaces one leaf of a valid document (a scenario
-file, a register or rating line of a ledger, or the reported figures of
-`stats kruskal --reference`) by a hostile JSON value.  The reader either
-refuses the document with one `error:` line and exit 1, or accepts it
-with every field's type kept: no bool in a number field, and a scenario
-that writes back to itself.  It never gives a traceback.
+file, a register or rating line of a ledger, the reported figures of
+`stats kruskal --reference`, or a cell of a survey CSV) by a hostile JSON
+value.  The reader either refuses the document with one `error:` line
+and exit 1, or accepts it with every field's type kept: no bool in a
+number field, and a scenario that writes back to itself.  It never gives
+a traceback.
 Besides: the one type rule covers every annotated field of each checked
-class, and roster names whose synthetic identities collide are refused.
+class, and distinct roster names never share a synthetic identity.
 """
 
+import csv
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -18,21 +20,21 @@ from pathlib import Path
 from typing import get_type_hints
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import credentials_for, profile_examples
 from test_sim import scenarios
 from trustmarket import cli
 from trustmarket.cli import main
-from trustmarket.engine import EngineConfig
+from trustmarket.engine import EngineConfig, ListingContext
 from trustmarket.eventlog import KIND_RATING, KIND_REGISTER, replay
 from trustmarket.identity import (BusinessDetails, CredentialSet,
                                   EvidenceDetails, PersonalDetails,
                                   field_type_table)
 from trustmarket.sim import (BallotStuffing, BuyerPolicy, Honest,
                              IdentityReset, Scenario, ValueImbalance,
-                             run_scenario)
+                             build_world, step, world_report)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 SCENARIO_DIR = DATA_DIR / "scenarios"
@@ -192,13 +194,49 @@ def test_a_substituted_reference_is_refused_or_compared(scratch, text):
         _assert_refused(code, err, "reported ")
 
 
+# The bundled survey in its frequency layout, and in its long layout.
+SURVEY = list(csv.reader(
+    (DATA_DIR / "new_seller_support.csv").read_text().splitlines()))
+SURVEY_LONG = [["group", "response"]] + [
+    [group, point] for group, *counts in SURVEY[1:]
+    for point, count in zip(SURVEY[0][1:], counts) for _ in range(int(count))]
+
+
+@st.composite
+def substituted_csv(draw):
+    """The rows of a survey layout with one cell replaced by the text of a
+    hostile value."""
+    rows = [list(row) for row in draw(st.sampled_from((SURVEY, SURVEY_LONG)))]
+    row = draw(st.sampled_from(rows))
+    row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(HOSTILE))
+    return rows
+
+
+@settings(max_examples=profile_examples(150, 600), deadline=None)
+@given(rows=substituted_csv())
+# a count of 401 digits fits no list
+@example(rows=[SURVEY[0], ["integrated", HOSTILE[5], *SURVEY[1][2:]],
+               *SURVEY[2:]])
+def test_a_substituted_csv_row_is_refused_or_read(scratch, rows):
+    path = scratch / "survey.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(rows)
+    for command in ("freq", "kruskal"):
+        code, err = _main("stats", command, str(path))
+        if code != 0:
+            _assert_refused(code, err)
+
+
 # ------------------------------------------------------------------
 # the one type rule
 # ------------------------------------------------------------------
 
 CHECKED = (PersonalDetails, BusinessDetails, EvidenceDetails, Honest,
            ValueImbalance, IdentityReset, BallotStuffing, BuyerPolicy,
-           EngineConfig)
+           EngineConfig, ListingContext)
+
+# The fields a checked class needs, each given a valid value.
+REQUIRED = {ListingContext: {"scope": "books", "price": 0.0}}
 
 
 def _ruled_fields(cls) -> dict:
@@ -219,8 +257,9 @@ def test_the_type_table_lists_every_ruled_field(cls):
 def test_each_ruled_field_refuses_another_type(cls):
     # True passes every range test of a number field, and 1 is truthy
     for name, hint in _ruled_fields(cls).items():
+        hostile = {name: 1 if hint is bool else True}
         with pytest.raises(TypeError, match=f"^{name} must be "):
-            cls(**{name: 1 if hint is bool else True})
+            cls(**{**REQUIRED.get(cls, {}), **hostile})
 
 
 # ------------------------------------------------------------------
@@ -235,35 +274,46 @@ def _roster(sellers, buyers):
     return {"seed": 1, "horizon": 6, "sellers": sellers, "buyers": buyers}
 
 
-@pytest.mark.parametrize("roster, named", [
-    (_roster([{"name": "a-b"}], [{"name": "ab"}]),
-     "roster names 'a-b' and 'ab' give one identity"),
-    (_roster([{"name": "s0", "strategy": FRESH_RESET}], [{"name": "s0r1"}]),
-     "roster names 's0' and 's0r1' give one identity, at reset 1 of 's0'"),
+# Zoë and Zoé, which the registry's normalisation would merge
+ZOE = ("Zo\u00eb", "Zo\u00e9")
+
+
+@pytest.mark.parametrize("roster, resets", [
+    (_roster([{"name": "a-b", "tier": "low"}],
+             [{"name": "ab", "threshold": 0.0}]), 0),
+    (_roster([{"name": "s0", "strategy": FRESH_RESET}],
+             [{"name": "s0r01", "threshold": 0.0},
+              {"name": "s0r1", "tier": "low", "threshold": 0.0}]), 1),
+    (_roster([{"name": "s0", "tier": "low", "strategy": FRESH_RESET}],
+             [{"name": "s0r1", "threshold": 0.0}]), 1),
+    (_roster([{"name": "a-b"}], [{"name": "ab", "threshold": 0.0}]), 0),
+    (_roster([{"name": "s0", "strategy": FRESH_RESET}],
+             [{"name": "s0r1", "threshold": 0.0}]), 1),
     (_roster([{"name": "s0r2"}, {"name": "s0", "strategy": FRESH_RESET}],
-             [{"name": "b"}]),
-     "roster names 's0r2' and 's0' give one identity, at reset 2 of 's0'"),
-], ids=["normalised_names", "reset_name", "reset_name_first"])
-def test_roster_names_with_one_identity_are_refused(scratch, roster, named):
-    # the registry would refuse the second identity of each pair mid-run
-    # (DuplicateIdentity); the pair is named in roster order, sellers first
-    path = scratch / "roster.json"
-    path.write_text(json.dumps(roster), encoding="utf-8")
-    code, err = _main("simulate", str(path))
-    assert (code, err) == (1, f"error: {named}\n")
-
-
-@pytest.mark.parametrize("roster", [
-    _roster([{"name": "a-b", "tier": "low"}],
-            [{"name": "ab", "threshold": 0.0}]),
-    _roster([{"name": "s0", "strategy": FRESH_RESET}],
-            [{"name": "s0r01", "threshold": 0.0},
-             {"name": "s0r1", "tier": "low", "threshold": 0.0}]),
-    _roster([{"name": "s0", "tier": "low", "strategy": FRESH_RESET}],
-            [{"name": "s0r1", "threshold": 0.0}]),
-], ids=["low_tier", "no_such_reset", "low_tier_reset"])
-def test_roster_names_with_distinct_identities_run(roster):
-    # a low tier holds no business block, and no reset is numbered 01
-    report = run_scenario(Scenario.from_dict(roster))
+             [{"name": name, "threshold": 0.0} for name in ("b", "c")]), 2),
+    (_roster([{"name": name} for name in ZOE],
+             [{"name": "b", "threshold": 0.0}]), 0),
+    (_roster([{"name": "s0", "strategy": FRESH_RESET}],
+             [{"name": "s0-r1", "threshold": 0.0}]), 1),
+    (_roster([*({"name": name} for name in ZOE), {"name": "a-b"},
+              {"name": "s0", "strategy": FRESH_RESET}],
+             [{"name": name, "threshold": 0.0}
+              for name in ("ab", "s0-r1", "s0r2", "b")]), 2),
+], ids=["low_tier", "no_such_reset", "low_tier_reset", "normalised_names",
+        "reset_name", "reset_name_first", "accented_names",
+        "literal_reset_name", "all_at_once"])
+def test_roster_names_with_distinct_identities_run(roster, resets):
+    # a synthetic identity is one-to-one in (name, reset), whatever the
+    # registry's normalisation merges: no two roster names, nor a name and
+    # a reset of another, share one, so every registration and reset passes
+    scenario = Scenario.from_dict(roster)
+    world = build_world(scenario)
+    for _ in range(scenario.horizon):
+        step(world)
+    report = world_report(world)
     assert report.completed_deals > 0
     assert report.blocked_duplicate_registrations == 0
+    done = sum(state.resets for state in world.sellers.values())
+    assert done >= resets
+    assert len(world.state.registry.accounts) \
+        == len(scenario.sellers) + len(scenario.buyers) + done
