@@ -20,8 +20,7 @@ from .eventlog import (KIND_RATING, KIND_REGISTER, EventLog, replay)
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, initial_trust)
 from .ratings import RATING_VALUES, Rating
-from .sim import (Scenario, VARIANTS, build_world, compare_variants, step,
-                  world_report)
+from .sim import Scenario, VARIANTS, compare_variants, run_scenario
 from .stats import (REPORTED_NEW_SELLER_SUPPORT, SCALE_LABELS, compare_reported,
                     frequency_table, kruskal_wallis, load_likert_csv,
                     new_seller_support_dataset, summarize)
@@ -203,10 +202,8 @@ def _report_lines(report) -> list:
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args.scenario)
     events = []         # the run's event stream, kept only for a trace
-    world = build_world(scenario, sink=events.append if args.trace else None)
-    for _ in range(scenario.horizon):
-        step(world)
-    report = world_report(world)
+    report = run_scenario(scenario,
+                          sink=events.append if args.trace else None)
     if args.trace:
         # written once the run is done, replacing any file already there,
         # with one write and one fsync

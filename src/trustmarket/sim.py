@@ -12,8 +12,7 @@ round, agent), so the same scenario under a different variant sees the
 same random stream wherever the same question is asked.  A comparison
 computes each such shared draw once: its worlds share one dict of draws,
 which lives as long as the comparison and holds each round's arrival
-order as one entry.  Prices are integers, which keeps the money
-conservation check exact.
+order as one entry.  Prices are integers, so money sums are exact.
 
 Every state change a run makes, each registration attempt and both
 ratings of each deal, is an `eventlog.EventRecord`, numbered from the
@@ -22,6 +21,11 @@ run's state is the fold of its event stream.  A world keeps no copy of
 that stream: it hands each record to its `sink`, if it has one, as
 `simulate --trace` does.  A refused registration is kept as a rejection,
 as a replay would.
+
+A world keeps each fact once: a rating's `at` is the store's revision
+plus one, a seller's current account is `accounts[name]`, and a report
+derives its deal count and spend from the rounds and revenues.  A
+`Scenario` and each roster entry check themselves as they are built.
 """
 
 import hashlib
@@ -66,9 +70,12 @@ def unit_draw(seed: int, *key) -> float:
     """Uniform draw in [0, 1) from a hashed (seed, key) counter.
 
     Independent of call order, which is what makes the random numbers
-    common across variants.
+    common across variants.  Each part escapes its backslashes and
+    colons before the parts are joined by a colon, so no two keys join to
+    one material; a part holding neither keeps its bytes.
     """
-    material = ":".join(map(str, (seed, *key)))
+    material = ":".join(str(part).replace("\\", "\\\\").replace(":", "\\:")
+                        for part in (seed, *key))
     digest = hashlib.sha256(material.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big") / 2 ** 64
 
@@ -197,15 +204,27 @@ class BuyerPolicy:
             raise ValueError("new_seller_discount must lie in [0, 1]")
 
 
+def _check_entry(spec) -> None:
+    """Refuse a roster entry with an unknown tier, or with a name that is
+    blank or not UTF-8 text, as each of its draws and trace lines needs."""
+    check_field_types(spec)
+    try:
+        spec.name.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValueError(f"name {spec.name!r} is not UTF-8 text") from None
+    if not spec.name.strip():
+        raise ValueError(f"name must not be blank, got {spec.name!r}")
+    if spec.tier not in TIER_LABELS:
+        raise ValueError(f"tier must be one of {TIER_LABELS}")
+
+
 @dataclass(frozen=True)
 class SellerSpec:
     name: str
     strategy: object = field(default_factory=Honest)
     tier: str = "high"
 
-    def __post_init__(self):
-        if self.tier not in TIER_LABELS:
-            raise ValueError(f"tier must be one of {TIER_LABELS}")
+    __post_init__ = _check_entry
 
 
 @dataclass(frozen=True)
@@ -215,9 +234,7 @@ class BuyerSpec:
     tier: str = "medium"
     colludes_with: str | None = None
 
-    def __post_init__(self):
-        if self.tier not in TIER_LABELS:
-            raise ValueError(f"tier must be one of {TIER_LABELS}")
+    __post_init__ = _check_entry
 
 
 # ------------------------------------------------------------------
@@ -236,7 +253,7 @@ class Scenario:
     variant: str = VARIANT_INTEGRATED
     engine: EngineConfig = field(default_factory=lambda: DEFAULT_ENGINE)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         try:
             check_field_types(self)
         except TypeError as exc:
@@ -250,11 +267,11 @@ class Scenario:
                 f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not self.scopes:
             raise InvalidScenario("need at least one scope")
+        for scope in self.scopes:
+            if not (isinstance(scope, str) and scope.strip()):
+                raise InvalidScenario(
+                    f"scopes must be non-empty strings, got {scope!r}")
         names = [s.name for s in self.sellers] + [b.name for b in self.buyers]
-        for name in (*self.scopes, *names):
-            if not (isinstance(name, str) and name.strip()):
-                raise InvalidScenario("scopes and roster names must be "
-                                      f"non-empty strings, got {name!r}")
         if len(set(names)) != len(names):
             raise InvalidScenario("roster names must be unique")
         targets = (None, *(s.name for s in self.sellers))
@@ -324,11 +341,9 @@ class Scenario:
                     {ProfileTier.from_label(label): value
                      for label, value in table.items()})
             kwargs["engine"] = _build(EngineConfig, engine, "engine")
-            scenario = cls(**kwargs)
-            scenario.validate()
+            return cls(**kwargs)
         except (TypeError, ValueError) as exc:
             raise InvalidScenario(f"malformed scenario: {exc}") from exc
-        return scenario
 
 
 # Field name -> default of each dataclass in a scenario file, built once.
@@ -495,7 +510,6 @@ def make_credentials(name: str, tier: str, reset: int = 0) -> CredentialSet:
 @dataclass
 class _SellerState:
     spec: SellerSpec
-    account_id: str
     deals_done: int = 0
     defected: bool = False
     resets: int = 0
@@ -514,18 +528,15 @@ class _Listing:
 class World:
     scenario: Scenario
     config: EngineConfig
-    state: MarketState        # registry, store and refused registrations
+    state: MarketState        # registry, store (revision = ratings), refusals
     accounts: dict            # roster name -> current account id
     sellers: dict             # roster name -> _SellerState
     ebay_tally: dict          # roster name -> [pos, neg] over an append-only ledger
     round: int = 0
-    clock: int = 0
-    rounds: list = field(default_factory=list)
+    rounds: list = field(default_factory=list)    # per round, its deals
     trajectories: dict = field(default_factory=dict)
-    fraud_gain: int = 0
-    honest_revenue: int = 0
-    total_spend: int = 0
-    completed_deals: int = 0
+    fraud_gain: int = 0       # the price of each failed deal, summed
+    honest_revenue: int = 0   # and of each other deal: together, the spend
     first_sale: dict = field(default_factory=dict)
     draws: dict | None = None   # (seed, *key) -> unit draw or arrival order
     sink: object = None         # None, or a callable given each EventRecord
@@ -537,23 +548,20 @@ def build_world(scenario: Scenario, draws: dict | None = None,
     caches the world's unit draws by (seed, *key), and its arrival order
     a round; the worlds of one comparison share it.  `sink`, if given, is
     called with each event the world writes, the roster's first."""
-    scenario.validate()
     config = scenario.engine
     if scenario.variant == VARIANT_UNWEIGHTED:
         config = replace(config, use_weights=False)
     world = World(
         scenario=scenario, config=config,
         state=MarketState(),
-        accounts={}, sellers={},
+        accounts={},
+        sellers={spec.name: _SellerState(spec) for spec in scenario.sellers},
         ebay_tally={spec.name: [0, 0] for spec in scenario.sellers},
         trajectories={spec.name: [] for spec in scenario.sellers},
         draws=draws, sink=sink)
     for spec in (*scenario.sellers, *scenario.buyers):
         account = _register(world, make_credentials(spec.name, spec.tier))
         world.accounts[spec.name] = account.account_id
-    for spec in scenario.sellers:
-        world.sellers[spec.name] = _SellerState(
-            spec=spec, account_id=world.accounts[spec.name])
     return world
 
 
@@ -655,7 +663,6 @@ def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
             fresh = make_credentials(state.spec.name, state.spec.tier,
                                      state.resets + 1)
             account = _register(world, fresh)
-            state.account_id = account.account_id
             world.accounts[state.spec.name] = account.account_id
             state.deals_done = 0
             state.defected = False
@@ -665,39 +672,24 @@ def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
                 world, make_credentials(state.spec.name, state.spec.tier))
 
 
+def _view(world: World, seller: str, scope: str, price: int = 0,
+          delivery_days: int = 0) -> tuple:
+    """The buyer-independent (unit score, advisories) of `seller`'s
+    listing in `scope`: the engine's listing view, or the eBay baseline's
+    percent-positive with no advisories."""
+    if world.scenario.variant == VARIANT_EBAY:
+        pos, neg = world.ebay_tally[seller]
+        return pos / (pos + neg) if pos + neg else 0.0, frozenset()
+    return listing_view(world.accounts[seller],
+                        ListingContext(scope=scope, price=price,
+                                       delivery_days=delivery_days),
+                        world.state.store, world.state.registry,
+                        world.config)[2:]
+
+
 def score_view(world: World, seller_name: str, scope: str) -> float:
     """Unit-interval decision score a generic buyer would see."""
-    if world.scenario.variant == VARIANT_EBAY:
-        pos, neg = world.ebay_tally[seller_name]
-        return pos / (pos + neg) if pos + neg else 0.0
-    return listing_view(world.sellers[seller_name].account_id,
-                        ListingContext(scope=scope, price=0),
-                        world.state.store, world.state.registry,
-                        world.config)[2]
-
-
-def _view(world: World, listings: list, views: dict, index: int) -> tuple:
-    """The buyer-independent (unit score, advisories) of listing `index`.
-
-    `views` keeps each listing's view by index, computed on first use and
-    kept across the round's deals; `_record_deal` drops those a deal makes
-    stale.  The eBay baseline's view is its percent-positive with no
-    advisories.
-    """
-    view = views.get(index)
-    if view is None:
-        listing = listings[index]
-        if world.scenario.variant == VARIANT_EBAY:
-            view = (score_view(world, listing.seller, listing.scope),
-                    frozenset())
-        else:
-            view = listing_view(
-                world.sellers[listing.seller].account_id,
-                ListingContext(scope=listing.scope, price=listing.price,
-                               delivery_days=listing.delivery_days),
-                world.state.store, world.state.registry, world.config)[2:]
-        views[index] = view
-    return view
+    return _view(world, seller_name, scope)[0]
 
 
 def _choose(world: World, buyer: BuyerSpec, listings: list, views: dict,
@@ -710,9 +702,10 @@ def _choose(world: World, buyer: BuyerSpec, listings: list, views: dict,
     score, less the buyer's discount where the view flags a newcomer, and
     a buyer that refuses the delivery advisory scores no listing that has
     it; so it reads the buyer only through those two policy fields.
-    `best` keeps, per (refuse, discount), the (effective, index) of the
-    best unsold listing, or None where there is none; the caller clears it
-    after each deal.
+    `views` keeps each listing's view by index across the round's deals,
+    less those `_record_deal` drops.  `best` keeps, per (refuse, discount),
+    the (effective, index) of the best unsold listing, or None where there
+    is none; the caller clears it after each deal.
     """
     if buyer.colludes_with is not None:
         for index, listing in enumerate(listings):
@@ -726,7 +719,12 @@ def _choose(world: World, buyer: BuyerSpec, listings: list, views: dict,
         for index, listing in enumerate(listings):
             if listing.sold:
                 continue
-            unit, advisories = _view(world, listings, views, index)
+            view = views.get(index)
+            if view is None:
+                view = views[index] = _view(world, listing.seller,
+                                            listing.scope, listing.price,
+                                            listing.delivery_days)
+            unit, advisories = view
             if refuse and ADVISORY_AVOID_DELIVERY in advisories:
                 continue
             effective = unit
@@ -759,8 +757,8 @@ def _deal_outcome(world: World, state: _SellerState, buyer_name: str) -> str:
     return OUTCOME_SUCCESS
 
 
-def _record_cross_ratings(world: World, buyer: BuyerSpec, state: _SellerState,
-                          listing: _Listing, outcome: str) -> None:
+def _record_cross_ratings(world: World, buyer: BuyerSpec, listing: _Listing,
+                          outcome: str) -> None:
     if buyer.colludes_with == listing.seller:
         buyer_value = 1        # the shill praises no matter what arrived
     elif outcome == OUTCOME_SUCCESS:
@@ -770,42 +768,41 @@ def _record_cross_ratings(world: World, buyer: BuyerSpec, state: _SellerState,
     else:
         buyer_value = -1
     buyer_id = world.accounts[buyer.name]
-    _rate(world, buyer_id, state.account_id, listing, buyer_value)
-    tally = world.ebay_tally[state.spec.name]
+    seller_id = world.accounts[listing.seller]
+    _rate(world, buyer_id, seller_id, listing, buyer_value)
+    tally = world.ebay_tally[listing.seller]
     if buyer_value > 0:
         tally[0] += 1
     elif buyer_value < 0:
         tally[1] += 1
     # payment arrived, so the seller has nothing to complain about
-    _rate(world, state.account_id, buyer_id, listing, 1)
+    _rate(world, seller_id, buyer_id, listing, 1)
 
 
-def _record_deal(world: World, buyer: BuyerSpec, state: _SellerState,
-                 listing: _Listing, outcome: str, listings: list,
-                 views: dict) -> None:
+def _record_deal(world: World, buyer: BuyerSpec, listing: _Listing,
+                 outcome: str, listings: list, views: dict) -> None:
     """Write the deal's two ratings, then, if they moved the buyer's rater
     weight, drop the kept view of every listing whose (seller, scope)
     bucket holds a rating by the buyer; `step` says why that suffices."""
     store, registry = world.state.store, world.state.registry
     buyer_id = world.accounts[buyer.name]
     before = rater_weight(buyer_id, store, registry, world.config)
-    _record_cross_ratings(world, buyer, state, listing, outcome)
+    _record_cross_ratings(world, buyer, listing, outcome)
     if rater_weight(buyer_id, store, registry, world.config) == before:
         return
     for index in list(views):
         other = listings[index]
-        if store.latest(buyer_id, world.sellers[other.seller].account_id,
+        if store.latest(buyer_id, world.accounts[other.seller],
                         other.scope) is not None:
             del views[index]
 
 
 def _rate(world: World, rater: str, ratee: str, listing: _Listing,
           value: int) -> None:
-    world.clock += 1
+    at = world.state.store.revision + 1     # the run's rating count
     _apply(world, KIND_RATING,
            {"rater": rater, "ratee": ratee, "scope": listing.scope,
-            "value": value, "cost": listing.price, "at": world.clock},
-           at=world.clock)
+            "value": value, "cost": listing.price, "at": at}, at=at)
 
 
 def step(world: World) -> World:
@@ -840,8 +837,6 @@ def step(world: World) -> World:
 
         outcome = _deal_outcome(world, state, buyer.name)
         deals += 1
-        world.completed_deals += 1
-        world.total_spend += listing.price
         if outcome == OUTCOME_FAILURE:
             failures += 1
             world.fraud_gain += listing.price
@@ -852,7 +847,7 @@ def step(world: World) -> World:
             world.honest_revenue += listing.price
         state.deals_done += 1
         world.first_sale.setdefault(listing.seller, world.round)
-        _record_deal(world, buyer, state, listing, outcome, listings, views)
+        _record_deal(world, buyer, listing, outcome, listings, views)
 
     for name in world.sellers:
         world.trajectories[name].append(
@@ -881,10 +876,11 @@ def _spearman(xs, ys) -> float | None:
         return None            # zero variance on one side
 
 
-def run_scenario(scenario: Scenario, draws: dict | None = None) -> SimReport:
+def run_scenario(scenario: Scenario, draws: dict | None = None,
+                 sink=None) -> SimReport:
     """Run to the horizon and report; deterministic in (scenario, seed).
-    `draws` is passed to `build_world`."""
-    world = build_world(scenario, draws)
+    `draws` and `sink` are passed to `build_world`."""
+    world = build_world(scenario, draws, sink)
     for _ in range(scenario.horizon):
         step(world)
     return world_report(world)
@@ -908,8 +904,8 @@ def world_report(world: World) -> SimReport:
         trajectories=world.trajectories,
         fraud_gain=world.fraud_gain,
         honest_revenue=world.honest_revenue,
-        total_spend=world.total_spend,
-        completed_deals=world.completed_deals,
+        total_spend=world.honest_revenue + world.fraud_gain,
+        completed_deals=sum(r["deals"] for r in world.rounds),
         time_to_first_sale=ttfs,
         trust_calibration=_spearman(final_scores, honesty),
         blocked_duplicate_registrations=len(world.state.rejections))

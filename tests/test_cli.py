@@ -527,10 +527,8 @@ def test_simulate_with_a_trace_runs_the_scenario_once(capsys, tmp_path,
     scenario = DATA_DIR / "scenarios" / f"{name}.json"
     horizon = json.loads(scenario.read_text())["horizon"]
     stepped, writes, fsyncs = [], [], []
-    for namespace in (sim, cli):
-        monkeypatch.setattr(namespace, "step",
-                            lambda world, step=namespace.step:
-                            stepped.append(world) or step(world))
+    monkeypatch.setattr(sim, "step", lambda world, step=sim.step:
+                        stepped.append(world) or step(world))
     write = EventLog._write
     monkeypatch.setattr(EventLog, "_write", lambda *args:
                         writes.append(args) or write(*args))
@@ -607,7 +605,11 @@ def _first(entries, **edit):
     (lambda d: {**d, "buyers": [{**d["buyers"][0], "colludes_with": ["x"]}]},
      "colludes with"),
     (lambda d: {**d, "sellers": [{**d["sellers"][0], "name": ["x"]}]},
-     "roster names"),
+     "sellers[0]: name must be a string"),
+    (lambda d: {**d, "sellers": _first(d["sellers"], name="\ud800")},
+     "sellers[0]: name '\\ud800' is not UTF-8 text"),
+    (lambda d: {**d, "buyers": _first(d["buyers"], name=" ")},
+     "buyers[0]: name must not be blank"),
     (lambda d: {**d, "scopes": [1]}, "scopes"),
     (lambda d: {**d, "scopes": "abc"}, "scopes"),
     (lambda d: {**d, "sellers": [{**d["sellers"][0], "strategy": "honest"}]},
@@ -674,7 +676,8 @@ def _first(entries, **edit):
         "kind": "value-imbalance", "defect_cost": 10 ** 400})},
      "sellers[0].strategy: defect_cost must be an int in [0, "),
 ], ids=["pair_global_replacement", "policy", "engine_list", "colludes_with",
-        "seller_name", "scope_int", "scopes_string", "strategy_string",
+        "seller_name", "seller_name_surrogate", "buyer_name_blank",
+        "scope_int", "scopes_string", "strategy_string",
         "initial_trust_list", "top_level_list", "fresh_ids_string",
         "refuse_on_avoid_delivery_string", "use_weights_string",
         "buyer_treshold", "extra_buyer_colludes_whith", "top_level_horizn",

@@ -32,9 +32,9 @@ from trustmarket.eventlog import KIND_RATING, KIND_REGISTER, replay
 from trustmarket.identity import (BusinessDetails, CredentialSet,
                                   EvidenceDetails, PersonalDetails,
                                   field_type_table)
-from trustmarket.sim import (BallotStuffing, BuyerPolicy, Honest,
-                             IdentityReset, Scenario, ValueImbalance,
-                             build_world, step, world_report)
+from trustmarket.sim import (BallotStuffing, BuyerPolicy, BuyerSpec, Honest,
+                             IdentityReset, Scenario, SellerSpec,
+                             ValueImbalance, build_world, step, world_report)
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 SCENARIO_DIR = DATA_DIR / "scenarios"
@@ -119,8 +119,8 @@ def scratch(tmp_path_factory):
 
 
 class _Loaded(Exception):
-    """Raised, in place of building its world, with a scenario the CLI
-    accepted; a horizon such as 10**400 loads but would never finish."""
+    """Raised, in place of running it, with a scenario the CLI accepted; a
+    horizon such as 10**400 loads but would never finish."""
 
 
 def _loaded(scenario, *args, **kwargs):
@@ -134,7 +134,7 @@ def test_a_substituted_scenario_is_refused_or_kept(scratch, text):
     path = scratch / "scenario.json"
     path.write_text(text, encoding="utf-8")
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(cli, "build_world", _loaded)
+        patched.setattr(cli, "run_scenario", _loaded)
         try:
             code, err = _main("simulate", str(path))
         except _Loaded as loaded:
@@ -233,10 +233,11 @@ def test_a_substituted_csv_row_is_refused_or_read(scratch, rows):
 
 CHECKED = (PersonalDetails, BusinessDetails, EvidenceDetails, Honest,
            ValueImbalance, IdentityReset, BallotStuffing, BuyerPolicy,
-           EngineConfig, ListingContext)
+           SellerSpec, BuyerSpec, EngineConfig, ListingContext)
 
 # The fields a checked class needs, each given a valid value.
-REQUIRED = {ListingContext: {"scope": "books", "price": 0.0}}
+REQUIRED = {ListingContext: {"scope": "books", "price": 0.0},
+            SellerSpec: {"name": "s"}, BuyerSpec: {"name": "b"}}
 
 
 def _ruled_fields(cls) -> dict:
