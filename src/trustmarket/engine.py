@@ -254,33 +254,36 @@ def label_for(unit_score: float, config: EngineConfig = DEFAULT_ENGINE) -> str:
 # opinion assembly
 # ------------------------------------------------------------------
 
-def listing_view(seller: str, listing: ListingContext, store, registry,
-                 config: EngineConfig = DEFAULT_ENGINE):
-    """The buyer-independent part of an opinion about one listing.
+_NEW_SELLER = frozenset({ADVISORY_NEW_SELLER})
+_NEW_IN_SCOPE = frozenset({ADVISORY_NEW_IN_SCOPE})
+_AVOID_DELIVERY = frozenset({ADVISORY_AVOID_DELIVERY})
+
+
+def scope_view(seller: str, scope: str, store, registry,
+               config: EngineConfig = DEFAULT_ENGINE):
+    """The part of an opinion that reads only the seller and the scope.
 
     Returns (recommended, source, unit_score, advisories): the scoped
     reputation, or the tier's initial trust flagged new-seller or
-    new-in-scope, its [0, 1] unit score, and the delivery advisory.
-    Every buyer sees the same view until the store or registry changes.
+    new-in-scope, and its [0, 1] unit score.  Every buyer sees the same
+    view of every listing the seller has in the scope until the store or
+    registry changes; `compute_opinion` adds the listing's delivery
+    advisory.
     """
-    advisories = set()
-    score = weighted_reputation(seller, listing.scope, store, registry, config)
+    score = weighted_reputation(seller, scope, store, registry, config)
     if score is None:
-        if seller in store.received:
-            advisories.add(ADVISORY_NEW_IN_SCOPE)
-        else:
-            advisories.add(ADVISORY_NEW_SELLER)
-        recommended = initial_trust(registry.get(seller).tier, config.policy)
-        source = SOURCE_INITIAL_TRUST
-        unit = recommended
-    else:
-        recommended = score
-        source = SOURCE_RATINGS
-        unit = (score + 1.0) / 2.0
+        trust = initial_trust(registry.get(seller).tier, config.policy)
+        newcomer = _NEW_IN_SCOPE if seller in store.received else _NEW_SELLER
+        return trust, SOURCE_INITIAL_TRUST, trust, newcomer
+    return score, SOURCE_RATINGS, (score + 1.0) / 2.0, frozenset()
 
-    if listing.delivery_days > config.max_delivery_days or not listing.deliverable:
-        advisories.add(ADVISORY_AVOID_DELIVERY)
-    return recommended, source, unit, frozenset(advisories)
+
+def avoids_delivery(delivery_days: float, deliverable: bool,
+                    config: EngineConfig = DEFAULT_ENGINE) -> bool:
+    """Whether a listing's delivery terms earn the avoid-delivery
+    advisory: it cannot be delivered, or only in more than
+    max_delivery_days."""
+    return delivery_days > config.max_delivery_days or not deliverable
 
 
 def compute_opinion(buyer: str, seller: str, listing: ListingContext,
@@ -292,8 +295,10 @@ def compute_opinion(buyer: str, seller: str, listing: ListingContext,
     registry.get(buyer)
     seller_account = registry.get(seller)
     revision = store.revision
-    recommended, source, unit, advisories = listing_view(
-        seller, listing, store, registry, config)
+    recommended, source, unit, advisories = scope_view(
+        seller, listing.scope, store, registry, config)
+    if avoids_delivery(listing.delivery_days, listing.deliverable, config):
+        advisories |= _AVOID_DELIVERY
     return TrustOpinion(
         seller=seller,
         scope=listing.scope,
@@ -356,8 +361,8 @@ class TrustEngine:
 __all__ = [
     "EngineConfig", "DEFAULT_ENGINE", "ListingContext", "DirectExperience",
     "TrustOpinion", "TrustEngine", "cost_weight", "rater_weight",
-    "weighted_reputation", "direct_trust", "label_for", "listing_view",
-    "compute_opinion",
+    "weighted_reputation", "direct_trust", "label_for", "scope_view",
+    "avoids_delivery", "compute_opinion",
     "MODE_ATC", "MODE_DTC", "SOURCE_RATINGS", "SOURCE_INITIAL_TRUST",
     "ADVISORY_NEW_SELLER", "ADVISORY_NEW_IN_SCOPE", "ADVISORY_AVOID_DELIVERY",
     "LABEL_LOW", "LABEL_MEDIUM", "LABEL_HIGH",

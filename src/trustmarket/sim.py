@@ -26,6 +26,12 @@ A world keeps each fact once: a rating's `at` is the store's revision
 plus one, a seller's current account is `accounts[name]`, and a report
 derives its deal count and spend from the rounds and revenues.  A
 `Scenario` and each roster entry check themselves as they are built.
+
+A world also keeps the engine's view of each (seller account, normalised
+scope) for the whole run, from its first read until a deal changes what
+it reads; buyers' choices and the per-round trajectories both read it.
+The eBay baseline scores a seller's current account on that account's
+own feedback.
 """
 
 import hashlib
@@ -33,9 +39,8 @@ import json
 import statistics
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
-                     ADVISORY_NEW_SELLER, DEFAULT_ENGINE, EngineConfig,
-                     ListingContext, listing_view, rater_weight)
+from .engine import (ADVISORY_AVOID_DELIVERY, DEFAULT_ENGINE, EngineConfig,
+                     avoids_delivery, rater_weight, scope_view)
 # Unused here; perfbench's test_traced_run_restores_every_original still
 # reads them as attributes of this module.
 from .engine import compute_opinion, weighted_reputation  # noqa: F401
@@ -45,7 +50,7 @@ from .eventlog import (KIND_RATING, KIND_REGISTER, MarketState, apply_event,
 from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
                        PersonalDetails, PolicyConfig, ProfileTier,
                        check_field_types)
-from .ratings import MAX_COST
+from .ratings import MAX_COST, normalize_scope
 from .stats import midranks
 
 VARIANT_INTEGRATED = "integrated"
@@ -58,8 +63,6 @@ OUTCOME_MARGINAL = "marginal"
 OUTCOME_FAILURE = "failure"
 
 TIER_LABELS = ("low", "medium", "high")
-
-_NEWCOMER_ADVISORIES = frozenset({ADVISORY_NEW_SELLER, ADVISORY_NEW_IN_SCOPE})
 
 
 # ------------------------------------------------------------------
@@ -521,17 +524,31 @@ class _Listing:
     scope: str
     price: int
     delivery_days: int
+    key: tuple                # its view's key in `World.views`
+    late: bool                # whether its view shows the delivery advisory
     sold: bool = False
 
 
 @dataclass
 class World:
+    """A run's state between rounds.
+
+    `views` keeps the engine's `scope_view` of each (seller account id,
+    normalised scope), as its unit score and newcomer advisories, from
+    the first read until `_record_deal` drops it.  `_record_deal` is the
+    run's only writer of ratings, and it drops each view its two ratings
+    may change; so a test that writes to the store directly must do so
+    before the first `step`.
+    """
+
     scenario: Scenario
     config: EngineConfig
     state: MarketState        # registry, store (revision = ratings), refusals
     accounts: dict            # roster name -> current account id
     sellers: dict             # roster name -> _SellerState
-    ebay_tally: dict          # roster name -> [pos, neg] over an append-only ledger
+    # seller account id -> [pos, neg] over an append-only ledger
+    ebay_tally: dict = field(default_factory=dict)
+    views: dict = field(default_factory=dict)
     round: int = 0
     rounds: list = field(default_factory=list)    # per round, its deals
     trajectories: dict = field(default_factory=dict)
@@ -556,7 +573,6 @@ def build_world(scenario: Scenario, draws: dict | None = None,
         state=MarketState(),
         accounts={},
         sellers={spec.name: _SellerState(spec) for spec in scenario.sellers},
-        ebay_tally={spec.name: [0, 0] for spec in scenario.sellers},
         trajectories={spec.name: [] for spec in scenario.sellers},
         draws=draws, sink=sink)
     for spec in (*scenario.sellers, *scenario.buyers):
@@ -637,19 +653,19 @@ def _post_listing(world: World, state: _SellerState) -> _Listing:
     else:
         price = _in_range(_draw(world, "price", world.round, spec.name),
                           *scenario.price_range)
-    if not isinstance(strategy, Honest):
-        return _Listing(seller=spec.name, scope=scenario.scopes[0],
-                        price=price,
-                        delivery_days=scenario.delivery_range[0])
-    scope_index = int(_draw(world, "scope", world.round, spec.name)
-                      * len(scenario.scopes))
-    return _Listing(
-        seller=spec.name,
-        scope=scenario.scopes[scope_index],
-        price=price,
-        delivery_days=_in_range(
+    if isinstance(strategy, Honest):
+        scope = scenario.scopes[int(_draw(world, "scope", world.round,
+                                          spec.name) * len(scenario.scopes))]
+        delivery_days = _in_range(
             _draw(world, "delivery", world.round, spec.name),
-            *scenario.delivery_range))
+            *scenario.delivery_range)
+    else:
+        scope, delivery_days = scenario.scopes[0], scenario.delivery_range[0]
+    advisories = _view(world, spec.name, scope, delivery_days)[1]
+    return _Listing(seller=spec.name, scope=scope, price=price,
+                    delivery_days=delivery_days,
+                    key=(world.accounts[spec.name], normalize_scope(scope)),
+                    late=ADVISORY_AVOID_DELIVERY in advisories)
 
 
 def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
@@ -672,19 +688,25 @@ def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
                 world, make_credentials(state.spec.name, state.spec.tier))
 
 
-def _view(world: World, seller: str, scope: str, price: int = 0,
+def _view(world: World, seller: str, scope: str,
           delivery_days: int = 0) -> tuple:
     """The buyer-independent (unit score, advisories) of `seller`'s
-    listing in `scope`: the engine's listing view, or the eBay baseline's
-    percent-positive with no advisories."""
+    listing in `scope` with `delivery_days` of delivery: the engine's scope
+    view, kept in `world.views`, with the engine's delivery advisory, or
+    the eBay baseline's percent-positive with no advisories."""
+    account = world.accounts[seller]
     if world.scenario.variant == VARIANT_EBAY:
-        pos, neg = world.ebay_tally[seller]
+        pos, neg = world.ebay_tally.get(account, (0, 0))
         return pos / (pos + neg) if pos + neg else 0.0, frozenset()
-    return listing_view(world.accounts[seller],
-                        ListingContext(scope=scope, price=price,
-                                       delivery_days=delivery_days),
-                        world.state.store, world.state.registry,
-                        world.config)[2:]
+    key = (account, normalize_scope(scope))
+    view = world.views.get(key)
+    if view is None:
+        state = world.state
+        view = world.views[key] = scope_view(
+            account, scope, state.store, state.registry, world.config)[2:]
+    if avoids_delivery(delivery_days, True, world.config):
+        return view[0], view[1] | {ADVISORY_AVOID_DELIVERY}
+    return view
 
 
 def score_view(world: World, seller_name: str, scope: str) -> float:
@@ -692,20 +714,19 @@ def score_view(world: World, seller_name: str, scope: str) -> float:
     return _view(world, seller_name, scope)[0]
 
 
-def _choose(world: World, buyer: BuyerSpec, listings: list, views: dict,
-            best: dict):
+def _choose(world: World, buyer: BuyerSpec, listings: list, best: dict):
     """Index of the unsold listing `buyer` buys, or None to pass.
 
     A colluder buys its partner's unsold listing outright.  Otherwise the
     buyer takes the highest effective score, lowest index on ties, if it
     meets the buyer's threshold.  An effective score is the view's unit
     score, less the buyer's discount where the view flags a newcomer, and
-    a buyer that refuses the delivery advisory scores no listing that has
-    it; so it reads the buyer only through those two policy fields.
-    `views` keeps each listing's view by index across the round's deals,
-    less those `_record_deal` drops.  `best` keeps, per (refuse, discount),
-    the (effective, index) of the best unsold listing, or None where there
-    is none; the caller clears it after each deal.
+    a buyer that refuses the delivery advisory scores no late listing; so
+    it reads the buyer only through those two policy fields.  A listing's
+    view is its key's entry in `world.views`, or `_view`'s where there is
+    none.  `best` keeps, per (refuse, discount), the (effective, index)
+    of the best unsold listing, or None where there is none; the caller
+    clears it after each deal.
     """
     if buyer.colludes_with is not None:
         for index, listing in enumerate(listings):
@@ -715,21 +736,16 @@ def _choose(world: World, buyer: BuyerSpec, listings: list, views: dict,
     key = (policy.refuse_on_avoid_delivery, policy.new_seller_discount)
     if key not in best:
         refuse, discount = key
+        views = world.views
         top = None
         for index, listing in enumerate(listings):
-            if listing.sold:
+            if listing.sold or refuse and listing.late:
                 continue
-            view = views.get(index)
+            view = views.get(listing.key)
             if view is None:
-                view = views[index] = _view(world, listing.seller,
-                                            listing.scope, listing.price,
-                                            listing.delivery_days)
-            unit, advisories = view
-            if refuse and ADVISORY_AVOID_DELIVERY in advisories:
-                continue
-            effective = unit
-            if advisories & _NEWCOMER_ADVISORIES:
-                effective -= discount
+                view = _view(world, listing.seller, listing.scope)
+            unit, newcomer = view
+            effective = unit - discount if newcomer else unit
             if top is None or effective > top[0]:
                 top = (effective, index)
         best[key] = top
@@ -770,7 +786,7 @@ def _record_cross_ratings(world: World, buyer: BuyerSpec, listing: _Listing,
     buyer_id = world.accounts[buyer.name]
     seller_id = world.accounts[listing.seller]
     _rate(world, buyer_id, seller_id, listing, buyer_value)
-    tally = world.ebay_tally[listing.seller]
+    tally = world.ebay_tally.setdefault(seller_id, [0, 0])
     if buyer_value > 0:
         tally[0] += 1
     elif buyer_value < 0:
@@ -780,21 +796,27 @@ def _record_cross_ratings(world: World, buyer: BuyerSpec, listing: _Listing,
 
 
 def _record_deal(world: World, buyer: BuyerSpec, listing: _Listing,
-                 outcome: str, listings: list, views: dict) -> None:
-    """Write the deal's two ratings, then, if they moved the buyer's rater
-    weight, drop the kept view of every listing whose (seller, scope)
+                 outcome: str) -> None:
+    """Write the deal's two ratings and drop each view in `world.views`
+    they may change: the sold seller's in the listing's scope, all of the
+    seller's at its first rating, where new-seller turns new-in-scope,
+    and, if the ratings moved the buyer's rater weight, each view whose
     bucket holds a rating by the buyer; `step` says why that suffices."""
-    store, registry = world.state.store, world.state.registry
+    store, registry, views = (world.state.store, world.state.registry,
+                              world.views)
     buyer_id = world.accounts[buyer.name]
+    seller_id = listing.key[0]
+    first = seller_id not in store.received
     before = rater_weight(buyer_id, store, registry, world.config)
     _record_cross_ratings(world, buyer, listing, outcome)
-    if rater_weight(buyer_id, store, registry, world.config) == before:
-        return
-    for index in list(views):
-        other = listings[index]
-        if store.latest(buyer_id, world.accounts[other.seller],
-                        other.scope) is not None:
-            del views[index]
+    views.pop(listing.key, None)
+    if first:
+        for key in [key for key in views if key[0] == seller_id]:
+            del views[key]
+    if rater_weight(buyer_id, store, registry, world.config) != before:
+        for key in [key for key in views
+                    if store.latest(buyer_id, *key) is not None]:
+            del views[key]
 
 
 def _rate(world: World, rater: str, ratee: str, listing: _Listing,
@@ -814,20 +836,22 @@ def step(world: World) -> World:
         listings.append(_post_listing(world, state))
 
     deals = successes = failures = 0
-    # A buyer's choice reads the listing views and which listings are
-    # sold, and both change only at a deal.  A view reads the seller's
-    # scope bucket, its raters' weights, the seller's received count and
-    # tier.  A deal's two ratings write only the sold seller's buckets (its
-    # one listing is never read again) and the buyer's, and move only the
-    # two parties' received totals, hence rater weights.  Only buyers rate
-    # sellers, so a kept view goes stale only where the buyer's weight
-    # moved and the buyer has rated its bucket; `_record_deal` drops those.
-    # Between deals nothing a view reads changes, so the best listing of
-    # each buyer policy in `best` holds until the next deal.
-    views = {}
+    # A buyer's choice reads the views in `world.views` and which listings
+    # are sold.  A view reads the seller's bucket in its scope, the weights
+    # of the bucket's raters, whether the seller has been rated at all,
+    # and its tier.  Ratings are written only at a deal: the buyer rates
+    # the seller and the seller the buyer, both in the listing's scope, so
+    # a deal changes the sold seller's bucket in that scope, the seller's
+    # received count, and the two parties' rater weights.  Only buyers
+    # rate sellers, so no view reads a seller's weight.  `_record_deal`
+    # drops the sold seller's view in the scope, all of the seller's views
+    # at its first rating, and, if the buyer's weight moved, each view
+    # whose bucket the buyer has rated; every other view stays exact, from
+    # round to round.  Between deals nothing a view reads changes, so the
+    # best listing of each buyer policy in `best` holds until the next deal.
     best = {}
     for buyer in _arrival(world):
-        index = _choose(world, buyer, listings, views, best)
+        index = _choose(world, buyer, listings, best)
         if index is None:
             continue
         best.clear()
@@ -847,7 +871,7 @@ def step(world: World) -> World:
             world.honest_revenue += listing.price
         state.deals_done += 1
         world.first_sale.setdefault(listing.seller, world.round)
-        _record_deal(world, buyer, listing, outcome, listings, views)
+        _record_deal(world, buyer, listing, outcome)
 
     for name in world.sellers:
         world.trajectories[name].append(

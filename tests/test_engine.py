@@ -10,8 +10,8 @@ from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                                 EngineConfig, ListingContext, TrustEngine,
                                 MODE_ATC, MODE_DTC, SOURCE_INITIAL_TRUST,
                                 SOURCE_RATINGS, compute_opinion, cost_weight,
-                                direct_trust, label_for, listing_view,
-                                rater_weight, weighted_reputation)
+                                direct_trust, label_for, rater_weight,
+                                scope_view, weighted_reputation)
 from trustmarket.errors import (SelfQuery, SelfRating, StaleTimestamp,
                                 UnknownAccount)
 from trustmarket.identity import PolicyConfig, ProfileTier, Registry
@@ -502,7 +502,7 @@ def test_reputation_equals_the_weight_functions_exactly(events, config):
 
 
 def assert_reads_agree(restored, recorded, config):
-    """Rater weights, reputations and listing views read from a restored
+    """Rater weights, reputations and scope views read from a restored
     store equal those of the recorded one and the references, with the
     same type."""
     snapshot = recorded.snapshot()
@@ -517,11 +517,10 @@ def assert_reads_agree(restored, recorded, config):
                                   ORACLE_REGISTRY, config)
         want = reference_reputation(where, recorded, config)
         assert got == want and type(got) is type(want)
-        place = ListingContext(where, 100.0)
-        view = listing_view(ORACLE_SELLER, place, restored, ORACLE_REGISTRY,
-                            config)
-        kept = listing_view(ORACLE_SELLER, place, recorded, ORACLE_REGISTRY,
-                            config)
+        view = scope_view(ORACLE_SELLER, where, restored, ORACLE_REGISTRY,
+                          config)
+        kept = scope_view(ORACLE_SELLER, where, recorded, ORACLE_REGISTRY,
+                          config)
         assert view == kept and list(map(type, view)) == list(map(type, kept))
         if want is not None:
             assert view[0] == want and type(view[0]) is type(want)

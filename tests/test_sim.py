@@ -14,11 +14,11 @@ from trustmarket import sim
 from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                                 ADVISORY_NEW_SELLER, DEFAULT_ENGINE,
                                 EngineConfig, ListingContext, compute_opinion,
-                                listing_view, rater_weight)
+                                rater_weight, scope_view)
 from trustmarket.errors import DuplicateIdentity, InvalidScenario
 from trustmarket.eventlog import KIND_RATING, MarketState, apply_event
 from trustmarket.identity import PolicyConfig, ProfileTier
-from trustmarket.ratings import Rating, RatingStore
+from trustmarket.ratings import Rating, RatingStore, normalize_scope
 from trustmarket.sim import (STRATEGY_KINDS, VARIANT_EBAY, VARIANT_INTEGRATED,
                              VARIANT_UNWEIGHTED, VARIANTS, BallotStuffing,
                              BuyerPolicy, BuyerSpec, Honest, IdentityReset,
@@ -436,10 +436,11 @@ def test_comparison_serializes():
 # shared listing views equal a fresh opinion per buyer
 # ------------------------------------------------------------------
 
-def _fresh_choose(world, buyer, listings, views, best):
+def _fresh_choose(world, buyer, listings, best):
     """The threshold rule scored with a fresh compute_opinion for every
-    (buyer, unsold listing), ignoring the round's shared views and best
-    listings: the first of the candidates sorted by (-effective, index)."""
+    (buyer, unsold listing), ignoring the world's kept views and the
+    round's best listings: the first of the candidates sorted by
+    (-effective, index)."""
     candidates = []
     for index, listing in enumerate(listings):
         if listing.sold:
@@ -498,9 +499,17 @@ def _view_scenario(seed, scopes, max_delivery_days, sellers=6, buyers=7,
         engine=EngineConfig(max_delivery_days=max_delivery_days))
 
 
-def _run_with_history(scenario):
-    """Rounds, trajectories and store of a run whose buyers start with
-    two earlier deals each, rated -1, 0 or +1 both ways.
+def _assert_kept_views_are_fresh(world):
+    """Each view the world keeps equals the engine's fresh scope view."""
+    state = world.state
+    for (account, scope), view in world.views.items():
+        assert view == scope_view(account, scope, state.store,
+                                  state.registry, world.config)[2:]
+
+
+def _world_with_history(scenario):
+    """A world at round 0 whose buyers have two earlier deals each, rated
+    -1, 0 or +1 both ways.
 
     In a plain run sellers always rate buyers +1, so every rater weight
     is 1 and a deal changes no open listing's view; here a deal moves
@@ -521,8 +530,16 @@ def _run_with_history(scenario):
                     value=rng.choice((-1, 0, 1)),
                     cost=rng.randrange(10, 300), at=store.revision + 1),
                     registry=world.state.registry)
+    return world
+
+
+def _run_with_history(scenario):
+    """Rounds, trajectories and store of a run from `_world_with_history`,
+    its kept views checked after every step."""
+    world = _world_with_history(scenario)
     for _ in range(scenario.horizon):
         step(world)
+        _assert_kept_views_are_fresh(world)
     return world.rounds, world.trajectories, world.state.store.snapshot()
 
 
@@ -547,22 +564,6 @@ def test_shared_listing_views_equal_fresh_opinions(
             assert shared[variant] == fresh[variant], (seed, variant)
 
 
-def _view_counts(monkeypatch, scenario):
-    """listing_view calls of a run per (round, seller, scope), leaving
-    out the price-0 calls of the trajectories."""
-    world = build_world(scenario)
-    counts = Counter()
-
-    def counted(seller, listing, *args):
-        if listing.price:
-            counts[world.round, seller, listing.scope] += 1
-        return listing_view(seller, listing, *args)
-    monkeypatch.setattr(sim, "listing_view", counted)
-    for _ in range(scenario.horizon):
-        step(world)
-    return counts
-
-
 def _bundled_and_view_scenarios():
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         yield path.stem, Scenario.from_dict(json.loads(path.read_text()))
@@ -570,15 +571,32 @@ def _bundled_and_view_scenarios():
         yield f"view-{seed}", _view_scenario(seed, 3, 5.0)
 
 
+def _assert_ebay_scores_count_each_account(world, events):
+    """On `ebay`, each seller's score is the share of positive among the
+    non-neutral ratings its current account received, from 0/0."""
+    if world.scenario.variant != VARIANT_EBAY:
+        return
+    for name in world.sellers:
+        values = [record.payload["value"] for record in events
+                  if record.kind == KIND_RATING
+                  and record.payload["ratee"] == world.accounts[name]]
+        pos, neg = values.count(1), values.count(-1)
+        assert sim.score_view(world, name, world.scenario.scopes[0]) \
+            == (pos / (pos + neg) if pos + neg else 0.0), name
+
+
 def _stepped_world(scenario):
     """A world run to its horizon, every account its sellers held, fresh
-    reset ids included, and the events it wrote, collected by its sink."""
+    reset ids included, and the events it wrote, collected by its sink;
+    its kept views and eBay scores are checked after every step."""
     events = []
     world = build_world(scenario, sink=events.append)
     seller_ids = set()
     for _ in range(scenario.horizon):
         step(world)
         seller_ids.update(world.accounts[name] for name in world.sellers)
+        _assert_kept_views_are_fresh(world)
+        _assert_ebay_scores_count_each_account(world, events)
     return world, seller_ids, events
 
 
@@ -601,17 +619,51 @@ def test_only_buyers_rate_sellers():
         _assert_ratings_pair_a_buyer_with_a_seller(world, seller_ids, events)
 
 
+def _reads(world, key):
+    """What the view of `key` reads: its bucket, the weights of the
+    bucket's raters and whether its seller has been rated at all."""
+    account, scope = key
+    store, registry = world.state.store, world.state.registry
+    ratings = store.latest_ratings_for(account, scope)
+    return (tuple(ratings),
+            tuple(rater_weight(rating.rater, store, registry, world.config)
+                  for rating in ratings),
+            account in store.received)
+
+
 @pytest.mark.parametrize("variant", (VARIANT_INTEGRATED, VARIANT_UNWEIGHTED))
-def test_each_listing_view_is_computed_once_a_round(monkeypatch, variant):
-    # in a plain market a deal moves no weight that an open listing's
-    # view reads, so no view is dropped and recomputed
+def test_a_view_is_computed_again_only_after_a_deal_changed_its_reads(
+        monkeypatch, variant):
+    # a key's first view lasts, across rounds, until a deal writes its
+    # bucket, rates its seller for the first time or moves the weight of
+    # one of its raters
+    record_deal = sim._record_deal
     for name, scenario in _bundled_and_view_scenarios():
-        counts = _view_counts(monkeypatch,
-                              replace(scenario, variant=variant))
-        assert counts and max(counts.values()) == 1, name
+        for start in (build_world, _world_with_history):
+            world = start(replace(scenario, variant=variant))
+            computed = Counter()
+            changed = set()
+
+            def counted(account, scope, *args):
+                key = (account, normalize_scope(scope))
+                assert not computed[key] or key in changed, (name, key)
+                changed.discard(key)
+                computed[key] += 1
+                return scope_view(account, scope, *args)
+
+            def recorded(world, *args):
+                before = {key: _reads(world, key) for key in computed}
+                record_deal(world, *args)
+                changed.update(key for key, reads in before.items()
+                               if _reads(world, key) != reads)
+            monkeypatch.setattr(sim, "scope_view", counted)
+            monkeypatch.setattr(sim, "_record_deal", recorded)
+            for _ in range(scenario.horizon):
+                step(world)
+            assert computed, name
 
 
-def test_deal_drops_only_views_its_moved_weights_reach(monkeypatch):
+def test_deal_drops_only_views_its_ratings_reach(monkeypatch):
     scenario = basic_scenario(
         sellers=tuple(honest_seller(name) for name in ("s1", "s2", "s3")),
         buyers=(buyer("b"), buyer("b2")), scopes=("c", "d"))
@@ -626,16 +678,14 @@ def test_deal_drops_only_views_its_moved_weights_reach(monkeypatch):
                             value=value, cost=100, at=store.revision + 1),
                      registry=registry)
     listings = [sim._Listing(seller=seller, scope=scope, price=100,
-                             delivery_days=1)
+                             delivery_days=1, key=(ids[seller], scope),
+                             late=False)
                 for seller, scope in (("s1", "c"), ("s2", "c"), ("s2", "d"),
                                       ("s3", "c"))]
+    views = world.views
 
-    def fresh(listing):
-        return listing_view(
-            ids[listing.seller],
-            ListingContext(scope=listing.scope, price=listing.price,
-                           delivery_days=listing.delivery_days),
-            store, registry, world.config)[2:]
+    def fresh(key):
+        return scope_view(*key, store, registry, world.config)[2:]
     calls = Counter()
 
     def counted(name, function):
@@ -652,32 +702,32 @@ def test_deal_drops_only_views_its_moved_weights_reach(monkeypatch):
         """`_record_deal` of `buyer_spec` buying `listing`; its calls."""
         calls.clear()
         listing.sold = True
-        sim._record_deal(world, buyer_spec, listing, outcome, listings,
-                         views)
+        sim._record_deal(world, buyer_spec, listing, outcome)
         return dict(calls)
 
-    views = {}
-    sim._choose(world, scenario.buyers[0], listings, views, {})
+    sim._choose(world, scenario.buyers[0], listings, {})
     before = dict(views)
-    assert set(before) == {0, 1, 2, 3}
+    assert set(before) == {listing.key for listing in listings}
 
-    # b's weight moves from epsilon (one -1 received) to 0.5
+    # s1's first rating drops its view; b's weight moves from epsilon (one
+    # -1 received) to 0.5, which drops the view of (s2, c), which b rated
     assert deal(scenario.buyers[0], listings[0],
                 sim.OUTCOME_SUCCESS)["rater_weight"] == 2
-    assert 1 not in views and fresh(listings[1]) != before[1]
-    assert {2, 3} <= set(views)
-    for index in (2, 3):
-        assert views[index] == fresh(listings[index])
+    assert set(views) == {listings[2].key, listings[3].key}
+    assert fresh(listings[1].key) != before[listings[1].key]
+    for key, view in views.items():
+        assert view == fresh(key)
 
     # b2, already rated +1, keeps its weight of 1 when s3 rates it +1, and
     # its -1 moves s3's weight; only buyers rate sellers, so no view reads
-    # s3's weight, none is dropped and no rating is looked up
+    # s3's weight: the deal drops only the view of its own bucket, (s3, c),
+    # and looks up no rating
     store.record(Rating(rater=ids["s1"], ratee=ids["b2"], scope="d", value=1,
                         cost=100, at=store.revision + 1), registry=registry)
     views.clear()
-    sim._choose(world, scenario.buyers[1], listings, views, {})
+    sim._choose(world, scenario.buyers[1], listings, {})
     kept = dict(views)
-    assert set(kept) == {1, 2, 3}
+    assert set(kept) == {listing.key for listing in listings[1:]}
     weights = [rater_weight(ids[name], store, registry, world.config)
                for name in ("b2", "s3")]
     assert deal(scenario.buyers[1], listings[3],
@@ -686,9 +736,53 @@ def test_deal_drops_only_views_its_moved_weights_reach(monkeypatch):
                         world.config) == weights[0]
     assert rater_weight(ids["s3"], store, registry,
                         world.config) != weights[1]
-    assert views == kept
-    for index in (1, 2):
-        assert views[index] == fresh(listings[index])
+    assert views == {key: kept[key]
+                     for key in (listings[1].key, listings[2].key)}
+    for key, view in views.items():
+        assert view == fresh(key)
+
+
+def test_scopes_that_normalise_alike_share_one_view():
+    # an honest seller sells in "books" while the trajectories read
+    # "Books": both name one bucket, so one view, which each deal drops
+    scenario = basic_scenario(seed=3, horizon=12, scopes=("Books", "books"))
+    events = []
+    world = build_world(scenario, sink=events.append)
+    for _ in range(scenario.horizon):
+        step(world)
+        _assert_kept_views_are_fresh(world)
+        state = world.state
+        for name in world.sellers:
+            fresh = scope_view(world.accounts[name], "Books", state.store,
+                               state.registry, world.config)[2]
+            assert world.trajectories[name][-1] == round(fresh, 9)
+    # a seller's second deal in "books" is the one a view kept under
+    # the raw scope would miss; its first drops all of its views
+    sellers = {world.accounts[name] for name in world.sellers}
+    sold = Counter(record.payload["ratee"] for record in events
+                   if record.kind == KIND_RATING
+                   and record.payload["scope"] == "books"
+                   and record.payload["ratee"] in sellers)
+    assert max(sold.values()) >= 2
+
+
+def test_ebay_scores_a_fresh_account_from_zero():
+    # a whitewashed account starts from 0/0 feedback, not from the old
+    # account's tally
+    scenario = basic_scenario(
+        seed=1, horizon=6, variant=VARIANT_EBAY,
+        sellers=(SellerSpec(name="r", strategy=IdentityReset(
+                     defect_after=2, fresh_ids=True), tier="high"),
+                 honest_seller("h")),
+        buyers=tuple(buyer(f"b{i}", threshold=0.0) for i in range(4)))
+    events = []
+    world = build_world(scenario, sink=events.append)
+    first = world.accounts["r"]
+    for _ in range(scenario.horizon):
+        step(world)
+        _assert_ebay_scores_count_each_account(world, events)
+    assert world.accounts["r"] != first
+    assert world.sellers["r"].resets >= 1
 
 
 def test_a_comparison_hashes_each_shared_draw_once(monkeypatch):
@@ -758,7 +852,8 @@ def test_world_state_is_the_fold_of_its_events(seed):
 
 UNIT = st.floats(0, 1)
 OPEN_UNIT = st.floats(0, 1, exclude_min=True, exclude_max=True)
-SCOPES = ("books", "cars", "garden")
+# "Books" and " books" normalise to "books": one bucket, so one kept view
+SCOPES = ("books", "cars", "garden", "Books", " books")
 # Roster names from case variants, separators, a space, fullwidth forms
 # (U+FF29 U+FF24, "ID") and accented letters, which the registry's
 # normalisation folds together, from the r and digit of a reset's name, and
@@ -836,7 +931,8 @@ def test_generated_scenarios(scenario):
     # the file format round-trips through JSON
     data = json.loads(json.dumps(scenario.to_dict()))
     assert Scenario.from_dict(data) == scenario
-    # kept listing views never go stale
+    # kept listing views never go stale, and `_stepped_world` below checks
+    # each kept view after every step
     shared = _runs(scenario)
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(sim, "_choose", _fresh_choose)
