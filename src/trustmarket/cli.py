@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 from .engine import DEFAULT_ENGINE, ListingContext, compute_opinion
 from .errors import TrustMarketError
@@ -93,21 +93,8 @@ def cmd_rate(args) -> int:
 
 
 def _opinion_payload(opinion) -> dict:
-    direct = None
-    if opinion.direct is not None:
-        direct = {"value": opinion.direct.value, "scope": opinion.direct.scope,
-                  "at": opinion.direct.at,
-                  "cross_scope": opinion.direct.cross_scope}
-    return {
-        "seller": opinion.seller, "scope": opinion.scope,
-        "recommended": opinion.recommended,
-        "recommended_source": opinion.recommended_source,
-        "unit_score": opinion.unit_score,
-        "display_score": opinion.display_score,
-        "label": opinion.label, "tier": opinion.tier.label,
-        "direct": direct, "advisories": sorted(opinion.advisories),
-        "revision": opinion.revision,
-    }
+    return {**asdict(opinion), "tier": opinion.tier.label,
+            "advisories": sorted(opinion.advisories)}
 
 
 def cmd_opinion(args) -> int:
@@ -428,10 +415,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except TrustMarketError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (TrustMarketError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

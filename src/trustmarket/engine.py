@@ -7,8 +7,8 @@ listing at hand.  Sellers without ratings in the queried scope fall back
 to the initial trust their tier earned at registration, which is what
 lets a verified newcomer sell at all.
 
-Two computation modes exist: DTC always reads fresh store state, ATC may
-serve a cached opinion until `invalidate` drops it.
+`compute_opinion` reads fresh store state on every call; `TrustEngine`
+serves the opinion it cached for a query until `invalidate` drops it.
 """
 
 import math
@@ -18,9 +18,6 @@ from .errors import SelfQuery
 from .identity import (DEFAULT_POLICY, PolicyConfig, ProfileTier,
                        check_field_types, initial_trust)
 from .ratings import MAX_COST, normalize_scope
-
-MODE_ATC = "atc"
-MODE_DTC = "dtc"
 
 SOURCE_RATINGS = "ratings"
 SOURCE_INITIAL_TRUST = "initial-trust"
@@ -289,7 +286,7 @@ def avoids_delivery(delivery_days: float, deliverable: bool,
 def compute_opinion(buyer: str, seller: str, listing: ListingContext,
                     store, registry,
                     config: EngineConfig = DEFAULT_ENGINE) -> TrustOpinion:
-    """Fresh opinion straight from current store state (DTC path)."""
+    """Fresh opinion straight from current store state."""
     if buyer == seller:
         raise SelfQuery(f"{buyer} cannot ask for an opinion about itself")
     registry.get(buyer)
@@ -315,22 +312,19 @@ def compute_opinion(buyer: str, seller: str, listing: ListingContext,
 
 
 class TrustEngine:
-    """Opinion service bound to one registry and one rating store.
+    """Cached opinions over one registry and one rating store.
 
-    DTC recomputes on every query.  ATC caches per query key and may
-    serve entries computed against an older store revision until the
+    Each query key keeps the `compute_opinion` result of its first
+    query, which may be stale against a newer store revision until the
     owner calls invalidate(); invalidating at the store's current
-    revision after every mutation makes ATC and DTC agree exactly.
+    revision after every mutation makes it equal `compute_opinion`
+    exactly.
     """
 
-    def __init__(self, registry, store, config: EngineConfig = DEFAULT_ENGINE,
-                 mode: str = MODE_DTC):
-        if mode not in (MODE_ATC, MODE_DTC):
-            raise ValueError(f"mode must be {MODE_ATC!r} or {MODE_DTC!r}")
+    def __init__(self, registry, store, config: EngineConfig = DEFAULT_ENGINE):
         self.registry = registry
         self.store = store
         self.config = config
-        self.mode = mode
         self._cache: dict[tuple, TrustOpinion] = {}
 
     @property
@@ -339,9 +333,6 @@ class TrustEngine:
 
     def opinion(self, buyer: str, seller: str,
                 listing: ListingContext) -> TrustOpinion:
-        if self.mode == MODE_DTC:
-            return compute_opinion(buyer, seller, listing,
-                                   self.store, self.registry, self.config)
         key = (buyer, seller, listing.scope,
                listing.delivery_days, listing.deliverable)
         cached = self._cache.get(key)
@@ -362,8 +353,7 @@ __all__ = [
     "EngineConfig", "DEFAULT_ENGINE", "ListingContext", "DirectExperience",
     "TrustOpinion", "TrustEngine", "cost_weight", "rater_weight",
     "weighted_reputation", "direct_trust", "label_for", "scope_view",
-    "avoids_delivery", "compute_opinion",
-    "MODE_ATC", "MODE_DTC", "SOURCE_RATINGS", "SOURCE_INITIAL_TRUST",
-    "ADVISORY_NEW_SELLER", "ADVISORY_NEW_IN_SCOPE", "ADVISORY_AVOID_DELIVERY",
-    "LABEL_LOW", "LABEL_MEDIUM", "LABEL_HIGH",
+    "avoids_delivery", "compute_opinion", "SOURCE_RATINGS",
+    "SOURCE_INITIAL_TRUST", "ADVISORY_NEW_SELLER", "ADVISORY_NEW_IN_SCOPE",
+    "ADVISORY_AVOID_DELIVERY", "LABEL_LOW", "LABEL_MEDIUM", "LABEL_HIGH",
 ]

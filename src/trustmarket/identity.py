@@ -234,7 +234,6 @@ class Registry:
         self.accounts: dict[str, Account] = {}
         self._by_national_id: dict[str, str] = {}
         self._by_bank_or_card: dict[str, str] = {}
-        self._seq = 0
 
     def __contains__(self, account_id: str) -> bool:
         return account_id in self.accounts
@@ -278,8 +277,9 @@ class Registry:
         since buyer and seller of a deal each rate the other.
         Identity strings are indexed even when the business block is
         incomplete, so a half-filled block cannot smuggle a reused id past
-        the duplicate check.  Rejected requests leave the registry (and
-        the id sequence) untouched.
+        the duplicate check.  Rejected requests leave the registry
+        untouched.  Accounts are never removed, so the registry's size
+        numbers the next id.
         """
         tier = classify_profile(credentials)
         nid = bank = None
@@ -292,9 +292,8 @@ class Registry:
         if bank is not None and bank in self._by_bank_or_card:
             raise DuplicateIdentity(
                 f"bank/card already registered to {self._by_bank_or_card[bank]}")
-        self._seq += 1
         account = Account(
-            account_id=f"A{self._seq:06d}",
+            account_id=f"A{len(self.accounts) + 1:06d}",
             credentials=credentials,
             tier=tier,
         )

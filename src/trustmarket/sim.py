@@ -514,7 +514,6 @@ def make_credentials(name: str, tier: str, reset: int = 0) -> CredentialSet:
 class _SellerState:
     spec: SellerSpec
     deals_done: int = 0
-    defected: bool = False
     resets: int = 0
 
 
@@ -555,16 +554,18 @@ class World:
     fraud_gain: int = 0       # the price of each failed deal, summed
     honest_revenue: int = 0   # and of each other deal: together, the spend
     first_sale: dict = field(default_factory=dict)
-    draws: dict | None = None   # (seed, *key) -> unit draw or arrival order
-    sink: object = None         # None, or a callable given each EventRecord
+    # (seed, *key) -> unit draw, or a round's arrival order
+    draws: dict = field(default_factory=dict)
+    sink: object = None       # None, or a callable given each EventRecord
 
 
 def build_world(scenario: Scenario, draws: dict | None = None,
                 sink=None) -> World:
-    """A world at round 0, its roster registered.  `draws`, if given,
-    caches the world's unit draws by (seed, *key), and its arrival order
-    a round; the worlds of one comparison share it.  `sink`, if given, is
-    called with each event the world writes, the roster's first."""
+    """A world at round 0, its roster registered.  `draws` caches the
+    world's unit draws by (seed, *key), and its arrival order a round; a
+    new dict when not given, and one the worlds of a comparison share.
+    `sink`, if given, is called with each event the world writes, the
+    roster's first."""
     config = scenario.engine
     if scenario.variant == VARIANT_UNWEIGHTED:
         config = replace(config, use_weights=False)
@@ -574,7 +575,7 @@ def build_world(scenario: Scenario, draws: dict | None = None,
         accounts={},
         sellers={spec.name: _SellerState(spec) for spec in scenario.sellers},
         trajectories={spec.name: [] for spec in scenario.sellers},
-        draws=draws, sink=sink)
+        draws=draws if draws is not None else {}, sink=sink)
     for spec in (*scenario.sellers, *scenario.buyers):
         account = _register(world, make_credentials(spec.name, spec.tier))
         world.accounts[spec.name] = account.account_id
@@ -614,10 +615,8 @@ def _attempt_blocked_registration(world: World,
 
 def _draw(world: World, *key) -> float:
     """`unit_draw(seed, *key)` for the world's seed, hashed once per
-    `world.draws` where the world has one."""
+    `world.draws`."""
     draws = world.draws
-    if draws is None:
-        return unit_draw(world.scenario.seed, *key)
     key = (world.scenario.seed, *key)
     value = draws.get(key)
     if value is None:
@@ -627,12 +626,12 @@ def _draw(world: World, *key) -> float:
 
 def _arrival(world: World) -> list:
     """The round's buyers in arrival order, which rotates so repeat
-    business spreads over raters.  A world with `draws` keeps each
-    round's order there, as a tuple of buyer names under one key, rather
-    than each buyer's draw."""
+    business spreads over raters.  The world's `draws` keep each round's
+    order, as a tuple of buyer names under one key, rather than each
+    buyer's draw."""
     scenario = world.scenario
     seed, round_ = scenario.seed, world.round
-    draws = {} if world.draws is None else world.draws
+    draws = world.draws
     key = (seed, "arrival", round_)
     order = draws.get(key)
     if order is None:
@@ -674,14 +673,16 @@ def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
         credentials = make_credentials(state.spec.name, state.spec.tier)
         for _ in range(strategy.fake_raters):
             _attempt_blocked_registration(world, credentials)
-    if isinstance(strategy, IdentityReset) and state.defected:
+    # its deals fail from the one at `defect_after` on, and each deal is
+    # counted, so the count first passes `defect_after` at its first failure
+    if (isinstance(strategy, IdentityReset)
+            and state.deals_done > strategy.defect_after):
         if strategy.fresh_ids:
             fresh = make_credentials(state.spec.name, state.spec.tier,
                                      state.resets + 1)
             account = _register(world, fresh)
             world.accounts[state.spec.name] = account.account_id
             state.deals_done = 0
-            state.defected = False
             state.resets += 1
         else:
             _attempt_blocked_registration(
@@ -864,8 +865,6 @@ def step(world: World) -> World:
         if outcome == OUTCOME_FAILURE:
             failures += 1
             world.fraud_gain += listing.price
-            if not isinstance(state.spec.strategy, Honest):
-                state.defected = True
         else:
             successes += 1
             world.honest_revenue += listing.price

@@ -15,8 +15,8 @@ from collections import defaultdict
 from contextlib import contextmanager, redirect_stdout
 
 from conftest import credentials_for
-from trustmarket.engine import (MODE_ATC, MODE_DTC, ListingContext,
-                                TrustEngine, weighted_reputation)
+from trustmarket.engine import (ListingContext, TrustEngine, compute_opinion,
+                                weighted_reputation)
 from trustmarket.errors import (DuplicateIdentity, SelfRating,
                                 StaleTimestamp)
 from trustmarket.cli import main
@@ -394,7 +394,8 @@ def test_criterion_8_determinism_and_replay(tmp_path):
 # ------------------------------------------------------------------
 
 def test_criterion_9_cached_equals_fresh():
-    with criterion(9, "ATC equals DTC over 500 random interleavings"):
+    with criterion(9, "TrustEngine equals compute_opinion over 500 random "
+                      "interleavings"):
         rng = random.Random(0xC9)
         for instance in range(500):
             registry = Registry()
@@ -403,8 +404,7 @@ def test_criterion_9_cached_equals_fresh():
                 ids[tag] = registry.register(
                     credentials_for(f"eq{instance}-{tag}")).account_id
             store = RatingStore()
-            cached = TrustEngine(registry, store, mode=MODE_ATC)
-            fresh = TrustEngine(registry, store, mode=MODE_DTC)
+            cached = TrustEngine(registry, store)
             clock = 0
             for _ in range(rng.randrange(4, 13)):
                 if rng.random() < 0.5:
@@ -425,4 +425,5 @@ def test_criterion_9_cached_equals_fresh():
                         deliverable=rng.random() < 0.9)
                     buyer = ids[rng.choice(("b1", "b2", "b3"))]
                     assert cached.opinion(buyer, ids["seller"], listing) \
-                        == fresh.opinion(buyer, ids["seller"], listing)
+                        == compute_opinion(buyer, ids["seller"], listing,
+                                           store, registry)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                                 ADVISORY_NEW_SELLER, DEFAULT_ENGINE,
                                 EngineConfig, ListingContext, TrustEngine,
-                                MODE_ATC, MODE_DTC, SOURCE_INITIAL_TRUST,
-                                SOURCE_RATINGS, compute_opinion, cost_weight,
-                                direct_trust, label_for, rater_weight,
-                                scope_view, weighted_reputation)
+                                SOURCE_INITIAL_TRUST, SOURCE_RATINGS,
+                                compute_opinion, cost_weight, direct_trust,
+                                label_for, rater_weight, scope_view,
+                                weighted_reputation)
 from trustmarket.errors import (SelfQuery, SelfRating, StaleTimestamp,
                                 UnknownAccount)
 from trustmarket.identity import PolicyConfig, ProfileTier, Registry
@@ -279,12 +279,12 @@ def test_latest_only_removes_bad_image(market):
 
 
 # ------------------------------------------------------------------
-# caching modes
+# cached opinions
 # ------------------------------------------------------------------
 
 def test_atc_serves_stale_until_invalidated(market):
     registry, store, ids = market
-    engine = TrustEngine(registry, store, mode=MODE_ATC)
+    engine = TrustEngine(registry, store)
     first = engine.opinion(ids["b1"], ids["seller"], listing())
     assert first.recommended_source == SOURCE_INITIAL_TRUST
     record(store, registry, ids, "b2", "seller", 1, 500.0, 1)
@@ -297,33 +297,17 @@ def test_atc_serves_stale_until_invalidated(market):
 
 def test_invalidate_on_empty_cache_is_noop(market):
     registry, store, ids = market
-    engine = TrustEngine(registry, store, mode=MODE_ATC)
+    engine = TrustEngine(registry, store)
     engine.invalidate(5)
     assert engine.cache_size == 0
 
 
 def test_invalidate_keeps_current_entries(market):
     registry, store, ids = market
-    engine = TrustEngine(registry, store, mode=MODE_ATC)
+    engine = TrustEngine(registry, store)
     engine.opinion(ids["b1"], ids["seller"], listing())
     engine.invalidate(store.revision)   # cached at current revision
     assert engine.cache_size == 1
-
-
-def test_dtc_always_fresh(market):
-    registry, store, ids = market
-    engine = TrustEngine(registry, store, mode=MODE_DTC)
-    engine.opinion(ids["b1"], ids["seller"], listing())
-    record(store, registry, ids, "b2", "seller", 1, 500.0, 1)
-    fresh = engine.opinion(ids["b1"], ids["seller"], listing())
-    assert fresh.recommended_source == SOURCE_RATINGS
-    assert engine.cache_size == 0
-
-
-def test_mode_validated(market):
-    registry, store, ids = market
-    with pytest.raises(ValueError):
-        TrustEngine(registry, store, mode="warm")
 
 
 # ------------------------------------------------------------------

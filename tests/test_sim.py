@@ -16,7 +16,8 @@ from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
                                 EngineConfig, ListingContext, compute_opinion,
                                 rater_weight, scope_view)
 from trustmarket.errors import DuplicateIdentity, InvalidScenario
-from trustmarket.eventlog import KIND_RATING, MarketState, apply_event
+from trustmarket.eventlog import (KIND_RATING, KIND_REGISTER, MarketState,
+                                  apply_event)
 from trustmarket.identity import PolicyConfig, ProfileTier
 from trustmarket.ratings import Rating, RatingStore, normalize_scope
 from trustmarket.sim import (STRATEGY_KINDS, VARIANT_EBAY, VARIANT_INTEGRATED,
@@ -259,7 +260,9 @@ def test_no_buyers_means_no_deals():
     assert report.total_spend == 0
     # nobody ever sold, so onboarding time is censored past the horizon
     assert set(report.time_to_first_sale.values()) == {4}
-    assert report.trust_calibration is None or True   # may be None
+    # both sellers sit at their tier's fallback score every round, so the
+    # scores have no variance to rank
+    assert report.trust_calibration is None
 
 
 def test_trajectories_cover_every_round():
@@ -333,6 +336,33 @@ def test_fresh_ids_reset_history():
     assert world.accounts["shifty"] != first_id
     # the replacement account starts with no ratings of its own
     assert world.sellers["shifty"].resets >= 1
+
+
+@pytest.mark.parametrize("fresh_ids", [True, False])
+def test_identity_reset_tries_to_register_the_round_after_its_first_failure(
+        fresh_ids):
+    # one listing a round and buyers that take any score: the seller sells
+    # once a round, so its deal in round defect_after + 1 is its first to
+    # fail, and its first registration attempt comes in the next round
+    defect_after = 3
+    scenario = basic_scenario(
+        sellers=(SellerSpec(name="r", strategy=IdentityReset(
+                     defect_after=defect_after, fresh_ids=fresh_ids),
+                     tier="high"),),
+        buyers=(buyer("b1", threshold=0.0), buyer("b2", threshold=0.0)),
+        horizon=defect_after + 3)
+    events = []
+    world = build_world(scenario, sink=events.append)
+    attempts = []       # per round, the registrations it wrote
+    for _ in range(scenario.horizon):
+        start = len(events)
+        step(world)
+        attempts.append(sum(event.kind == KIND_REGISTER
+                            for event in events[start:]))
+    failures = [r["failures"] for r in world.rounds]
+    assert failures.index(1) == defect_after            # round defect_after + 1
+    assert attempts[:defect_after + 1] == [0] * (defect_after + 1)
+    assert attempts[defect_after + 1] == 1
 
 
 def test_value_imbalance_prices_switch():
