@@ -17,8 +17,8 @@ from dataclasses import asdict, fields, replace
 from .engine import DEFAULT_ENGINE, ListingContext, compute_opinion
 from .errors import TrustMarketError
 from .eventlog import (KIND_RATING, KIND_REGISTER, EventLog, replay)
-from .identity import (BusinessDetails, CredentialSet, EvidenceDetails,
-                       PersonalDetails, initial_trust)
+from .identity import (BLOCK_KINDS, CredentialSet, PersonalDetails,
+                       initial_trust)
 from .ratings import RATING_VALUES, Rating
 from .sim import Scenario, VARIANTS, compare_variants, run_scenario
 from .stats import (REPORTED_NEW_SELLER_SUPPORT, SCALE_LABELS, compare_reported,
@@ -44,14 +44,10 @@ def _emit(args, payload: dict, text_lines) -> None:
 # ledger subcommands
 # ------------------------------------------------------------------
 
-# The credential blocks in order; `register` has one flag per field.
-_BLOCKS = (PersonalDetails, BusinessDetails, EvidenceDetails)
-
-
 def _credentials_from_args(args) -> CredentialSet:
     """The personal block, and each later block one of whose flags is set."""
     blocks = []
-    for kind in _BLOCKS:
+    for kind in BLOCK_KINDS:
         values = {spec.name: getattr(args, spec.name) for spec in fields(kind)}
         blocks.append(kind(**values) if kind is PersonalDetails
                       or any(values.values()) else None)
@@ -331,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("register", help="register an account on the ledger")
     p.add_argument("--log", help="event log path")
-    for kind in _BLOCKS:
+    for kind in BLOCK_KINDS:
         for spec in fields(kind):
             flag = "--" + spec.name.replace("_", "-")
             if spec.type is bool:

@@ -59,9 +59,10 @@ import json
 import math
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CorruptLog, TrustMarketError
 from .identity import BLOCK_FIELDS, CredentialSet, Registry
@@ -72,31 +73,21 @@ KIND_RATING = "rating"
 KINDS = (KIND_REGISTER, KIND_RATING)
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class EventRecord:
-    """One ledger line.  Slotted, filled in by a hand-written `__init__`
-    through the slots' own setters, because replay builds one per line."""
+class EventRecord(NamedTuple):
+    """One ledger line.  A named tuple, so immutable, with no `__dict__`,
+    and cheap to build, as replay builds one per line; it compares equal
+    to the plain tuple of its values, and `_replace` copies it."""
 
     seq: int
     kind: str
     at: int
     payload: dict
 
-    def __init__(self, seq, kind, at, payload):
-        _set_seq(self, seq)
-        _set_kind(self, kind)
-        _set_at(self, at)
-        _set_payload(self, payload)
-
     def to_json(self) -> str:
         return json.dumps(
             {"seq": self.seq, "kind": self.kind, "at": self.at,
              "payload": self.payload},
             sort_keys=True, separators=(",", ":"))
-
-
-_set_seq, _set_kind, _set_at, _set_payload = (
-    EventRecord.__dict__[spec.name].__set__ for spec in fields(EventRecord))
 
 
 def next_record(last_seq: int, kind: str, payload: dict,

@@ -101,6 +101,10 @@ class EvidenceDetails:
                 and self.signed_declaration)
 
 
+# The credential blocks, in the cumulative order of the tiers.
+BLOCK_KINDS = (PersonalDetails, BusinessDetails, EvidenceDetails)
+
+
 @dataclass(frozen=True)
 class CredentialSet:
     """Up to three cumulative blocks; later blocks require earlier ones."""
@@ -128,18 +132,16 @@ class CredentialSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CredentialSet":
-        personal = PersonalDetails(**data["personal"]) if "personal" in data else None
-        business = BusinessDetails(**data["business"]) if "business" in data else None
-        evidence = EvidenceDetails(**data["evidence"]) if "evidence" in data else None
-        return cls(personal=personal, business=business, evidence=evidence)
+        return cls(*(kind(**data[name]) if name in data else None
+                     for name, kind in zip(cls.__dataclass_fields__,
+                                           BLOCK_KINDS)))
 
 
 # Each credential block's field names, in order: a block kept as a list,
 # as `CredentialSet.blocks` writes it and `Registry.restore` reads it,
 # holds its values in this order.
 BLOCK_FIELDS = tuple(tuple(spec.name for spec in fields(kind))
-                     for kind in (PersonalDetails, BusinessDetails,
-                                  EvidenceDetails))
+                     for kind in BLOCK_KINDS)
 
 
 def _block(kind, values):
@@ -257,15 +259,14 @@ class Registry:
         exactly its fields' values, in the order of `BLOCK_FIELDS`, so a
         string cannot be spread over a block's fields.  Every account
         goes through `register`, so one it refuses raises as it does
-        there; a block of another shape, or ids that differ, raise
-        ValueError.
+        there; an entry or a block of another shape, or ids that differ,
+        raise ValueError.
         """
         registry = cls()
-        for personal, business, evidence in entries:
-            registry.register(CredentialSet(
-                _block(PersonalDetails, personal),
-                _block(BusinessDetails, business),
-                _block(EvidenceDetails, evidence)))
+        for entry in entries:
+            if len(entry) != len(BLOCK_KINDS):
+                raise ValueError("an account entry is the list of its blocks")
+            registry.register(CredentialSet(*map(_block, BLOCK_KINDS, entry)))
         if list(registry.accounts) != ids:
             raise ValueError("registering the entries gives other account ids")
         return registry
@@ -307,7 +308,7 @@ class Registry:
 
 __all__ = [
     "ProfileTier", "PersonalDetails", "BusinessDetails", "EvidenceDetails",
-    "BLOCK_FIELDS", "check_field_types", "field_type_table",
+    "BLOCK_KINDS", "BLOCK_FIELDS", "check_field_types", "field_type_table",
     "CredentialSet", "PolicyConfig", "DEFAULT_POLICY", "Account", "Registry",
     "classify_profile", "initial_trust", "normalize_identity",
 ]

@@ -11,8 +11,8 @@ All randomness is counter-based: every draw hashes (seed, purpose,
 round, agent), so the same scenario under a different variant sees the
 same random stream wherever the same question is asked.  A comparison
 computes each such shared draw once: its worlds share one dict of draws,
-which lives as long as the comparison and holds each round's arrival
-order as one entry.  Prices are integers, so money sums are exact.
+which lives as long as the comparison and holds each round's buyers in
+arrival order as one entry.  Prices are integers, so money sums are exact.
 
 Every state change a run makes, each registration attempt and both
 ratings of each deal, is an `eventlog.EventRecord`, numbered from the
@@ -62,7 +62,7 @@ OUTCOME_SUCCESS = "success"
 OUTCOME_MARGINAL = "marginal"
 OUTCOME_FAILURE = "failure"
 
-TIER_LABELS = ("low", "medium", "high")
+TIER_LABELS = tuple(tier.label for tier in ProfileTier)
 
 
 # ------------------------------------------------------------------
@@ -98,6 +98,13 @@ def _check_counts(**counts) -> None:
             raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
+def _check_unit(obj, *names) -> None:
+    """Refuse a field of `obj` named in `names` that lies outside [0, 1]."""
+    for name in names:
+        if not 0.0 <= getattr(obj, name) <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1]")
+
+
 def _check_costs(**costs) -> None:
     """Refuse a price outside [0, MAX_COST], which no rating could carry."""
     for name, value in costs.items():
@@ -125,10 +132,7 @@ class Honest:
 
     def __post_init__(self):
         check_field_types(self)
-        if not 0.0 <= self.quality <= 1.0:
-            raise ValueError("quality must lie in [0, 1]")
-        if not 0.0 <= self.marginal_rate <= 1.0:
-            raise ValueError("marginal_rate must lie in [0, 1]")
+        _check_unit(self, "quality", "marginal_rate")
 
 
 @dataclass(frozen=True)
@@ -175,8 +179,7 @@ class BallotStuffing:
     def __post_init__(self):
         check_field_types(self)
         _check_counts(fake_raters=self.fake_raters)
-        if not 0.0 <= self.quality <= 1.0:
-            raise ValueError("quality must lie in [0, 1]")
+        _check_unit(self, "quality")
 
 
 STRATEGY_KINDS = {
@@ -191,8 +194,8 @@ STRATEGY_KINDS = {
 class BuyerPolicy:
     """Threshold rule over the decision score, plus advisory handling.
 
-    The rating rule is fixed: +1 on delivery, 0 on a marginal delivery,
-    -1 on failure.
+    The rating rule is fixed, as `_BUYER_RATING`: +1 on delivery, 0 on a
+    marginal delivery, -1 on failure.
     """
 
     threshold: float = 0.2
@@ -201,10 +204,7 @@ class BuyerPolicy:
 
     def __post_init__(self):
         check_field_types(self)
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must lie in [0, 1]")
-        if not 0.0 <= self.new_seller_discount <= 1.0:
-            raise ValueError("new_seller_discount must lie in [0, 1]")
+        _check_unit(self, "threshold", "new_seller_discount")
 
 
 def _check_entry(spec) -> None:
@@ -418,6 +418,11 @@ def _buyer(data, path: str) -> BuyerSpec:
 # reports
 # ------------------------------------------------------------------
 
+def _to_json(report) -> str:
+    """`report.to_dict()` as compact JSON with sorted keys."""
+    return json.dumps(report.to_dict(), sort_keys=True, separators=(",", ":"))
+
+
 @dataclass(frozen=True)
 class SimReport:
     variant: str
@@ -437,9 +442,7 @@ class SimReport:
         return {**{f.name: getattr(self, f.name) for f in fields(self)},
                 "rounds": list(self.rounds)}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+    to_json = _to_json
 
     def mean_time_to_first_sale(self) -> float | None:
         if not self.time_to_first_sale:
@@ -465,9 +468,7 @@ class ComparisonReport:
             "deltas": self.deltas,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
+    to_json = _to_json
 
 
 # ------------------------------------------------------------------
@@ -554,7 +555,7 @@ class World:
     fraud_gain: int = 0       # the price of each failed deal, summed
     honest_revenue: int = 0   # and of each other deal: together, the spend
     first_sale: dict = field(default_factory=dict)
-    # (seed, *key) -> unit draw, or a round's arrival order
+    # (seed, *key) -> unit draw, or a round's buyers in arrival order
     draws: dict = field(default_factory=dict)
     sink: object = None       # None, or a callable given each EventRecord
 
@@ -562,8 +563,9 @@ class World:
 def build_world(scenario: Scenario, draws: dict | None = None,
                 sink=None) -> World:
     """A world at round 0, its roster registered.  `draws` caches the
-    world's unit draws by (seed, *key), and its arrival order a round; a
-    new dict when not given, and one the worlds of a comparison share.
+    world's unit draws by (seed, *key), and each round's buyers in arrival
+    order; a new dict when not given, and one the worlds of a comparison,
+    which share the scenario's buyer objects, share.
     `sink`, if given, is called with each event the world writes, the
     roster's first."""
     config = scenario.engine
@@ -624,10 +626,10 @@ def _draw(world: World, *key) -> float:
     return value
 
 
-def _arrival(world: World) -> list:
+def _arrival(world: World) -> tuple:
     """The round's buyers in arrival order, which rotates so repeat
     business spreads over raters.  The world's `draws` keep each round's
-    order, as a tuple of buyer names under one key, rather than each
+    buyers themselves, in that order, under one key, rather than each
     buyer's draw."""
     scenario = world.scenario
     seed, round_ = scenario.seed, world.round
@@ -636,10 +638,10 @@ def _arrival(world: World) -> list:
     order = draws.get(key)
     if order is None:
         order = draws[key] = tuple(sorted(
-            (buyer.name for buyer in scenario.buyers),
-            key=lambda name: (unit_draw(seed, "arrival", round_, name), name)))
-    buyers = {buyer.name: buyer for buyer in scenario.buyers}
-    return [buyers[name] for name in order]
+            scenario.buyers,
+            key=lambda buyer: (unit_draw(seed, "arrival", round_, buyer.name),
+                               buyer.name)))
+    return order
 
 
 def _post_listing(world: World, state: _SellerState) -> _Listing:
@@ -774,42 +776,32 @@ def _deal_outcome(world: World, state: _SellerState, buyer_name: str) -> str:
     return OUTCOME_SUCCESS
 
 
-def _record_cross_ratings(world: World, buyer: BuyerSpec, listing: _Listing,
-                          outcome: str) -> None:
-    if buyer.colludes_with == listing.seller:
-        buyer_value = 1        # the shill praises no matter what arrived
-    elif outcome == OUTCOME_SUCCESS:
-        buyer_value = 1
-    elif outcome == OUTCOME_MARGINAL:
-        buyer_value = 0
-    else:
-        buyer_value = -1
-    buyer_id = world.accounts[buyer.name]
-    seller_id = world.accounts[listing.seller]
-    _rate(world, buyer_id, seller_id, listing, buyer_value)
-    tally = world.ebay_tally.setdefault(seller_id, [0, 0])
-    if buyer_value > 0:
-        tally[0] += 1
-    elif buyer_value < 0:
-        tally[1] += 1
-    # payment arrived, so the seller has nothing to complain about
-    _rate(world, seller_id, buyer_id, listing, 1)
+# The buyer's rating of a deal by its outcome, unless the buyer colludes
+# with the seller: the shill praises no matter what arrived.
+_BUYER_RATING = {OUTCOME_SUCCESS: 1, OUTCOME_MARGINAL: 0, OUTCOME_FAILURE: -1}
 
 
 def _record_deal(world: World, buyer: BuyerSpec, listing: _Listing,
                  outcome: str) -> None:
-    """Write the deal's two ratings and drop each view in `world.views`
-    they may change: the sold seller's in the listing's scope, all of the
-    seller's at its first rating, where new-seller turns new-in-scope,
-    and, if the ratings moved the buyer's rater weight, each view whose
-    bucket holds a rating by the buyer; `step` says why that suffices."""
+    """Write the deal's two ratings and the buyer's eBay feedback, then
+    drop each view in `world.views` they may change: the sold seller's in
+    the listing's scope, all of the seller's at its first rating, where
+    new-seller turns new-in-scope, and, if the ratings moved the buyer's
+    rater weight, each view whose bucket holds a rating by the buyer;
+    `step` says why that suffices."""
     store, registry, views = (world.state.store, world.state.registry,
                               world.views)
     buyer_id = world.accounts[buyer.name]
     seller_id = listing.key[0]
     first = seller_id not in store.received
     before = rater_weight(buyer_id, store, registry, world.config)
-    _record_cross_ratings(world, buyer, listing, outcome)
+    value = (1 if buyer.colludes_with == listing.seller
+             else _BUYER_RATING[outcome])
+    _rate(world, buyer_id, seller_id, listing, value)
+    if value:       # the tally is [positive, negative]
+        world.ebay_tally.setdefault(seller_id, [0, 0])[value < 0] += 1
+    # payment arrived, so the seller has nothing to complain about
+    _rate(world, seller_id, buyer_id, listing, 1)
     views.pop(listing.key, None)
     if first:
         for key in [key for key in views if key[0] == seller_id]:
@@ -836,7 +828,7 @@ def step(world: World) -> World:
         _attempt_fake_registrations(world, state)
         listings.append(_post_listing(world, state))
 
-    deals = successes = failures = 0
+    successes = failures = 0
     # A buyer's choice reads the views in `world.views` and which listings
     # are sold.  A view reads the seller's bucket in its scope, the weights
     # of the bucket's raters, whether the seller has been rated at all,
@@ -861,7 +853,6 @@ def step(world: World) -> World:
         state = world.sellers[listing.seller]
 
         outcome = _deal_outcome(world, state, buyer.name)
-        deals += 1
         if outcome == OUTCOME_FAILURE:
             failures += 1
             world.fraud_gain += listing.price
@@ -878,10 +869,10 @@ def step(world: World) -> World:
     world.rounds.append({
         "round": world.round,
         "listings": len(listings),
-        "deals": deals,
+        "deals": successes + failures,
         "successes": successes,
         "failures": failures,
-        "ratings": 2 * deals,
+        "ratings": 2 * (successes + failures),
         "blocked_registrations": len(world.state.rejections),
     })
     return world

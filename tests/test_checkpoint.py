@@ -10,7 +10,6 @@ import random
 import shutil
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -254,6 +253,8 @@ DAMAGES = {
         set_rating_field("rater", "A000099")),
     "account id out of order": edit_checkpoint(
         lambda data: data["accounts"]["ids"].reverse()),
+    "account entry one block short": edit_checkpoint(
+        lambda data: data["accounts"]["credentials"][1].pop()),
     "credential block given as a string": edit_checkpoint(
         set_block(0, lambda block: "".join(value[0] for value in block))),
     "credential block one field short": edit_checkpoint(
@@ -545,7 +546,7 @@ def test_a_log_with_role_flags_replays_as_without_them(flagged, tmp_path):
     stripped = tmp_path / "stripped" / "market.jsonl"
     stripped.parent.mkdir()
     stripped.write_text("".join(
-        replace(record, payload={key: value for key, value
+        record._replace(payload={key: value for key, value
                                  in record.payload.items()
                                  if key not in ROLE_FLAGS}).to_json() + "\n"
         for record in records), encoding="utf-8")

@@ -675,6 +675,11 @@ def _first(entries, **edit):
     (lambda d: {**d, "sellers": _first(d["sellers"], strategy={
         "kind": "value-imbalance", "defect_cost": 10 ** 400})},
      "sellers[0].strategy: defect_cost must be an int in [0, "),
+    (lambda d: {**d, "sellers": _first(d["sellers"], strategy={
+        "kind": "ballot-stuffing", "quality": 1.5})},
+     "sellers[0].strategy: quality must lie in [0, 1]"),
+    (lambda d: {**d, "buyers": _first(d["buyers"], new_seller_discount=1.5)},
+     "buyers[0]: new_seller_discount must lie in [0, 1]"),
 ], ids=["pair_global_replacement", "policy", "engine_list", "colludes_with",
         "seller_name", "seller_name_surrogate", "buyer_name_blank",
         "scope_int", "scopes_string", "strategy_string",
@@ -689,7 +694,8 @@ def _first(entries, **edit):
         "max_delivery_days_bool", "low_max_bool", "initial_trust_bools",
         "c_half_string", "price_range_above_floats",
         "delivery_range_above_floats", "low_cost_above_floats",
-        "defect_cost_above_floats"])
+        "defect_cost_above_floats", "ballot_stuffing_quality_above_one",
+        "new_seller_discount_above_one"])
 def test_hostile_scenario_file_is_exit_1(capsys, tmp_path, edit, named):
     # each edit gives a bundled scenario a key that no field has, named by
     # its path, a part of the wrong JSON type, a bad value in an entry,

@@ -1,11 +1,12 @@
-"""Every name a trustmarket module imports is used or exported.
+"""Every name a trustmarket module or a test module imports is used or
+exported.
 
 A stdlib `ast` check over `src/trustmarket/*.py` (the package's
-`__init__.py`, which imports to re-export, is left out).  An imported
-name passes when the module references it or lists it in `__all__`; an
-import statement with a `# noqa` comment on any of its lines is skipped.
-Every name in a module's `__all__`, the package's included, must exist
-in that module.
+`__init__.py`, which imports to re-export, is left out) and `tests/*.py`.
+An imported name passes when the module references it or lists it in
+`__all__`; an import statement with a `# noqa` comment on any of its
+lines is skipped.  Every name in a module's `__all__`, the package's
+included, must exist in that module.
 """
 
 import ast
@@ -17,6 +18,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trustmarket"
 MODULES = sorted(path for path in PACKAGE.glob("*.py")
                  if path.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -43,7 +45,8 @@ def unused_imports(source: str) -> list:
     return [(line, name) for line, name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda path: path.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

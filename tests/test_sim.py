@@ -18,7 +18,7 @@ from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
 from trustmarket.errors import DuplicateIdentity, InvalidScenario
 from trustmarket.eventlog import (KIND_RATING, KIND_REGISTER, MarketState,
                                   apply_event)
-from trustmarket.identity import PolicyConfig, ProfileTier
+from trustmarket.identity import PolicyConfig, ProfileTier, Registry
 from trustmarket.ratings import Rating, RatingStore, normalize_scope
 from trustmarket.sim import (STRATEGY_KINDS, VARIANT_EBAY, VARIANT_INTEGRATED,
                              VARIANT_UNWEIGHTED, VARIANTS, BallotStuffing,
@@ -182,6 +182,17 @@ def test_bundled_scenario_files_parse():
                    if record.kind == KIND_RATING) == 2 * report.total_spend
 
 
+def test_tier_labels_are_the_scenario_file_spellings():
+    assert sim.TIER_LABELS == ("low", "medium", "high")
+
+
+@pytest.mark.parametrize("reset", [0, 1])
+@pytest.mark.parametrize("label", sim.TIER_LABELS)
+def test_roster_credentials_register_at_their_tier(label, reset):
+    account = Registry().register(sim.make_credentials("s", label, reset))
+    assert account.tier.label == label
+
+
 # a float or bool in an int field is a TypeError, a value out of its range
 # a ValueError; the ids keep each case's name from when it had no class
 BAD_STRATEGY_PARAMETERS = [
@@ -195,6 +206,7 @@ BAD_STRATEGY_PARAMETERS = [
     ({"kind": "identity-reset", "defect_after": 2.5}, TypeError),
     ({"kind": "ballot-stuffing", "fake_raters": 2.5}, TypeError),
     ({"kind": "ballot-stuffing", "fake_raters": False}, TypeError),
+    ({"kind": "ballot-stuffing", "quality": 1.5}, ValueError),
 ]
 
 
