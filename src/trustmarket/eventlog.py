@@ -35,13 +35,16 @@ blocks' field names once, under `fields`.  Keys it does not read are
 ignored.  `locked()` and `EventLog.read_state()` hash the log's prefix, a
 chunk at a time, and, when the hash and every field check out, rebuild
 that state and replay only the lines past `offset`.  The accounts go
-back through `Registry.restore`, which registers each one and refuses
-the checkpoint unless each gets back its own id; the ratings through
-`RatingStore.restore`, which checks them under the same rules as
-`Rating` and `record` with one pass per column and refuses a key that
-appears twice.  Each ratee's totals are summed at once, but its
-`Rating` objects are built when a read or write first needs them, so an
-`opinion` builds only the seller's; saving a checkpoint builds them all.
+back through `Registry.restore`, which checks them under every rule of
+`register` with one pass per column, and refuses the checkpoint unless
+they are numbered as registering them would number them; the ratings
+through `RatingStore.restore`, which checks them under the same rules
+as `Rating` and `record` with one pass per column and refuses a key that
+appears twice.  Each account's tier and each ratee's totals are set at
+once, but an account's `CredentialSet` and a ratee's `Rating` objects
+are built when a read or write first needs them, so an `opinion` builds
+no credentials and only the seller's ratings; saving a checkpoint builds
+them all.
 `locked()` saves a new checkpoint only when no valid one was restored
 or the tail it replayed has grown long enough that saving costs less
 than replaying it again, which at a couple of thousand live ratings is
@@ -459,12 +462,13 @@ def _restore(handle, path):
     log's first `offset` bytes, its block field names are those of the
     credential dataclasses, so that a later change of fields cannot
     shift values into other fields, its accounts pass every check of
-    `Registry.restore` and so of `register`, each getting back its own
-    id, and its rating columns pass every check of `Rating` and
-    `RatingStore.record`, run once per column by `RatingStore.restore`,
-    with no key twice.  Those checks all run here; only the building of
+    `register`, run once per column by `Registry.restore`, with the ids
+    that registering them would give, and its rating columns pass every
+    check of `Rating` and `RatingStore.record`, run once per column by
+    `RatingStore.restore`, with no key twice.  Those checks all run
+    here; only the building of each account's `CredentialSet` and of
     each ratee's `Rating` objects waits for the first read of that
-    ratee, and a save builds every ratee.
+    account or ratee, and a save builds them all.
     """
     try:
         with open(path, "rb") as source:

@@ -13,6 +13,8 @@ starting point.  The one field type rule, `check_field_types`, is here.
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from functools import cache
+from itertools import repeat
+from operator import gt, is_not
 import re
 
 from .errors import DuplicateIdentity, IncompleteCredentials, UnknownAccount
@@ -132,9 +134,14 @@ class CredentialSet:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CredentialSet":
+        """The set that `to_dict` wrote as `data`: an object keyed by
+        block names only, so a misspelt block is refused, not dropped."""
+        names = cls.__dataclass_fields__
+        if type(data) is not dict or not data.keys() <= names.keys():
+            raise ValueError(f"credentials are an object keyed by some of "
+                             f"{', '.join(names)}")
         return cls(*(kind(**data[name]) if name in data else None
-                     for name, kind in zip(cls.__dataclass_fields__,
-                                           BLOCK_KINDS)))
+                     for name, kind in zip(names, BLOCK_KINDS)))
 
 
 # Each credential block's field names, in order: a block kept as a list,
@@ -220,9 +227,76 @@ def initial_trust(tier: ProfileTier, config: PolicyConfig = DEFAULT_POLICY) -> f
 
 @dataclass
 class Account:
+    """A registered account.  One that `Registry.restore` made holds its
+    checked `[personal, business, evidence]` entry as `_blocks` in place
+    of `credentials`, and builds its `CredentialSet` on the first read of
+    `credentials`: that read misses and lands in `__getattr__`, which
+    no other read of an account reaches."""
+
     account_id: str
     credentials: CredentialSet
     tier: ProfileTier
+
+    def __getattr__(self, name):
+        if name != "credentials" or "_blocks" not in vars(self):
+            raise AttributeError(name)
+        credentials = self.credentials = CredentialSet(
+            *map(_block, BLOCK_KINDS, self._blocks))
+        del self._blocks
+        return credentials
+
+
+def _block_columns(kind, blocks) -> tuple:
+    """(present, values, complete) of `blocks`, each account's `kind`
+    block: which blocks are not None, {field name: the blocks' values of
+    that field}, and which blocks are complete, a None block reading as
+    a blank one.
+
+    Checks of each block what `_block` and `kind` check, with one pass
+    per field: it is None or the list of its field values, each of a
+    type that `field_type_table` admits.  A block is complete when its
+    text fields are not blank and its flags are true, as the `complete`
+    methods of the blocks say."""
+    width = len(kind.__dataclass_fields__)
+    present = list(map(is_not, blocks, repeat(None)))
+    blank = list(vars(kind()).values())
+    blocks = [blank if block is None else block for block in blocks]
+    if set(map(type, blocks)) != {list} or set(map(len, blocks)) != {width}:
+        raise ValueError(f"a {kind.__name__} block is the list of its "
+                         f"{width} field values")
+    values = dict(zip(kind.__dataclass_fields__, zip(*blocks)))
+    filled = []
+    for name, admitted, noun in field_type_table(kind):
+        column = values[name]
+        if not set(map(type, column)).issubset(admitted):
+            wrong = next(value for value in column
+                         if type(value) not in admitted)
+            raise TypeError(f"{name} must be {noun}, got {wrong!r}")
+        filled.append(map(str.strip, column) if str in admitted else column)
+    return present, values, list(map(all, zip(*filled)))
+
+
+def _identity_index(values, ids, noun) -> dict:
+    """{normalized identity string: account id} over the non-empty keys
+    of `values`, the i-th value held by the i-th id; they must differ."""
+    keys = list(map(normalize_identity, values))
+    index = dict(zip(keys, ids))
+    index.pop("", None)
+    if len(index) != len(keys) - keys.count(""):
+        raise DuplicateIdentity(f"{noun} registered to two accounts")
+    return index
+
+
+# The id of the n-th account registered.
+_account_id = "A{:06d}".format
+
+# An account's tier, the longest complete prefix of its blocks as
+# `classify_profile` finds it, by whether its business and evidence
+# blocks are complete.
+_TIER_BY_COMPLETE = {(False, False): ProfileTier.LOW,
+                     (False, True): ProfileTier.LOW,
+                     (True, False): ProfileTier.MEDIUM,
+                     (True, True): ProfileTier.HIGH}
 
 
 class Registry:
@@ -254,21 +328,55 @@ class Registry:
         """The registry that registering `entries` in order builds, when
         that gives its accounts exactly the ids `ids` lists, in order.
 
-        Each entry is [personal, business, evidence], as
+        Each entry is the list [personal, business, evidence], as
         `CredentialSet.blocks` writes it: each block None or the list of
         exactly its fields' values, in the order of `BLOCK_FIELDS`, so a
-        string cannot be spread over a block's fields.  Every account
-        goes through `register`, so one it refuses raises as it does
-        there; an entry or a block of another shape, or ids that differ,
-        raise ValueError.
+        string cannot be spread over a block's fields.  This is the
+        column form of `register`: each of its checks runs as one pass
+        over a column of blocks or fields, with no `register` call and no
+        `CredentialSet` built.  The blocks are shaped and typed as
+        `_block` and the block classes require; no evidence block comes
+        without a business block; every personal block is complete; the
+        non-empty normalized national ids are unique, and so are the
+        bank/card numbers; and the ids are A000001 on, in order.  A
+        check that fails raises as `register` would (DuplicateIdentity,
+        IncompleteCredentials, TypeError), or ValueError for a shape or
+        for ids that differ.
+
+        Each account gets its id and tier at once, and keeps its checked
+        entry until its `credentials` are first read; see `Account`.  The
+        entries' lists are kept, not copied.
         """
-        registry = cls()
-        for entry in entries:
-            if len(entry) != len(BLOCK_KINDS):
-                raise ValueError("an account entry is the list of its blocks")
-            registry.register(CredentialSet(*map(_block, BLOCK_KINDS, entry)))
-        if list(registry.accounts) != ids:
+        if type(entries) is not list \
+                or set(map(type, entries)) - {list} \
+                or set(map(len, entries)) - {len(BLOCK_KINDS)}:
+            raise ValueError("an account entry is the list of its blocks")
+        names = list(map(_account_id, range(1, len(entries) + 1)))
+        if ids != names:
             raise ValueError("registering the entries gives other account ids")
+        registry = cls()
+        if not entries:
+            return registry
+        ((_, _, personal_complete),
+         (has_business, business, business_complete),
+         (has_evidence, _, evidence_complete)) = map(
+            _block_columns, BLOCK_KINDS, zip(*entries))
+        if any(map(gt, has_evidence, has_business)):     # True > False
+            raise ValueError("evidence block requires a business block")
+        if not all(personal_complete):
+            raise IncompleteCredentials(
+                "a personal-details block is missing or incomplete")
+        registry._by_national_id = _identity_index(
+            business["national_id"], names, "national id")
+        registry._by_bank_or_card = _identity_index(
+            business["bank_or_card"], names, "bank/card")
+        tiers = map(_TIER_BY_COMPLETE.__getitem__,
+                    zip(business_complete, evidence_complete))
+        accounts = registry.accounts
+        for account_id, tier, entry in zip(names, tiers, entries):
+            account = accounts[account_id] = object.__new__(Account)
+            account.__dict__ = {"account_id": account_id, "tier": tier,
+                                "_blocks": entry}
         return registry
 
     def register(self, credentials: CredentialSet) -> Account:
@@ -294,7 +402,7 @@ class Registry:
             raise DuplicateIdentity(
                 f"bank/card already registered to {self._by_bank_or_card[bank]}")
         account = Account(
-            account_id=f"A{len(self.accounts) + 1:06d}",
+            account_id=_account_id(len(self.accounts) + 1),
             credentials=credentials,
             tier=tier,
         )

@@ -2,6 +2,7 @@
 checkpoint that is stale or damaged is ignored without a trace in the
 output."""
 
+import copy
 import hashlib
 import io
 import json
@@ -233,6 +234,20 @@ def set_block(index, edit):
     return change
 
 
+def same_national_id(data):
+    # the second account's national id, written as the first's in other
+    # case, which `normalize_identity` reads as the same
+    first, second = data["accounts"]["credentials"][:2]
+    second[1][0] = first[1][0].upper()
+
+
+def orphan_evidence(data):
+    # the ledger's accounts are medium: the second gets an evidence block
+    # that would make it high, in place of its business block
+    data["accounts"]["credentials"][1][1:] = [None, ["ref", "scan", "cert",
+                                                     True]]
+
+
 DAMAGES = {
     "log overwritten by a shorter copy":
         lambda log, early: shutil.copyfile(early, log),
@@ -267,6 +282,13 @@ DAMAGES = {
         set_block(1, lambda block: ["", block[1], 5, block[3]])),
     "credential declaration not a bool": edit_checkpoint(
         set_block(2, lambda block: ["ref", "scan", "cert", "no"])),
+    "two national ids that normalize alike": edit_checkpoint(
+        same_national_id),
+    "evidence block with a null business block": edit_checkpoint(
+        orphan_evidence),
+    "null personal block": edit_checkpoint(set_block(0, lambda block: None)),
+    "blank personal field": edit_checkpoint(
+        set_block(0, lambda block: [block[0], " ", *block[2:]])),
     "credential field names differ": edit_checkpoint(
         lambda data: data["accounts"]["fields"][0].reverse()),
     "repeated rating key": edit_checkpoint(repeated_key),
@@ -455,6 +477,30 @@ def test_an_opinion_builds_only_the_sellers_ratings(tmp_path):
     eventlog._save_checkpoint(again, state, scan, prefix)
     assert again.read_bytes() == saved
     same_state(state, full)
+
+
+def test_a_restore_builds_credentials_only_when_read(tmp_path):
+    log = grown_ledger(tmp_path / "market.jsonl", 300)
+    saved = checkpoint_of(log.path).read_bytes()        # by a full replay
+    full = replay(log.path)
+    built = []
+    post_init = CredentialSet.__post_init__
+    with mock.patch.object(CredentialSet, "__post_init__",
+                           lambda self: built.append(self) or post_init(self)):
+        state = log.read_state()
+        with open(log.path, "rb") as handle:        # what read_state restores
+            again, scan, prefix = eventlog._replay(handle,
+                                                   checkpoint_of(log.path))
+        assert run(*opinion_args(log.path, "A000002"))[0] == 0
+        assert run(*rate_args(log.path, "A000003", "A000001", 1))[0] == 0
+    assert built == []
+    same_state(copy.deepcopy(state), full)
+    assert {account_id: account.credentials
+            for account_id, account in state.registry.accounts.items()} \
+        == {account_id: account.credentials
+            for account_id, account in full.registry.accounts.items()}
+    eventlog._save_checkpoint(tmp_path / "again.ckpt", again, scan, prefix)
+    assert (tmp_path / "again.ckpt").read_bytes() == saved
 
 
 def test_a_command_mix_replays_a_bounded_tail(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import credentials_for
+from conftest import credentials_for, evidence_block
 from trustmarket import eventlog
 from trustmarket.cli import main
 from trustmarket.errors import CorruptLog, UnknownAccount
@@ -356,12 +356,17 @@ def test_describe_flattens_keys(tmp_path):
 @pytest.mark.parametrize("payload", [
     {},                                        # no credentials at all
     {"credentials": {"personal": "nope"}},     # wrong shape
+    {"credentials": {**credentials_for("typo", "medium").to_dict(),
+                     "evidense": vars(evidence_block("typo"))}},  # misspelt
+    {"credentials": []},                       # not an object
 ])
 def test_malformed_register_payload(tmp_path, payload):
     state = MarketState()
     record = EventRecord(seq=1, kind=KIND_REGISTER, at=1, payload=payload)
-    with pytest.raises(CorruptLog):
+    with pytest.raises(CorruptLog) as caught:
         apply_event(record, state, line_no=4)
+    assert caught.value.line_no == 4
+    assert len(state.registry) == 0
 
 
 def test_malformed_rating_payload():

@@ -1,15 +1,16 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from trustmarket.errors import (DuplicateIdentity, IncompleteCredentials,
                                 TrustMarketError, UnknownAccount)
-from trustmarket.identity import (DEFAULT_POLICY, BusinessDetails,
-                                  CredentialSet, EvidenceDetails,
-                                  PersonalDetails, PolicyConfig, ProfileTier,
-                                  Registry, classify_profile, initial_trust,
+from trustmarket.identity import (BLOCK_KINDS, DEFAULT_POLICY,
+                                  BusinessDetails, CredentialSet,
+                                  EvidenceDetails, PersonalDetails,
+                                  PolicyConfig, ProfileTier, Registry, _block,
+                                  classify_profile, initial_trust,
                                   normalize_identity)
 
 from conftest import (business_block, credentials_for, evidence_block,
@@ -239,19 +240,74 @@ credential_sets = st.builds(
     st.none() | blocks(EvidenceDetails))
 
 
-@given(st.lists(credential_sets, max_size=12))
-def test_restore_rebuilds_what_register_built(requests):
+# Entries that `register` may refuse: each a well-formed entry with one
+# edit, which nulls a block, makes it a field short or long, or sets a
+# field to a value of another type, a blank, or an identity string that
+# collides with another once normalized.
+hostile_values = st.sampled_from(["", " ", "NID-1", "nid 1", 5, None, True])
+
+
+def hostile_entry(tag, tier, index, edit, field, value):
+    entry = credentials_for(tag, tier).blocks()
+    block = entry[index]
+    if edit == "null" or block is None:
+        entry[index] = None
+    elif edit == "short":
+        block.pop()
+    elif edit == "long":
+        block.append(value)
+    else:
+        block[field % len(block)] = value
+    return entry
+
+
+hostile_entries = st.builds(
+    hostile_entry, st.sampled_from("ab"),
+    st.sampled_from(["low", "medium", "high"]), st.integers(0, 2),
+    st.sampled_from(["null", "short", "long", "field", "field"]),
+    st.integers(0, 4), hostile_values)
+
+
+def register_one_by_one(entries):
+    """The reference for `Registry.restore`: each entry through
+    `register`, in order, raising at the first it refuses."""
+    registry = Registry()
+    for entry in entries:
+        registry.register(CredentialSet(*map(_block, BLOCK_KINDS, entry)))
+    return registry
+
+
+@given(st.lists(credential_sets, max_size=12),
+       st.lists(st.tuples(st.integers(0, 12), hostile_entries), max_size=3),
+       st.booleans())
+# a blank business phone under a complete evidence block: tier low
+@example([], [(0, hostile_entry("a", "high", 1, "field", 2, " "))], False)
+# two national ids that normalize alike
+@example([], [(0, hostile_entry("a", "medium", 1, "field", 0, "NID-1")),
+              (1, hostile_entry("b", "medium", 1, "field", 0, "nid 1"))],
+         False)
+def test_restore_rebuilds_what_register_built(requests, hostile, reverse):
     registry = Registry()
     for credentials in requests:
         try:
             registry.register(credentials)
         except TrustMarketError:
             pass
-    ids = list(registry.accounts)
-    entries = json.loads(json.dumps([account.credentials.blocks()
-                                     for account in registry.accounts.values()]))
-    restored = Registry.restore(ids, entries)
-    assert vars(restored) == vars(registry)     # ids, tiers, credentials, index
-    if len(ids) > 1:
-        with pytest.raises(ValueError):
-            Registry.restore(ids[::-1], entries)
+    entries = [account.credentials.blocks()
+               for account in registry.accounts.values()]
+    for at, entry in hostile:
+        entries.insert(at, entry)
+    entries = json.loads(json.dumps(entries))
+    ids = [f"A{number:06d}" for number in range(1, len(entries) + 1)]
+    if reverse:
+        ids.reverse()
+    try:
+        reference = register_one_by_one(entries)
+    except (TrustMarketError, TypeError, ValueError):
+        reference = None
+    if reference is None or list(reference.accounts) != ids:
+        with pytest.raises((TrustMarketError, TypeError, ValueError)):
+            Registry.restore(ids, entries)
+    else:
+        restored = Registry.restore(ids, entries)
+        assert vars(restored) == vars(reference)  # ids, tiers, credentials, index

@@ -2,7 +2,8 @@
 exported.
 
 A stdlib `ast` check over `src/trustmarket/*.py` (the package's
-`__init__.py`, which imports to re-export, is left out) and `tests/*.py`.
+`__init__.py`, which imports to re-export, is left out), `tests/*.py` and
+`perfbench/*.py`, which it only reads.
 An imported name passes when the module references it or lists it in
 `__all__`; an import statement with a `# noqa` comment on any of its
 lines is skipped.  Every name in a module's `__all__`, the package's
@@ -15,10 +16,12 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "trustmarket"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "trustmarket"
 MODULES = sorted(path for path in PACKAGE.glob("*.py")
                  if path.name != "__init__.py")
-TEST_MODULES = sorted(Path(__file__).resolve().parent.glob("*.py"))
+TEST_MODULES = sorted((ROOT / "tests").glob("*.py"))
+BENCH_MODULES = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -45,7 +48,7 @@ def unused_imports(source: str) -> list:
     return [(line, name) for line, name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES + BENCH_MODULES,
                          ids=lambda path: path.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
