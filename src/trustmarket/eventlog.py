@@ -25,26 +25,33 @@ A writing command also keeps a checkpoint beside the log, `<log>.ckpt`:
 one JSON object holding the state that the replay of the log's first
 `offset` bytes (`lines` complete lines) produced, with the sha256 of
 those bytes, `last_seq`, the store revision and the rejections.  Its
-layout (version 2) is built for a restore without a Python loop per
-rating or a dict per account: `ratings` holds six lists of one length,
-keyed by the field names of `Rating`, whose i-th items make the i-th
-latest rating in `at` order; `accounts` holds the account ids in
-registration order, one [personal, business, evidence] entry per
-account, each block the list of its field values or null, and those
-blocks' field names once, under `fields`.  Keys it does not read are
-ignored.  `locked()` and `EventLog.read_state()` hash the log's prefix, a
-chunk at a time, and, when the hash and every field check out, rebuild
-that state and replay only the lines past `offset`.  The accounts go
-back through `Registry.restore`, which checks them under every rule of
-`register` with one pass per column, and refuses the checkpoint unless
-they are numbered as registering them would number them; the ratings
-through `RatingStore.restore`, which checks them under the same rules
-as `Rating` and `record` with one pass per column and refuses a key that
+layout (version 3) is built for a restore without a Python loop per
+rating or a dict per account.  `ratings` holds the latest ratings as the
+store holds them, bucket by bucket, a bucket being one (ratee, scope)
+pair: the lists `ratee`, `scope` and `count` have one item per bucket,
+and `rater`, `value`, `cost` and `at` one per rating, bucket i owning the
+next `count[i]` ratings.  Its order is canonical (ratees in the order
+the store first received them, each one's scopes sorted, each bucket's
+raters sorted), so a state saved, restored and saved again gives the
+same bytes, whatever order its commands built its buckets in.
+`accounts` holds the account ids in registration order, one [personal,
+business, evidence] entry per account, each block the list of its field
+values or null, and those blocks' field names once, under `fields`.
+Keys it does not read are ignored.  `locked()` and
+`EventLog.read_state()` hash the log's prefix, a chunk at a time, and,
+when the hash and every field check out, rebuild that state and replay
+only the lines past `offset`.  The accounts go back through
+`Registry.restore`, which checks them under every rule of `register`
+with one pass per column, and refuses the checkpoint unless they are
+numbered as registering them would number them; the ratings through
+`RatingStore.restore`, which checks them under the same rules as
+`Rating` and `record` with one pass per column and refuses a key that
 appears twice.  Each account's tier and each ratee's totals are set at
-once, but an account's `CredentialSet` and a ratee's `Rating` objects
-are built when a read or write first needs them, so an `opinion` builds
-no credentials and only the seller's ratings; saving a checkpoint builds
-them all.
+once, but an account's `CredentialSet` is built when a read or write
+first needs it, and a bucket's `Rating` objects when a read or write
+first touches that bucket; so an `opinion` builds no credentials and
+only the seller's buckets, and each rating line of the replayed tail
+builds only its own bucket.  Saving a checkpoint builds them all.
 `locked()` saves a new checkpoint only when no valid one was restored
 or the tail it replayed has grown long enough that saving costs less
 than replaying it again, which at a couple of thousand live ratings is
@@ -63,13 +70,12 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CorruptLog, TrustMarketError
 from .identity import BLOCK_FIELDS, CredentialSet, Registry
-from .ratings import RATING_FIELDS, Rating, RatingStore
+from .ratings import Rating, RatingStore
 
 KIND_REGISTER = "register"
 KIND_RATING = "rating"
@@ -387,7 +393,7 @@ def _replay(handle, checkpoint=None):
 # checkpoint
 # ------------------------------------------------------------------
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 # 2*s/c, save cost per live item over replay cost per line; see locked().
 # At most 1, so that a full replay always reaches the interval.
@@ -420,11 +426,13 @@ def _save_interval(items: int) -> float:
 def _save_checkpoint(path, state, scan, prefix):
     """Write the state replayed from the log's first `scan.end` bytes.
 
-    Goes through a temporary file and a rename, so a reader sees the old
-    checkpoint or the new one; no fsync, since a lost checkpoint only
-    costs a full replay.  Failing to write it is not an error.
+    The ratings are the store's own columns, `RatingStore.columns`,
+    bucket by bucket in the canonical order of the module docstring, so
+    the save sorts nothing by `at`.  Goes through a temporary file and a
+    rename, so a reader sees the old checkpoint or the new one; no
+    fsync, since a lost checkpoint only costs a full replay.  Failing to
+    write it is not an error.
     """
-    ratings = sorted(state.store.snapshot().values(), key=lambda r: r.at)
     accounts = state.registry.accounts
     data = {
         "version": CHECKPOINT_VERSION, "offset": scan.end,
@@ -435,8 +443,7 @@ def _save_checkpoint(path, state, scan, prefix):
             "fields": BLOCK_FIELDS, "ids": list(accounts),
             "credentials": [account.credentials.blocks()
                             for account in accounts.values()]},
-        "ratings": {name: list(map(attrgetter(name), ratings))
-                    for name in RATING_FIELDS},
+        "ratings": state.store.columns(),
     }
     temporary = path.with_name(path.name + ".tmp")
     try:
@@ -458,17 +465,18 @@ def _restore(handle, path):
 
     Valid means: it parses, has this version (one of another version,
     such as a version 1 file with a dict per account and a list per
-    rating, is ignored like a damaged one), its sha256 is that of the
-    log's first `offset` bytes, its block field names are those of the
-    credential dataclasses, so that a later change of fields cannot
-    shift values into other fields, its accounts pass every check of
-    `register`, run once per column by `Registry.restore`, with the ids
-    that registering them would give, and its rating columns pass every
-    check of `Rating` and `RatingStore.record`, run once per column by
+    rating, or a version 2 file with its ratings in `at` order, is
+    ignored like a damaged one), its sha256 is that of the log's first
+    `offset` bytes, its block field names are those of the credential
+    dataclasses, so that a later change of fields cannot shift values
+    into other fields, its accounts pass every check of `register`, run
+    once per column by `Registry.restore`, with the ids that registering
+    them would give, and its bucket and rating columns pass every check
+    of `Rating` and `RatingStore.record`, run once per column by
     `RatingStore.restore`, with no key twice.  Those checks all run
     here; only the building of each account's `CredentialSet` and of
-    each ratee's `Rating` objects waits for the first read of that
-    account or ratee, and a save builds them all.
+    each bucket's `Rating` objects waits for the first read or write of
+    that account or bucket, and a save builds them all.
     """
     try:
         with open(path, "rb") as source:

@@ -8,11 +8,10 @@ scratch in the car category.
 
 import sys
 from dataclasses import dataclass, fields
-from operator import eq, itemgetter
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import eq, ge
 
 from .errors import SelfRating, StaleTimestamp, UnknownAccount
-
-_VALUE = itemgetter(3)
 
 # A rating's value: positive, neutral or negative.
 RATING_VALUES = (1, 0, -1)
@@ -74,10 +73,11 @@ class Rating:
 _set_rater, _set_ratee, _set_scope, _set_value, _set_cost, _set_at = (
     Rating.__dict__[spec.name].__set__ for spec in fields(Rating))
 
-# The names of a rating's fields, in order: the keys of the columns that
-# `RatingStore.restore` reads.
-RATING_FIELDS = tuple(spec.name for spec in fields(Rating))
-_FIELD_SET = frozenset(RATING_FIELDS)
+# The keys of the columns that `RatingStore.restore` reads and
+# `RatingStore.columns` writes: three with one item per bucket, a (ratee,
+# scope) pair, then four with one item per rating.
+_COLUMNS = ("ratee", "scope", "count", "rater", "value", "cost", "at")
+_COLUMN_SET = frozenset(_COLUMNS)
 
 
 class _Received:
@@ -85,33 +85,46 @@ class _Received:
     sum and count of their values, so rater weights need no scan.
 
     `orders` holds {scope: the bucket's raters, sorted}, so that repeated
-    reads of a bucket do not sort it again.  It is None until the first
-    `latest_ratings_for`, which builds the scope's list.  A bucket never
-    loses a rater, so its list is stale exactly when it is shorter than
-    the bucket: when a new rater has entered the scope.  The next read
-    then sorts it again; a rating that only replaces an older one of the
-    same rater keeps it, and `record` itself never touches it.
+    reads of a bucket do not sort it again.  For a recorded ratee it is
+    None until the first `latest_ratings_for`, which fills the scope's
+    list; a restored ratee has it from `restore` on, and `build` fills a
+    bucket's list from the restored raters, which are sorted already.  A
+    bucket never loses a rater, so its list is stale exactly when it is
+    shorter than the bucket: when a new rater has entered the scope.  The
+    next read then sorts it again; a rating that only replaces an older
+    one of the same rater keeps it, and `record` itself never touches it.
 
-    A ratee restored from rows keeps them in `rows`, already checked, until
-    a reader first needs its ratings: the store's readers test `rows` and
-    call `build`.  The test is explicit because a `__getattr__` or property
-    here would slow every slot read of every ratee.
+    A ratee restored from columns keeps each bucket that no reader has
+    needed yet as a span, already checked: `rows` maps the bucket's scope
+    to the (start, end) of its ratings in `columns`, the restored (rater,
+    value, cost, at) lists that every restored ratee shares.  The store's
+    readers test `rows` and call `build` for the bucket they touch; `rows`
+    is None once no bucket is pending.  The test is explicit because a
+    `__getattr__` or property here would slow every slot read of every
+    ratee.
     """
 
-    __slots__ = ("scopes", "total", "count", "rows", "orders")
+    __slots__ = ("scopes", "total", "count", "rows", "columns", "orders")
 
     def __init__(self):
         self.scopes: dict[str, dict[str, Rating]] = {}
         self.total = 0
         self.count = 0
         self.rows = None
+        self.columns = None
         self.orders = None
 
-    def build(self) -> None:
-        """Turn `rows` into ratings and scope buckets, in row order, as
-        recording them one by one would have."""
-        scopes = self.scopes
-        for rater, ratee, scope, value, cost, at in self.rows:
+    def build(self, ratee: str, scope: str) -> None:
+        """Turn the pending bucket of `scope` into ratings, as recording
+        them in rater order would have."""
+        raters, values, costs, ats = self.columns
+        start, end = self.rows.pop(scope)
+        if not self.rows:
+            self.rows = self.columns = None
+        order = self.orders[scope] = raters[start:end]
+        bucket = self.scopes[scope] = {}
+        for rater, value, cost, at in zip(order, values[start:end],
+                                          costs[start:end], ats[start:end]):
             rating = object.__new__(Rating)
             _set_rater(rating, rater)
             _set_ratee(rating, ratee)
@@ -119,11 +132,12 @@ class _Received:
             _set_value(rating, value)
             _set_cost(rating, cost)
             _set_at(rating, at)
-            bucket = scopes.get(scope)
-            if bucket is None:
-                bucket = scopes[scope] = {}
             bucket[rater] = rating
-        self.rows = None
+
+    def build_all(self, ratee: str) -> None:
+        """Build every pending bucket, in restored order."""
+        while self.rows is not None:
+            self.build(ratee, next(iter(self.rows)))
 
 
 class RatingStore:
@@ -152,36 +166,50 @@ class RatingStore:
     @classmethod
     def restore(cls, columns, registry) -> "RatingStore":
         """The store that `record` builds through `registry` from the
-        ratings whose fields `columns` holds, when no two share a key.
+        ratings that `columns` holds bucket by bucket, when no two share a
+        key.
 
-        `columns` maps each name of `RATING_FIELDS` to a list, all of one
-        length, whose i-th items make the i-th rating; recording them one
-        by one, in order, gives this store.  Each check of `Rating` and
-        `record` runs as one pass over a column, with no Python loop per
-        rating: the columns are lists of one length under exactly those
-        keys, the values are the int +1, 0 or -1, the costs ints or floats
-        in [0, MAX_COST] (NaN is the one cost not equal to itself, and the
-        bounds are compared before any float conversion, so a huge int is
-        refused, never raised), the ats are ints, no rater is its ratee,
-        both parties are registered, and the scopes are non-blank strings,
-        normalised.  A column that breaks one raises ValueError, TypeError
-        or a TrustMarketError, as the per-rating path would; so do two
-        ratings on one key, which `record` would have taken as a
-        replacement.
+        `columns` maps each of seven keys to a list: `ratee`, `scope` and
+        `count` hold one item per bucket, `rater`, `value`, `cost` and `at`
+        one per rating, and bucket i owns the next `count[i]` ratings, its
+        raters in strictly increasing order; recording the ratings one by
+        one, in that order, gives this store.  `columns` writes this
+        layout.  Each check of `Rating` and `record`
+        runs as one pass over a column, with no Python loop per rating:
+        the columns are lists under exactly those keys, of one length per
+        bucket and one per rating, the counts ints of at least 1 that sum
+        to the number of ratings, the values the int +1, 0 or -1, the
+        costs ints or floats in [0, MAX_COST] (NaN is the one cost not
+        equal to itself, and the bounds are compared before any float
+        conversion, so a huge int is refused, never raised), the ats
+        ints, both parties registered, the scopes non-blank strings,
+        normalised, with no (ratee, scope) pair twice, no rater its
+        bucket's ratee, and the raters rising strictly inside each bucket,
+        so that no key appears twice.  A column that breaks one raises
+        ValueError, TypeError or a TrustMarketError, as the per-rating
+        path would; so do two ratings on one key, which `record` would
+        have taken as a replacement.
 
-        The ratings are grouped by ratee, in first-seen order.  Each
-        ratee's totals are summed at once, but its `Rating` objects are
-        built only when a read first needs them: `record`,
-        `latest_ratings_for`, `ratings_between` and `latest` build one
-        ratee, `snapshot` builds them all.
+        Each ratee's totals are summed at once, one slice of a running sum
+        per bucket, but its `Rating` objects are built a bucket at a time,
+        when a read first needs the bucket: `record`, `latest_ratings_for`
+        and `latest` build the bucket they touch, `ratings_between` all of
+        the ratee's, and `snapshot` and `columns` every one.
         """
-        if type(columns) is not dict or columns.keys() != _FIELD_SET:
-            raise ValueError(f"rating columns are keyed {RATING_FIELDS}")
-        columns = list(map(columns.__getitem__, RATING_FIELDS))
+        if type(columns) is not dict or columns.keys() != _COLUMN_SET:
+            raise ValueError(f"rating columns are keyed {_COLUMNS}")
+        columns = list(map(columns.__getitem__, _COLUMNS))
         if set(map(type, columns)) != {list} \
-                or len(set(map(len, columns))) != 1:
-            raise ValueError("rating columns are lists of one length")
-        raters, ratees, scopes, values, costs, ats = columns
+                or len(set(map(len, columns[:3]))) != 1 \
+                or len(set(map(len, columns[3:]))) != 1:
+            raise ValueError("rating columns are lists of one length per "
+                             "bucket and one per rating")
+        ratees, scopes, counts, raters, values, costs, ats = columns
+        if not (set(map(type, counts)) <= {int}
+                and min(counts, default=1) >= 1
+                and sum(counts) == len(raters)):
+            raise ValueError("bucket counts are ints of at least 1 that sum "
+                             "to the number of ratings")
         store = cls()
         if not raters:
             return store
@@ -194,30 +222,61 @@ class RatingStore:
             raise ValueError("costs must lie in [0, inf)")
         if set(map(type, ats)) != {int}:
             raise ValueError("rating ats must be ints")
-        if any(map(eq, raters, ratees)):
-            raise SelfRating("a rating names its rater as its ratee")
         unknown = (set(raters) | set(ratees)) - registry.accounts.keys()
         if unknown:
             raise UnknownAccount(f"no account {unknown.pop()!r}")
         normalized = {scope: normalize_scope(scope) for scope in set(scopes)}
         scopes = list(map(normalized.__getitem__, scopes))
-        if len(set(zip(raters, ratees, scopes))) != len(raters):
-            seen = set()
-            for key in zip(raters, ratees, scopes):
-                if key in seen:
-                    raise ValueError(f"two ratings for key {key}")
-                seen.add(key)
-        by_ratee = {ratee: [] for ratee in dict.fromkeys(ratees)}
-        # list.append returns None, so any() runs the appends to the end
-        any(map(list.append, map(by_ratee.__getitem__, ratees),
-                zip(raters, ratees, scopes, values, costs, ats)))
-        for ratee, rows in by_ratee.items():
-            received = store.received[ratee] = _Received()
-            received.rows = rows
-            received.total = sum(map(_VALUE, rows))
-            received.count = len(rows)
+        if len(set(zip(ratees, scopes))) != len(ratees):
+            raise ValueError("two buckets share a ratee and scope")
+        if any(map(eq, raters, chain.from_iterable(map(repeat, ratees,
+                                                          counts)))):
+            raise SelfRating("a rating names its rater as its ratee")
+        ends = list(accumulate(counts))
+        # a rater not above the one before it may only start a bucket
+        if not set(compress(range(1, len(raters)),
+                            map(ge, raters, islice(raters, 1, None)))
+                   ).issubset(ends):
+            raise ValueError("raters must rise strictly inside a bucket")
+        sums = list(accumulate(values, initial=0))
+        shared = raters, values, costs, ats
+        received_of = store.received
+        start = 0
+        for ratee, scope, end in zip(ratees, scopes, ends):
+            received = received_of.get(ratee)
+            if received is None:
+                received = received_of[ratee] = _Received()
+                received.rows, received.columns = {}, shared
+                received.orders = {}
+            received.rows[scope] = start, end
+            received.total += sums[end] - sums[start]
+            received.count += end - start
+            start = end
         store._size = store.revision = len(raters)
         return store
+
+    def columns(self) -> dict:
+        """The columns that `restore` reads back into this store, in one
+        canonical order: ratees in `received` order, each one's scopes
+        sorted, each bucket's raters sorted.  So a store restored from
+        them gives them again, whatever order its reads and writes built
+        its buckets in.  Builds every pending bucket."""
+        ratees, scopes, counts, ratings = [], [], [], []
+        for ratee, received in self.received.items():
+            if received.rows is not None:
+                received.build_all(ratee)
+            buckets = received.scopes
+            for scope in sorted(buckets):
+                bucket = buckets[scope]
+                ratees.append(ratee)
+                scopes.append(scope)
+                counts.append(len(bucket))
+                ratings.extend(map(bucket.__getitem__, sorted(bucket)))
+        return {"ratee": ratees, "scope": scopes, "count": counts,
+                "rater": [rating.rater for rating in ratings],
+                "value": [rating.value for rating in ratings],
+                "cost": [rating.cost for rating in ratings],
+                "at": [rating.at for rating in ratings]}
 
     def record(self, rating: Rating, registry=None) -> None:
         """Insert or replace the latest rating for the rating's key.
@@ -235,8 +294,8 @@ class RatingStore:
         received = self.received.get(rating.ratee)
         if received is None:
             received = self.received[rating.ratee] = _Received()
-        elif received.rows is not None:
-            received.build()
+        elif received.rows is not None and rating.scope in received.rows:
+            received.build(rating.ratee, rating.scope)
         bucket = received.scopes.setdefault(rating.scope, {})
         prior = bucket.get(rating.rater)
         if prior is None:
@@ -257,13 +316,14 @@ class RatingStore:
         so iteration order is deterministic.
 
         The scope's sorted raters are kept in the ratee's `orders` from the
-        first read until a new rater enters the scope."""
+        first read, or from the restored bucket's build, until a new rater
+        enters the scope."""
         received = self.received.get(ratee)
         if received is None:
             return []
-        if received.rows is not None:
-            received.build()
         scope = normalize_scope(scope)
+        if received.rows is not None and scope in received.rows:
+            received.build(ratee, scope)
         bucket = received.scopes.get(scope)
         if bucket is None:
             return []
@@ -281,7 +341,7 @@ class RatingStore:
         if received is None:
             return []
         if received.rows is not None:
-            received.build()
+            received.build_all(ratee)
         scopes = received.scopes
         return [scopes[scope][rater] for scope in sorted(scopes)
                 if rater in scopes[scope]]
@@ -291,21 +351,22 @@ class RatingStore:
         received = self.received.get(ratee)
         if received is None:
             return None
-        if received.rows is not None:
-            received.build()
-        bucket = received.scopes.get(normalize_scope(scope))
+        scope = normalize_scope(scope)
+        if received.rows is not None and scope in received.rows:
+            received.build(ratee, scope)
+        bucket = received.scopes.get(scope)
         return None if bucket is None else bucket.get(rater)
 
     def snapshot(self) -> dict:
         """Copy of the key -> rating map, for comparison and replay checks."""
-        for received in self.received.values():
+        for ratee, received in self.received.items():
             if received.rows is not None:
-                received.build()
+                received.build_all(ratee)
         return {(rater, ratee, scope): rating
                 for ratee, received in self.received.items()
                 for scope, bucket in received.scopes.items()
                 for rater, rating in bucket.items()}
 
 
-__all__ = ["MAX_COST", "RATING_FIELDS", "RATING_VALUES", "Rating",
-           "RatingStore", "normalize_scope"]
+__all__ = ["MAX_COST", "RATING_VALUES", "Rating", "RatingStore",
+           "normalize_scope"]

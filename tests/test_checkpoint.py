@@ -25,7 +25,6 @@ from trustmarket.engine import ListingContext, compute_opinion
 from trustmarket.eventlog import (KIND_RATING, KIND_REGISTER, EventLog,
                                   EventRecord, replay)
 from trustmarket.identity import CredentialSet, PersonalDetails
-from trustmarket.ratings import RATING_FIELDS
 
 
 def run(*argv):
@@ -204,26 +203,49 @@ def edit_one_byte(log, early):
     log.write_bytes(data[:at] + b"0" + data[at + 1:])
 
 
+# The ledger's checkpoint holds two buckets: A000001 rated in laptops by
+# A000002, A000003 and A000004, and A000002 rated in laptops by A000001.
+
 def set_rating_field(name, value):
-    # the last rating, which a min() or max() over a column with a NaN
-    # before it would not see
+    # the last rating, or the last bucket, which a min() or max() over a
+    # column with a NaN before it would not see
     def change(data):
         data["ratings"][name][-1] = value
     return change
 
 
-def self_rating(data):
-    data["ratings"]["rater"][0] = data["ratings"]["ratee"][0]
+def self_rating(bucket):
+    # the bucket's first rater made its ratee, which keeps its raters rising
+    def change(data):
+        columns = data["ratings"]
+        start = sum(columns["count"][:bucket])
+        columns["rater"][start] = columns["ratee"][bucket]
+    return change
 
 
-def repeated_key(data):
-    # a later rating on the first one's key, which replaying the rows
-    # one by one would have taken as a replacement
-    columns = data["ratings"]
-    for name, value in zip(RATING_FIELDS, [*(columns[name][0] for name in
-                                              ("rater", "ratee", "scope")),
-                                           -1, 5, 99]):
-        columns[name].append(value)
+def add_bucket(ratee, scope, *ratings):
+    # a bucket of (rater, value, cost, at) ratings after the others
+    def change(data):
+        columns = data["ratings"]
+        columns["ratee"].append(ratee)
+        columns["scope"].append(scope)
+        columns["count"].append(len(ratings))
+        for rating in ratings:
+            for name, value in zip(("rater", "value", "cost", "at"), rating):
+                columns[name].append(value)
+    return change
+
+
+def repeated_rater(data):
+    # the first bucket's second rater made its first: A000002 twice
+    raters = data["ratings"]["rater"]
+    raters[1] = raters[0]
+
+
+def count_short_of_the_ratings(data):
+    # the first bucket one rating short, so that its last rating would
+    # fall to the second bucket's ratee
+    data["ratings"]["count"][0] -= 1
 
 
 def set_block(index, edit):
@@ -263,7 +285,7 @@ DAMAGES = {
     "rating cost NaN": edit_checkpoint(set_rating_field("cost", float("nan"))),
     "rating cost too large for a float": edit_checkpoint(
         set_rating_field("cost", 10**400)),
-    "self-rating": edit_checkpoint(self_rating),
+    "self-rating": edit_checkpoint(self_rating(0)),
     "rating from an unknown account": edit_checkpoint(
         set_rating_field("rater", "A000099")),
     "account id out of order": edit_checkpoint(
@@ -291,7 +313,10 @@ DAMAGES = {
         set_block(0, lambda block: [block[0], " ", *block[2:]])),
     "credential field names differ": edit_checkpoint(
         lambda data: data["accounts"]["fields"][0].reverse()),
-    "repeated rating key": edit_checkpoint(repeated_key),
+    # a later rating on the first one's key, which replaying the ratings
+    # one by one would have taken as a replacement
+    "repeated rating key": edit_checkpoint(
+        add_bucket("A000001", "laptops", ("A000002", -1, 5, 99))),
     "rating column one short": edit_checkpoint(
         lambda data: data["ratings"]["at"].pop()),
     "rating columns with a seventh key": edit_checkpoint(
@@ -307,6 +332,15 @@ DAMAGES = {
     "rating scope not a string": edit_checkpoint(set_rating_field("scope", 7)),
     "rating of an unknown account": edit_checkpoint(
         set_rating_field("ratee", "A000099")),
+    "bucket count of 0": edit_checkpoint(add_bucket("A000003", "garden")),
+    "bucket counts short of the ratings": edit_checkpoint(
+        count_short_of_the_ratings),
+    "two equal raters in one bucket": edit_checkpoint(repeated_rater),
+    "two buckets whose scopes normalize alike": edit_checkpoint(
+        add_bucket("A000001", " Laptops", ("A000005", 0, 5, 99))),
+    "self-rating in a later bucket": edit_checkpoint(self_rating(1)),
+    "first bucket's ratee an unknown account": edit_checkpoint(
+        lambda data: data["ratings"]["ratee"].__setitem__(0, "A000099")),
 }
 
 
@@ -479,6 +513,35 @@ def test_an_opinion_builds_only_the_sellers_ratings(tmp_path):
     same_state(state, full)
 
 
+def test_a_tail_rating_builds_only_its_own_bucket(tmp_path):
+    # A000001 is rated in books, then in laptops, each bucket's raters
+    # logged out of order, so a save that kept the order its buckets were
+    # built in would differ from a full replay's
+    log = EventLog(tmp_path / "market.jsonl")
+    for tag in ("seller", "b2", "b3", "b4"):
+        log.append(KIND_REGISTER,
+                   {"credentials": credentials_for(tag).to_dict()})
+    for scope in ("books", "laptops"):
+        for rater in ("A000003", "A000002"):
+            log.append(KIND_RATING, {"rater": rater, "ratee": "A000001",
+                                     "scope": scope, "value": 1, "cost": 5})
+    with log.locked():                           # a full replay saves
+        pass
+    assert run(*rate_args(log.path, "A000004", "A000001", -1))[0] == 0
+    with open(log.path, "rb") as handle:        # what read_state restores
+        state, scan, prefix = eventlog._replay(handle, checkpoint_of(log.path))
+        assert scan.lines - scan.start_line == 1     # the rate, in laptops
+        assert list(state.store.received["A000001"].rows) == ["books"]
+        handle.seek(scan.start)                     # as locked() saves it
+        eventlog._hash_next(prefix, handle, scan.end - scan.start)
+    eventlog._save_checkpoint(tmp_path / "again.ckpt", state, scan, prefix)
+    checkpoint_of(log.path).unlink()
+    with log.locked() as full:                   # a full replay saves
+        same_state(state, full)
+    assert (tmp_path / "again.ckpt").read_bytes() \
+        == checkpoint_of(log.path).read_bytes()
+
+
 def test_a_restore_builds_credentials_only_when_read(tmp_path):
     log = grown_ledger(tmp_path / "market.jsonl", 300)
     saved = checkpoint_of(log.path).read_bytes()        # by a full replay
@@ -564,7 +627,8 @@ def test_checkpoint_does_not_cover_a_torn_tail(ledger):
 
 
 # ------------------------------------------------------------------
-# logs that carry the old account role flags, and checkpoints of version 1
+# logs that carry the old account role flags, and checkpoints of versions 1
+# and 2
 # ------------------------------------------------------------------
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -611,9 +675,24 @@ def test_a_log_with_role_flags_replays_as_without_them(flagged, tmp_path):
 
 
 def test_a_v1_checkpoint_with_role_flags_is_replaced(flagged, tmp_path):
-    # a checkpoint of version 1 is ignored like a damaged one, and the
-    # first writing command saves one of version 2
     assert json.loads(checkpoint_of(flagged).read_text())["version"] == 1
+    assert_replaced_after_a_full_replay(flagged, tmp_path)
+
+
+def test_a_v2_checkpoint_is_replaced(flagged, tmp_path):
+    # written by the version 2 save over the same lines 1-6, so valid for
+    # the log in all but its version and its ratings in `at` order
+    shutil.copyfile(DATA / "role_flags.v2.ckpt.json", checkpoint_of(flagged))
+    data = json.loads(checkpoint_of(flagged).read_text())
+    assert data["version"] == 2 and data["lines"] == 6
+    assert hashlib.sha256(flagged.read_bytes()[:data["offset"]]).hexdigest() \
+        == data["sha256"]
+    assert_replaced_after_a_full_replay(flagged, tmp_path)
+
+
+def assert_replaced_after_a_full_replay(flagged, tmp_path):
+    # a checkpoint of an older version is ignored like a damaged one, and
+    # the first writing command saves one of this version
     bare = tmp_path / "bare" / "market.jsonl"
     bare.parent.mkdir()
     shutil.copyfile(flagged, bare)               # the same log, no checkpoint
@@ -632,7 +711,8 @@ def test_a_v1_checkpoint_with_role_flags_is_replaced(flagged, tmp_path):
     assert outputs[flagged] == outputs[bare]
     assert outputs[flagged][1][0] == 0
     assert checkpoint_of(flagged).read_bytes() == checkpoint_of(bare).read_bytes()
-    assert json.loads(checkpoint_of(flagged).read_text())["version"] == 2
+    assert json.loads(checkpoint_of(flagged).read_text())["version"] \
+        == eventlog.CHECKPOINT_VERSION
 
 
 def test_a_v1_checkpoint_over_a_deal_line_is_not_read(tmp_path):

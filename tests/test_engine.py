@@ -15,7 +15,7 @@ from trustmarket.engine import (ADVISORY_AVOID_DELIVERY, ADVISORY_NEW_IN_SCOPE,
 from trustmarket.errors import (SelfQuery, SelfRating, StaleTimestamp,
                                 UnknownAccount)
 from trustmarket.identity import PolicyConfig, ProfileTier, Registry
-from trustmarket.ratings import MAX_COST, RATING_FIELDS, Rating, RatingStore
+from trustmarket.ratings import MAX_COST, Rating, RatingStore
 
 from conftest import credentials_for, record, totals_of
 
@@ -523,10 +523,7 @@ def test_a_restored_store_weighs_raters_as_a_recorded_one(events, cut,
                                                             start=1):
         recorded.record(Rating(rater, ratee, scope, value, cost, at),
                         registry=ORACLE_REGISTRY)
-    latest = sorted(recorded.snapshot().values(), key=lambda r: r.at)
-    restored = RatingStore.restore(
-        {name: [getattr(r, name) for r in latest] for name in RATING_FIELDS},
-        ORACLE_REGISTRY)
+    restored = RatingStore.restore(recorded.columns(), ORACLE_REGISTRY)
     assert all(received.rows is not None
                for received in restored.received.values())
     assert_reads_agree(restored, recorded, config)

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from trustmarket.errors import (SelfRating, StaleTimestamp, TrustMarketError,
                                 UnknownAccount)
 from trustmarket.identity import Registry
-from trustmarket.ratings import (RATING_FIELDS, RATING_VALUES, Rating,
-                                 RatingStore, normalize_scope)
+from trustmarket.ratings import (RATING_VALUES, Rating, RatingStore,
+                                 normalize_scope)
 
 from conftest import credentials_for, record, totals_of
 
@@ -262,15 +262,52 @@ def damage(row, edit):
         row[edit[0]] = edit[1]
 
 
+def rater_order(row):
+    # raters in their own order, and a damaged rater that is no string
+    # after every string, by its repr
+    rater = row[0]
+    return (0, rater) if isinstance(rater, str) else (1, repr(rater))
+
+
+def bucket_key(row):
+    # a row's ratee and its scope, normalised where the scope allows it, so
+    # that "books" and "Books " share a bucket as `record` files them
+    try:
+        scope = normalize_scope(row[2])
+    except (TypeError, ValueError):
+        scope = row[2]
+    return repr(row[1]), repr(scope)
+
+
+def layout(rows):
+    """The rows in buckets: one per ratee and scope, in the order the rows
+    first name them, each bucket's rows in rater order."""
+    buckets = {}
+    for row in rows:
+        buckets.setdefault(bucket_key(row), []).append(row)
+    return [sorted(bucket, key=rater_order) for bucket in buckets.values()]
+
+
+def in_layout(rows):
+    return [row for bucket in layout(rows) for row in bucket]
+
+
 def columns_of(rows):
-    """The rows as the columns `RatingStore.restore` reads, keyed by
-    `RATING_FIELDS`: a short row leaves the columns of its missing fields
-    short, and a long row adds a seventh key."""
-    width = max(map(len, rows), default=len(RATING_FIELDS))
-    names = [*RATING_FIELDS, *(f"field {index}"
-                               for index in range(len(RATING_FIELDS), width))]
-    return {name: [row[index] for row in rows if index < len(row)]
-            for index, name in enumerate(names)}
+    """The rows as the columns `RatingStore.restore` reads, bucket by
+    bucket as `layout` files them, each bucket's ratee and scope those of
+    its first row.  A short row leaves the columns of its missing fields
+    short, and a long row adds an eighth key."""
+    buckets = layout(rows)
+    columns = {"ratee": [bucket[0][1] for bucket in buckets],
+               "scope": [bucket[0][2] for bucket in buckets],
+               "count": list(map(len, buckets))}
+    rows = in_layout(rows)
+    width = max(map(len, rows), default=6)
+    names = {0: "rater", 3: "value", 4: "cost", 5: "at"}
+    for index in (0, 3, 4, *range(5, width)):
+        columns[names.get(index, f"field {index}")] = [
+            row[index] for row in rows if index < len(row)]
+    return columns
 
 
 def record_each(rows, registry):
@@ -278,6 +315,10 @@ def record_each(rows, registry):
     for row in rows:
         store.record(Rating(*row), registry=registry)
     return store
+
+
+def key_of(row):
+    return row[0], row[1], normalize_scope(row[2])
 
 
 @settings(max_examples=300)
@@ -288,12 +329,19 @@ def record_each(rows, registry):
 @example(rows=[["A000001", "A000002", "books", 1, 0, 1],
                ["A000002", "A000001", "books", 1, 0, 2]],
          edits=[(1, (4, math.nan))])
+@example(rows=[["A000002", "A000001", "books", 1, 0, 1],
+               ["A000003", "A000002", "books", 1, 0, 2]],
+         edits=[(1, "self-rating")])
+@example(rows=[["A000003", "A000001", "books", 1, 0, 1],
+               ["A000002", "A000001", "Books ", -1, 5, 2],
+               ["A000002", "A000001", " BOOKS", 0, 5, 3]],
+         edits=[])
 def test_restore_matches_recording_each_row(rows, edits):
     for index, edit in edits:
         if rows:
             damage(rows[index % len(rows)], edit)
     try:
-        expected = record_each(rows, RESTORE_REGISTRY)
+        expected = record_each(in_layout(rows), RESTORE_REGISTRY)
     except RESTORE_ERRORS:
         expected = None
     try:
@@ -301,49 +349,109 @@ def test_restore_matches_recording_each_row(rows, edits):
     except RESTORE_ERRORS:
         # it refuses whatever recording refuses, and beyond that only rows
         # that repeat a key, which recording takes as replacements
-        assert expected is None or len(
-            {(row[0], row[1], normalize_scope(row[2])) for row in rows}) \
-            < len(rows)
+        assert expected is None or len(set(map(key_of, rows))) < len(rows)
         return
     assert expected is not None
     assert list(restored.snapshot().items()) \
         == list(expected.snapshot().items())
     assert len(restored) == len(expected) == restored.revision == len(rows)
     assert totals_of(restored) == totals_of(expected)
+    columns = expected.columns()                # in the canonical order
+    assert restored.columns() == columns
+    assert RatingStore.restore(columns, RESTORE_REGISTRY).columns() == columns
+
+
+def bucket_columns(**replaced):
+    """Columns of three ratings in two buckets, with the lists of
+    `replaced` in place of their columns."""
+    return {"ratee": ["A000001", "A000002"], "scope": ["books", "books"],
+            "count": [2, 1], "rater": ["A000002", "A000003", "A000001"],
+            "value": [1, -1, 0], "cost": [10, 2.5, 0], "at": [1, 2, 3],
+            **replaced}
+
+
+@pytest.mark.parametrize("columns, error, message", [
+    (bucket_columns(ratee=["A000001", "A000002", "A000003"],
+                    scope=["books", "books", "garden"], count=[2, 1, 0]),
+     ValueError, "bucket counts"),
+    (bucket_columns(count=[2, 2]), ValueError, "bucket counts"),
+    (bucket_columns(count=[1, 1]), ValueError, "bucket counts"),
+    (bucket_columns(rater=["A000002", "A000002", "A000001"]),
+     ValueError, "rise strictly"),
+    (bucket_columns(rater=["A000003", "A000002", "A000001"]),
+     ValueError, "rise strictly"),
+    (bucket_columns(ratee=["A000001", "A000001"], scope=["books", " Books"],
+                    rater=["A000002", "A000003", "A000004"]),
+     ValueError, "two buckets"),
+    (bucket_columns(rater=["A000002", "A000003", "A000002"]),
+     SelfRating, "its rater as its ratee"),
+    (bucket_columns(ratee=["A000099", "A000002"]),
+     UnknownAccount, "A000099"),
+    (bucket_columns(ratee=["A000001"]), ValueError, "one length per bucket"),
+], ids=["count of 0", "counts sum past the ratings",
+        "counts sum short of the ratings", "two equal raters in a bucket",
+        "raters out of order in a bucket", "two scopes that normalise alike",
+        "self-rating in a later bucket", "unknown ratee",
+        "bucket columns of two lengths"])
+def test_restore_refuses_a_bad_bucket(columns, error, message):
+    assert RatingStore.restore(bucket_columns(), RESTORE_REGISTRY).columns() \
+        == bucket_columns()
+    with pytest.raises(error, match=message):
+        RatingStore.restore(columns, RESTORE_REGISTRY)
 
 
 def test_restore_refuses_a_repeated_key():
     a, b = RESTORE_IDS[:2]
     rows = [[a, b, "books", 1, 10, 1], [a, b, " Books", -1, 10, 2]]
     assert totals_of(record_each(rows, RESTORE_REGISTRY)) == {b: (-1, 1)}
-    with pytest.raises(ValueError, match="two ratings for key"):
+    with pytest.raises(ValueError, match="rise strictly"):
         RatingStore.restore(columns_of(rows), RESTORE_REGISTRY)
 
 
 # ------------------------------------------------------------------
-# a restored ratee's ratings are built when a read first needs them
+# a restored bucket's ratings are built when a read or write first
+# touches it
 # ------------------------------------------------------------------
-
-def key_of(row):
-    return row[0], row[1], normalize_scope(row[2])
-
 
 # rows a checkpoint can hold: no key twice
 distinct_rows = st.lists(valid_row, max_size=12, unique_by=key_of)
 
 
 def unbuilt(store):
-    """The ratees, in store order, whose restored rows no read has turned
-    into ratings yet."""
-    return [ratee for ratee, received in store.received.items()
-            if received.rows is not None]
+    """The (ratee, scope) buckets, in store order, whose restored ratings
+    no read or write has built yet."""
+    return [(ratee, scope) for ratee, received in store.received.items()
+            if received.rows is not None for scope in received.rows]
+
+
+def buckets_of(rows):
+    """The (ratee, scope) buckets that restoring `columns_of(rows)` leaves
+    unbuilt, in store order: by ratee, each ratee's in layout order."""
+    buckets = [(bucket[0][1], normalize_scope(bucket[0][2]))
+               for bucket in layout(rows)]
+    ratees = [ratee for ratee, _ in buckets]
+    return sorted(buckets, key=lambda bucket: ratees.index(bucket[0]))
 
 
 def assert_same_store(store, expected):
-    assert list(store.snapshot().items()) \
-        == list(expected.snapshot().items())
+    # the same key -> rating map, and the same canonical columns; the
+    # order in which a store's lazily built buckets entered it is no part
+    # of what it holds
+    assert store.snapshot() == expected.snapshot()
+    assert store.columns() == expected.columns()
     assert (len(store), store.revision) == (len(expected), expected.revision)
     assert totals_of(store) == totals_of(expected)
+
+
+def assert_clones_equal(store, expected):
+    # a deep copy and a pickled copy hold the store's unbuilt buckets as
+    # it does, and build them into what recording holds
+    pending = unbuilt(store)
+    for clone in (copy.deepcopy(store), pickle.loads(pickle.dumps(store))):
+        assert unbuilt(clone) == pending
+        assert_same_store(clone, expected)
+        assert unbuilt(clone) == []
+    assert unbuilt(store) == pending            # the clones built their own
 
 
 def writes_on(row, rows, value):
@@ -361,60 +469,55 @@ def writes_on(row, rows, value):
             (Rating(rater, ratee, scope, value, cost, at), StaleTimestamp)]
 
 
+READS = ("latest_ratings_for", "ratings_between", "latest")
+
+
 @settings(max_examples=200)
 @given(rows=distinct_rows,
-       reads=st.lists(st.tuples(st.sampled_from(RESTORE_IDS),
-                                st.sampled_from(("latest_ratings_for",
-                                                 "ratings_between",
-                                                 "latest"))),
-                      unique_by=lambda read: read[0]),
+       reads=st.lists(st.tuples(st.sampled_from(READS),
+                                st.sampled_from(RESTORE_IDS),
+                                st.sampled_from(RESTORE_IDS),
+                                st.sampled_from(RESTORE_SCOPES)),
+                      max_size=8),
        pick=st.integers(0, 99), value=st.sampled_from(RATING_VALUES))
 def test_restored_store_reads_like_a_recorded_one(rows, reads, pick, value):
     restored = RatingStore.restore(columns_of(rows), RESTORE_REGISTRY)
-    expected = record_each(rows, RESTORE_REGISTRY)
-    ratees = list(dict.fromkeys(row[1] for row in rows))
-    assert unbuilt(restored) == ratees
+    expected = record_each(in_layout(rows), RESTORE_REGISTRY)
+    buckets = buckets_of(rows)
+    assert unbuilt(restored) == buckets
     assert totals_of(restored) == totals_of(expected)   # from the totals alone
-    assert unbuilt(restored) == ratees
+    assert unbuilt(restored) == buckets
+    assert_clones_equal(restored, expected)
 
-    for clone in (copy.deepcopy(restored),
-                  pickle.loads(pickle.dumps(restored))):
-        assert unbuilt(clone) == ratees
-        assert_same_store(clone, expected)
-        assert unbuilt(clone) == []
-    assert unbuilt(restored) == ratees          # the clones built their own
-
-    read = set()
-    for ratee, first in reads:               # each kind of read may build it
-        queries = {"latest_ratings_for": [(ratee, scope)
-                                          for scope in RESTORE_SCOPES],
-                   "ratings_between": [(rater, ratee)
-                                       for rater in RESTORE_IDS],
-                   "latest": [(rater, ratee, scope) for rater in RESTORE_IDS
-                              for scope in RESTORE_SCOPES]}
-        read.add(ratee)
-        for name in (first, *(kind for kind in queries if kind != first)):
-            for args in queries[name]:
-                assert getattr(restored, name)(*args) \
-                    == getattr(expected, name)(*args)
-                # a read builds its own ratee and no other
-                assert unbuilt(restored) == [other for other in ratees
-                                             if other not in read]
-    assert unbuilt(restored) == [ratee for ratee in ratees
-                                 if ratee not in dict(reads)]
+    built = set()
+    for name, rater, ratee, scope in reads:
+        args = {"latest_ratings_for": (ratee, scope),
+                "ratings_between": (rater, ratee),
+                "latest": (rater, ratee, scope)}[name]
+        assert getattr(restored, name)(*args) \
+            == getattr(expected, name)(*args)
+        # a read builds its own bucket and no other; ratings_between reads
+        # every bucket of its ratee
+        built.update(bucket for bucket in buckets if bucket[0] == ratee and (
+            name == "ratings_between" or bucket[1] == normalize_scope(scope)))
+        assert unbuilt(restored) == [bucket for bucket in buckets
+                                     if bucket not in built]
+    assert_clones_equal(restored, expected)
 
     if rows:
         for rating, refusal in writes_on(rows[pick % len(rows)], rows, value):
             store = RatingStore.restore(columns_of(rows), RESTORE_REGISTRY)
-            oracle = record_each(rows, RESTORE_REGISTRY)
-            assert rating.ratee in unbuilt(store)
-            if refusal is None:
-                store.record(rating, registry=RESTORE_REGISTRY)
-                oracle.record(rating, registry=RESTORE_REGISTRY)
-            else:
-                for target in (store, oracle):
+            oracle = record_each(in_layout(rows), RESTORE_REGISTRY)
+            for target in (store, oracle):
+                if refusal is None:
+                    target.record(rating, registry=RESTORE_REGISTRY)
+                else:
                     with pytest.raises(refusal):
                         target.record(rating, registry=RESTORE_REGISTRY)
+            # a write builds its own bucket and no other
+            assert unbuilt(store) == [bucket for bucket in buckets if bucket
+                                      != (rating.ratee, rating.scope)]
+            if refusal is not None:
                 assert_same_store(store, RatingStore.restore(
                     columns_of(rows), RESTORE_REGISTRY))
             assert_same_store(store, oracle)
@@ -433,7 +536,7 @@ def test_restored_scope_reads_a_rater_that_joins_it(rows, pick, value):
     joining = [rater for rater in RESTORE_IDS
                if rater != ratee and (rater, ratee, scope) not in keys]
     restored = RatingStore.restore(columns_of(rows), RESTORE_REGISTRY)
-    expected = record_each(rows, RESTORE_REGISTRY)
+    expected = record_each(in_layout(rows), RESTORE_REGISTRY)
 
     def scanned():
         return [rating for key, rating in sorted(expected.snapshot().items())
