@@ -248,11 +248,13 @@ class EventLog:
         On the ledger-cli bench ledger (2,000 events, 1,782 live ratings,
         120 accounts; Python 3.11 on a 2-core shared VM, the median of
         three sets of 11 runs of 21 calls) `_save_checkpoint` after a
-        restore, which builds every restored rating, took 8.2 ms, so
+        restore, which then built every restored rating, took 8.2 ms, so
         s = 4.3 us, and a full replay 21.5 ms, so c = 10.8 us: T* = 38.9
-        lines there.  These are the figures of the version 1 layout;
-        `_SAVE_RATIO` keeps them, since a new fit would change how often
-        a command saves.
+        lines there.  These are the figures of the version 1 layout; a
+        save now copies each unbuilt bucket as slices and builds no
+        rating, so `s` is lower.  `_SAVE_RATIO` keeps the old figures all
+        the same, since a new fit would change how often a command saves,
+        and so what the ledger-cli benchmark measures.
         The rule keeps `2*s/c` as a constant and counts lines; it times
         nothing.  A full replay, after a missing or bad checkpoint,
         always saves: each live item comes from a line of its own, and

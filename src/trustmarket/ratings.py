@@ -7,6 +7,7 @@ scratch in the car category.
 """
 
 import sys
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import eq, ge
@@ -193,8 +194,9 @@ class RatingStore:
         Each ratee's totals are summed at once, one slice of a running sum
         per bucket, but its `Rating` objects are built a bucket at a time,
         when a read first needs the bucket: `record`, `latest_ratings_for`
-        and `latest` build the bucket they touch, `ratings_between` all of
-        the ratee's, and `snapshot` and `columns` every one.
+        and `latest` build the bucket they touch, `ratings_between` each of
+        the ratee's that holds the rater, and `snapshot` every one;
+        `columns` builds none.
         """
         if type(columns) is not dict or columns.keys() != _COLUMN_SET:
             raise ValueError(f"rating columns are keyed {_COLUMNS}")
@@ -260,23 +262,32 @@ class RatingStore:
         canonical order: ratees in `received` order, each one's scopes
         sorted, each bucket's raters sorted.  So a store restored from
         them gives them again, whatever order its reads and writes built
-        its buckets in.  Builds every pending bucket."""
-        ratees, scopes, counts, ratings = [], [], [], []
+        its buckets in.  A pending bucket's span is checked and its raters
+        sorted already, so it is copied from the restored columns as
+        slices, and no bucket is built."""
+        ratees, scopes, counts = [], [], []
+        out = raters, values, costs, ats = [], [], [], []
         for ratee, received in self.received.items():
-            if received.rows is not None:
-                received.build_all(ratee)
-            buckets = received.scopes
-            for scope in sorted(buckets):
-                bucket = buckets[scope]
+            buckets, pending = received.scopes, received.rows or {}
+            for scope in sorted((*buckets, *pending)):
                 ratees.append(ratee)
                 scopes.append(scope)
+                span = pending.get(scope)
+                if span is not None:
+                    start, end = span
+                    counts.append(end - start)
+                    for column, restored in zip(out, received.columns):
+                        column += restored[start:end]
+                    continue
+                bucket = buckets[scope]
                 counts.append(len(bucket))
-                ratings.extend(map(bucket.__getitem__, sorted(bucket)))
+                for rating in map(bucket.__getitem__, sorted(bucket)):
+                    raters.append(rating.rater)
+                    values.append(rating.value)
+                    costs.append(rating.cost)
+                    ats.append(rating.at)
         return {"ratee": ratees, "scope": scopes, "count": counts,
-                "rater": [rating.rater for rating in ratings],
-                "value": [rating.value for rating in ratings],
-                "cost": [rating.cost for rating in ratings],
-                "at": [rating.at for rating in ratings]}
+                "rater": raters, "value": values, "cost": costs, "at": ats}
 
     def record(self, rating: Rating, registry=None) -> None:
         """Insert or replace the latest rating for the rating's key.
@@ -336,12 +347,19 @@ class RatingStore:
         return list(map(bucket.__getitem__, order))
 
     def ratings_between(self, rater: str, ratee: str) -> list:
-        """The rater's latest rating of the ratee in each scope, by scope."""
+        """The rater's latest rating of the ratee in each scope, by scope.
+
+        Of a restored ratee's pending buckets it builds only those that
+        hold the rater, found by bisecting each span's sorted raters."""
         received = self.received.get(ratee)
         if received is None:
             return []
         if received.rows is not None:
-            received.build_all(ratee)
+            raters = received.columns[0]
+            for scope, (start, end) in list(received.rows.items()):
+                index = bisect_left(raters, rater, start, end)
+                if index < end and raters[index] == rater:
+                    received.build(ratee, scope)
         scopes = received.scopes
         return [scopes[scope][rater] for scope in sorted(scopes)
                 if rater in scopes[scope]]

@@ -12,7 +12,9 @@ round, agent), so the same scenario under a different variant sees the
 same random stream wherever the same question is asked.  A comparison
 computes each such shared draw once: its worlds share one dict of draws,
 which lives as long as the comparison and holds each round's buyers in
-arrival order as one entry.  Prices are integers, so money sums are exact.
+arrival order as one entry.  A single run drops a round's draws after the
+round, since no later key names it.  Prices are integers, so money sums
+are exact.
 
 Every state change a run makes, each registration attempt and both
 ratings of each deal, is an `eventlog.EventRecord`, numbered from the
@@ -24,8 +26,10 @@ as a replay would.
 
 A world keeps each fact once: a rating's `at` is the store's revision
 plus one, a seller's current account is `accounts[name]`, and a report
-derives its deal count and spend from the rounds and revenues.  A
-`Scenario` and each roster entry check themselves as they are built.
+derives its deal count and spend from the rounds and revenues.  It builds
+each constant once: a roster entry's credentials, which every blocked
+retry reuses, and each scenario scope's normalised form.  A `Scenario`
+and each roster entry check themselves as they are built.
 
 A world also keeps the engine's view of each (seller account, normalised
 scope) for the whole run, from its first read until a deal changes what
@@ -37,10 +41,11 @@ own feedback.
 import hashlib
 import json
 import statistics
+import struct
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-from .engine import (ADVISORY_AVOID_DELIVERY, DEFAULT_ENGINE, EngineConfig,
-                     avoids_delivery, rater_weight, scope_view)
+from .engine import (DEFAULT_ENGINE, EngineConfig, avoids_delivery,
+                     rater_weight, scope_view)
 # Unused here; perfbench's test_traced_run_restores_every_original still
 # reads them as attributes of this module.
 from .engine import compute_opinion, weighted_reputation  # noqa: F401
@@ -69,18 +74,25 @@ TIER_LABELS = tuple(tier.label for tier in ProfileTier)
 # deterministic randomness
 # ------------------------------------------------------------------
 
+_FIRST_WORD = struct.Struct(">Q").unpack_from
+
+
 def unit_draw(seed: int, *key) -> float:
     """Uniform draw in [0, 1) from a hashed (seed, key) counter.
 
     Independent of call order, which is what makes the random numbers
     common across variants.  Each part escapes its backslashes and
     colons before the parts are joined by a colon, so no two keys join to
-    one material; a part holding neither keeps its bytes.
+    one material; a part holding neither keeps its bytes, so only a plain
+    join with a backslash, or more colons than separators, is redone.  The
+    draw is the digest's first 8 bytes read big-endian, on any host.
     """
-    material = ":".join(str(part).replace("\\", "\\\\").replace(":", "\\:")
-                        for part in (seed, *key))
+    material = ":".join(map(str, (seed, *key)))
+    if "\\" in material or material.count(":") > len(key):
+        material = ":".join(str(part).replace("\\", "\\\\").replace(":", "\\:")
+                            for part in (seed, *key))
     digest = hashlib.sha256(material.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2 ** 64
+    return _FIRST_WORD(digest)[0] / 2 ** 64
 
 
 def _in_range(unit: float, low: int, high: int) -> int:
@@ -518,14 +530,14 @@ class _SellerState:
     resets: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class _Listing:
     seller: str
     scope: str
     price: int
     delivery_days: int
     key: tuple                # its view's key in `World.views`
-    late: bool                # whether its view shows the delivery advisory
+    late: bool                # whether the engine's delivery rule flags it
     sold: bool = False
 
 
@@ -538,7 +550,9 @@ class World:
     the first read until `_record_deal` drops it.  `_record_deal` is the
     run's only writer of ratings, and it drops each view its two ratings
     may change; so a test that writes to the store directly must do so
-    before the first `step`.
+    before the first `step`.  `scopes` and `credentials` are built once,
+    and `draws` live one round in a single run, and a whole comparison in
+    `compare_variants`.
     """
 
     scenario: Scenario
@@ -546,6 +560,8 @@ class World:
     state: MarketState        # registry, store (revision = ratings), refusals
     accounts: dict            # roster name -> current account id
     sellers: dict             # roster name -> _SellerState
+    scopes: dict              # scenario scope -> its normalised form
+    credentials: dict         # roster name -> credentials before any reset
     # seller account id -> [pos, neg] over an append-only ledger
     ebay_tally: dict = field(default_factory=dict)
     views: dict = field(default_factory=dict)
@@ -562,12 +578,12 @@ class World:
 
 def build_world(scenario: Scenario, draws: dict | None = None,
                 sink=None) -> World:
-    """A world at round 0, its roster registered.  `draws` caches the
-    world's unit draws by (seed, *key), and each round's buyers in arrival
-    order; a new dict when not given, and one the worlds of a comparison,
-    which share the scenario's buyer objects, share.
-    `sink`, if given, is called with each event the world writes, the
-    roster's first."""
+    """A world at round 0, its roster registered with credentials built
+    once per entry.  `draws` caches the world's unit draws by (seed, *key),
+    and each round's buyers in arrival order; a new dict when not given,
+    and one the worlds of a comparison, which share the scenario's buyer
+    objects, share.  `sink`, if given, is called with each event the
+    world writes, the roster's first."""
     config = scenario.engine
     if scenario.variant == VARIANT_UNWEIGHTED:
         config = replace(config, use_weights=False)
@@ -576,11 +592,13 @@ def build_world(scenario: Scenario, draws: dict | None = None,
         state=MarketState(),
         accounts={},
         sellers={spec.name: _SellerState(spec) for spec in scenario.sellers},
+        scopes={scope: normalize_scope(scope) for scope in scenario.scopes},
+        credentials={spec.name: make_credentials(spec.name, spec.tier)
+                     for spec in (*scenario.sellers, *scenario.buyers)},
         trajectories={spec.name: [] for spec in scenario.sellers},
         draws=draws if draws is not None else {}, sink=sink)
-    for spec in (*scenario.sellers, *scenario.buyers):
-        account = _register(world, make_credentials(spec.name, spec.tier))
-        world.accounts[spec.name] = account.account_id
+    for name, credentials in world.credentials.items():
+        world.accounts[name] = _register(world, credentials).account_id
     return world
 
 
@@ -617,7 +635,7 @@ def _attempt_blocked_registration(world: World,
 
 def _draw(world: World, *key) -> float:
     """`unit_draw(seed, *key)` for the world's seed, hashed once per
-    `world.draws`."""
+    `world.draws`, which a comparison's worlds share."""
     draws = world.draws
     key = (world.scenario.seed, *key)
     value = draws.get(key)
@@ -645,6 +663,8 @@ def _arrival(world: World) -> tuple:
 
 
 def _post_listing(world: World, state: _SellerState) -> _Listing:
+    """The seller's listing this round, read from no view: an eBay
+    listing is never late, an engine one by the delivery rule alone."""
     scenario = world.scenario
     spec = state.spec
     strategy = spec.strategy
@@ -662,17 +682,17 @@ def _post_listing(world: World, state: _SellerState) -> _Listing:
             *scenario.delivery_range)
     else:
         scope, delivery_days = scenario.scopes[0], scenario.delivery_range[0]
-    advisories = _view(world, spec.name, scope, delivery_days)[1]
     return _Listing(seller=spec.name, scope=scope, price=price,
                     delivery_days=delivery_days,
-                    key=(world.accounts[spec.name], normalize_scope(scope)),
-                    late=ADVISORY_AVOID_DELIVERY in advisories)
+                    key=(world.accounts[spec.name], world.scopes[scope]),
+                    late=scenario.variant != VARIANT_EBAY and avoids_delivery(
+                        delivery_days, True, world.config))
 
 
 def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
     strategy = state.spec.strategy
     if isinstance(strategy, BallotStuffing) and world.round == 1:
-        credentials = make_credentials(state.spec.name, state.spec.tier)
+        credentials = world.credentials[state.spec.name]
         for _ in range(strategy.fake_raters):
             _attempt_blocked_registration(world, credentials)
     # its deals fail from the one at `defect_after` on, and each deal is
@@ -688,27 +708,24 @@ def _attempt_fake_registrations(world: World, state: _SellerState) -> None:
             state.resets += 1
         else:
             _attempt_blocked_registration(
-                world, make_credentials(state.spec.name, state.spec.tier))
+                world, world.credentials[state.spec.name])
 
 
-def _view(world: World, seller: str, scope: str,
-          delivery_days: int = 0) -> tuple:
-    """The buyer-independent (unit score, advisories) of `seller`'s
-    listing in `scope` with `delivery_days` of delivery: the engine's scope
-    view, kept in `world.views`, with the engine's delivery advisory, or
-    the eBay baseline's percent-positive with no advisories."""
+def _view(world: World, seller: str, scope: str) -> tuple:
+    """The buyer-independent (unit score, newcomer advisories) of
+    `seller`'s listings in `scope`, a scenario scope or any other: the
+    engine's scope view, kept in `world.views`, or the eBay baseline's
+    percent-positive with no advisories."""
     account = world.accounts[seller]
     if world.scenario.variant == VARIANT_EBAY:
         pos, neg = world.ebay_tally.get(account, (0, 0))
         return pos / (pos + neg) if pos + neg else 0.0, frozenset()
-    key = (account, normalize_scope(scope))
+    key = (account, world.scopes.get(scope) or normalize_scope(scope))
     view = world.views.get(key)
     if view is None:
         state = world.state
         view = world.views[key] = scope_view(
             account, scope, state.store, state.registry, world.config)[2:]
-    if avoids_delivery(delivery_days, True, world.config):
-        return view[0], view[1] | {ADVISORY_AVOID_DELIVERY}
     return view
 
 
@@ -893,10 +910,13 @@ def _spearman(xs, ys) -> float | None:
 def run_scenario(scenario: Scenario, draws: dict | None = None,
                  sink=None) -> SimReport:
     """Run to the horizon and report; deterministic in (scenario, seed).
-    `draws` and `sink` are passed to `build_world`."""
+    `draws` and `sink` are passed to `build_world`; given none, a round's
+    draws are dropped after it, as every draw key names its round."""
     world = build_world(scenario, draws, sink)
     for _ in range(scenario.horizon):
         step(world)
+        if draws is None:
+            world.draws.clear()
     return world_report(world)
 
 

@@ -499,14 +499,21 @@ def test_an_opinion_builds_only_the_sellers_ratings(tmp_path):
                                state.registry) \
             == compute_opinion(buyer, seller, listing, full.store,
                                full.registry)
-        return {ratee for ratee, ratings in received.items()
-                if ratings.rows is not None}
+        return {(ratee, scope) for ratee, ratings in received.items()
+                if ratings.rows is not None for scope in ratings.rows}
 
-    assert unbuilt_after_opinion(log.read_state()) \
-        == set(full.store.received) - {seller}
+    # the opinion builds the seller's bucket in the listing's scope and
+    # each of the seller's buckets that holds a rating by the buyer
+    buckets = {(ratee, scope) for ratee, ratings in full.store.received.items()
+               for scope in ratings.scopes}
+    read = {(seller, "garden")} | {
+        (seller, rating.scope)
+        for rating in full.store.ratings_between(buyer, seller)}
+    assert any(bucket[0] == seller for bucket in buckets - read)
+    assert unbuilt_after_opinion(log.read_state()) == buckets - read
     with open(log.path, "rb") as handle:        # what read_state restores
         state, scan, prefix = eventlog._replay(handle, checkpoint_of(log.path))
-    assert len(unbuilt_after_opinion(state)) == 11
+    assert unbuilt_after_opinion(state) == buckets - read
     again = tmp_path / "again.ckpt"
     eventlog._save_checkpoint(again, state, scan, prefix)
     assert again.read_bytes() == saved

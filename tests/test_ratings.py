@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 import pickle
 from dataclasses import FrozenInstanceError, replace
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trustmarket import ratings
 from trustmarket.errors import (SelfRating, StaleTimestamp, TrustMarketError,
                                 UnknownAccount)
 from trustmarket.identity import Registry
@@ -490,16 +492,18 @@ def test_restored_store_reads_like_a_recorded_one(rows, reads, pick, value):
     assert_clones_equal(restored, expected)
 
     built = set()
+    keys = set(map(key_of, rows))
     for name, rater, ratee, scope in reads:
         args = {"latest_ratings_for": (ratee, scope),
                 "ratings_between": (rater, ratee),
                 "latest": (rater, ratee, scope)}[name]
         assert getattr(restored, name)(*args) \
             == getattr(expected, name)(*args)
-        # a read builds its own bucket and no other; ratings_between reads
-        # every bucket of its ratee
+        # a read builds its own bucket and no other; ratings_between builds
+        # each bucket of its ratee that holds a rating by its rater
         built.update(bucket for bucket in buckets if bucket[0] == ratee and (
-            name == "ratings_between" or bucket[1] == normalize_scope(scope)))
+            (rater, *bucket) in keys if name == "ratings_between"
+            else bucket[1] == normalize_scope(scope)))
         assert unbuilt(restored) == [bucket for bucket in buckets
                                      if bucket not in built]
     assert_clones_equal(restored, expected)
@@ -523,6 +527,35 @@ def test_restored_store_reads_like_a_recorded_one(rows, reads, pick, value):
             assert_same_store(store, oracle)
 
     assert_same_store(restored, expected)
+
+
+@settings(max_examples=200)
+@given(rows=distinct_rows,
+       reads=st.lists(st.tuples(st.sampled_from(RESTORE_IDS),
+                                st.sampled_from(RESTORE_SCOPES)), max_size=4))
+def test_columns_of_a_restored_store_build_no_rating(rows, reads):
+    # a save after a restore copies each pending bucket's span as it is
+    restored = RatingStore.restore(columns_of(rows), RESTORE_REGISTRY)
+    for ratee, scope in reads:          # some buckets built, others pending
+        restored.latest_ratings_for(ratee, scope)
+    pending = unbuilt(restored)
+    set_rater, built = ratings._set_rater, []
+
+    def counted(rating, rater):
+        built.append(rater)
+        set_rater(rating, rater)
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(ratings, "_set_rater", counted)
+        columns = restored.columns()
+    assert built == [] and unbuilt(restored) == pending
+    saved = json.dumps(columns)
+    again = RatingStore.restore(json.loads(saved), RESTORE_REGISTRY)
+    assert json.dumps(again.columns()) == saved
+    for ratee, received in restored.received.items():
+        received.build_all(ratee)
+    assert unbuilt(restored) == []
+    assert restored.columns() == columns
+    assert columns == record_each(in_layout(rows), RESTORE_REGISTRY).columns()
 
 
 @settings(max_examples=200)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -842,6 +843,24 @@ def test_a_comparison_hashes_each_shared_draw_once(monkeypatch):
     assert sum(keys.values()) == len(keys)
 
 
+def test_a_single_run_keeps_no_draw_past_its_round(monkeypatch):
+    # every draw key, (seed, purpose, round, ...), names its round, so a
+    # run with no shared draws keeps none from an earlier round
+    stepped = sim.step
+    kept = []
+
+    def checked(world):
+        stepped(world)
+        rounds = {key[2] for key in world.draws}
+        assert rounds <= {world.round}, (world.round, sorted(rounds))
+        kept.append(len(world.draws))
+        return world
+    monkeypatch.setattr(sim, "step", checked)
+    scenario = _view_scenario(1, 3, 5.0)
+    run_scenario(scenario)
+    assert len(kept) == scenario.horizon and min(kept) > 0
+
+
 def _compared_runs_match_single_runs(scenario, singles):
     variants = (VARIANT_EBAY, VARIANT_INTEGRATED, VARIANT_EBAY,
                 VARIANT_UNWEIGHTED)
@@ -964,6 +983,45 @@ def scenarios(draw):
         delivery_range=(low_delivery, draw(st.integers(low_delivery, 16))),
         variant=draw(st.sampled_from(VARIANTS)),
         engine=EngineConfig(**engine))
+
+
+def _reference_unit_draw(seed, *key):
+    """`unit_draw` with no fast path: every part escaped, and the first 8
+    bytes of the digest read by `int.from_bytes`."""
+    material = ":".join(str(part).replace("\\", "\\\\").replace(":", "\\:")
+                        for part in (seed, *key))
+    digest = hashlib.sha256(material.encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big") / 2 ** 64
+
+
+class _FreshCredentials(dict):
+    """Roster name -> tier, whose every lookup builds the name's
+    credentials again."""
+
+    def __getitem__(self, name):
+        return sim.make_credentials(name, super().__getitem__(name))
+
+
+def _world_with_fresh_credentials(scenario, *args):
+    """`build_world`, with credentials built afresh for each registration
+    attempt after the roster's own, blocked retries included."""
+    world = build_world(scenario, *args)
+    world.credentials = _FreshCredentials(
+        {spec.name: spec.tier for spec in (*scenario.sellers,
+                                           *scenario.buyers)})
+    return world
+
+
+@settings(max_examples=profile_examples(40, 200), deadline=None)
+@given(scenario=scenarios())
+def test_fast_paths_equal_their_references(scenario):
+    # roster names hold colons, backslashes, fullwidth and accented
+    # letters, so both of unit_draw's joins are hashed
+    fast = compare_variants(scenario).to_json()
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(sim, "unit_draw", _reference_unit_draw)
+        patched.setattr(sim, "build_world", _world_with_fresh_credentials)
+        assert compare_variants(scenario).to_json() == fast
 
 
 # the exactness oracle of kept views: more examples on CI than in a local run
