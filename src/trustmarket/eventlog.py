@@ -26,18 +26,11 @@ one JSON object holding the state that the replay of the log's first
 `offset` bytes (`lines` complete lines) produced, with the sha256 of
 those bytes, `last_seq`, the store revision and the rejections.  Its
 layout (version 3) is built for a restore without a Python loop per
-rating or a dict per account.  `ratings` holds the latest ratings as the
-store holds them, bucket by bucket, a bucket being one (ratee, scope)
-pair: the lists `ratee`, `scope` and `count` have one item per bucket,
-and `rater`, `value`, `cost` and `at` one per rating, bucket i owning the
-next `count[i]` ratings.  Its order is canonical (ratees in the order
-the store first received them, each one's scopes sorted, each bucket's
-raters sorted), so a state saved, restored and saved again gives the
-same bytes, whatever order its commands built its buckets in.
-`accounts` holds the account ids in registration order, one [personal,
-business, evidence] entry per account, each block the list of its field
-values or null, and those blocks' field names once, under `fields`.
-Keys it does not read are ignored.  `locked()` and
+rating or a dict per account: `accounts` is what `Registry.columns`
+writes, each account's credential blocks as lists, and `ratings` what
+`RatingStore.columns` writes, the latest ratings as columns, bucket by
+bucket in a canonical order, so a state saved, restored and saved again
+gives the same bytes.  Keys it does not read are ignored.  `locked()` and
 `EventLog.read_state()` hash the log's prefix, a chunk at a time, and,
 when the hash and every field check out, rebuild that state and replay
 only the lines past `offset`.  The accounts go back through
@@ -47,11 +40,13 @@ numbered as registering them would number them; the ratings through
 `RatingStore.restore`, which checks them under the same rules as
 `Rating` and `record` with one pass per column and refuses a key that
 appears twice.  Each account's tier and each ratee's totals are set at
-once, but an account's `CredentialSet` is built when a read or write
-first needs it, and a bucket's `Rating` objects when a read or write
-first touches that bucket; so an `opinion` builds no credentials and
-only the seller's buckets, and each rating line of the replayed tail
-builds only its own bucket.  Saving a checkpoint builds them all.
+once, and each account keeps its checked blocks as they are, but a
+bucket's `Rating` objects are built when a read or write first touches
+that bucket; so an `opinion` builds only the seller's buckets, and each
+rating line of the replayed tail builds only its own bucket.  Saving a
+checkpoint builds neither a `Rating` nor a `CredentialSet`: it copies
+each unbuilt bucket as slices of the restored columns, and each
+account's blocks as they are.
 `locked()` saves a new checkpoint only when no valid one was restored
 or the tail it replayed has grown long enough that saving costs less
 than replaying it again, which at a couple of thousand live ratings is
@@ -74,7 +69,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CorruptLog, TrustMarketError
-from .identity import BLOCK_FIELDS, CredentialSet, Registry
+from .identity import CredentialSet, Registry
 from .ratings import Rating, RatingStore
 
 KIND_REGISTER = "register"
@@ -251,8 +246,9 @@ class EventLog:
         restore, which then built every restored rating, took 8.2 ms, so
         s = 4.3 us, and a full replay 21.5 ms, so c = 10.8 us: T* = 38.9
         lines there.  These are the figures of the version 1 layout; a
-        save now copies each unbuilt bucket as slices and builds no
-        rating, so `s` is lower.  `_SAVE_RATIO` keeps the old figures all
+        save now builds neither ratings nor credentials, copying each
+        unbuilt bucket as slices and each account's blocks as they are,
+        so `s` is lower.  `_SAVE_RATIO` keeps the old figures all
         the same, since a new fit would change how often a command saves,
         and so what the ledger-cli benchmark measures.
         The rule keeps `2*s/c` as a constant and counts lines; it times
@@ -428,23 +424,20 @@ def _save_interval(items: int) -> float:
 def _save_checkpoint(path, state, scan, prefix):
     """Write the state replayed from the log's first `scan.end` bytes.
 
-    The ratings are the store's own columns, `RatingStore.columns`,
-    bucket by bucket in the canonical order of the module docstring, so
-    the save sorts nothing by `at`.  Goes through a temporary file and a
-    rename, so a reader sees the old checkpoint or the new one; no
-    fsync, since a lost checkpoint only costs a full replay.  Failing to
-    write it is not an error.
+    The accounts are the registry's own columns, `Registry.columns`,
+    and the ratings the store's, `RatingStore.columns`, in their
+    canonical order, so the save sorts nothing by `at` and builds no
+    `CredentialSet`.  Goes through a temporary file and a rename, so a
+    reader sees the old checkpoint or the new one; no fsync, since a
+    lost checkpoint only costs a full replay.  Failing to write it is
+    not an error.
     """
-    accounts = state.registry.accounts
     data = {
         "version": CHECKPOINT_VERSION, "offset": scan.end,
         "lines": scan.lines, "sha256": prefix.hexdigest(),
         "last_seq": state.last_seq, "revision": state.store.revision,
         "rejections": state.rejections,
-        "accounts": {
-            "fields": BLOCK_FIELDS, "ids": list(accounts),
-            "credentials": [account.credentials.blocks()
-                            for account in accounts.values()]},
+        "accounts": state.registry.columns(),
         "ratings": state.store.columns(),
     }
     temporary = path.with_name(path.name + ".tmp")
@@ -469,16 +462,14 @@ def _restore(handle, path):
     such as a version 1 file with a dict per account and a list per
     rating, or a version 2 file with its ratings in `at` order, is
     ignored like a damaged one), its sha256 is that of the log's first
-    `offset` bytes, its block field names are those of the credential
-    dataclasses, so that a later change of fields cannot shift values
-    into other fields, its accounts pass every check of `register`, run
-    once per column by `Registry.restore`, with the ids that registering
-    them would give, and its bucket and rating columns pass every check
-    of `Rating` and `RatingStore.record`, run once per column by
+    `offset` bytes, its accounts pass `Registry.restore` (the block
+    field names of the credential dataclasses, every check of
+    `register` run once per column, and the ids that registering them
+    would give), and its bucket and rating columns pass every check of
+    `Rating` and `RatingStore.record`, run once per column by
     `RatingStore.restore`, with no key twice.  Those checks all run
-    here; only the building of each account's `CredentialSet` and of
-    each bucket's `Rating` objects waits for the first read or write of
-    that account or bucket, and a save builds them all.
+    here; only the building of each bucket's `Rating` objects waits for
+    the first read or write of that bucket, and a save builds none.
     """
     try:
         with open(path, "rb") as source:
@@ -494,10 +485,7 @@ def _restore(handle, path):
         prefix = _hash_next(hashlib.sha256(), handle, offset)
         if prefix.hexdigest() != data["sha256"]:
             return None
-        accounts = data["accounts"]
-        if tuple(map(tuple, accounts["fields"])) != BLOCK_FIELDS:
-            return None
-        registry = Registry.restore(accounts["ids"], accounts["credentials"])
+        registry = Registry.restore(data["accounts"])
         state = MarketState(registry=registry, last_seq=data["last_seq"])
         state.store = RatingStore.restore(data["ratings"], registry)
         state.store.revision = data["revision"]

@@ -123,8 +123,8 @@ class CredentialSet:
 
     def blocks(self) -> list:
         """[personal, business, evidence]: each block the list of its
-        field values in field order, or None; what `Registry.restore`
-        reads."""
+        field values in field order, or None; the form in which an
+        `Account` keeps its credentials."""
         return [None if block is None else list(vars(block).values())
                 for block in (self.personal, self.business, self.evidence)]
 
@@ -145,8 +145,9 @@ class CredentialSet:
 
 
 # Each credential block's field names, in order: a block kept as a list,
-# as `CredentialSet.blocks` writes it and `Registry.restore` reads it,
-# holds its values in this order.
+# as `CredentialSet.blocks` writes it and an `Account` holds it, holds its
+# values in this order.  `Registry.columns` writes them beside the
+# accounts, and `Registry.restore` refuses any other names.
 BLOCK_FIELDS = tuple(tuple(spec.name for spec in fields(kind))
                      for kind in BLOCK_KINDS)
 
@@ -227,23 +228,19 @@ def initial_trust(tier: ProfileTier, config: PolicyConfig = DEFAULT_POLICY) -> f
 
 @dataclass
 class Account:
-    """A registered account.  One that `Registry.restore` made holds its
-    checked `[personal, business, evidence]` entry as `_blocks` in place
-    of `credentials`, and builds its `CredentialSet` on the first read of
-    `credentials`: that read misses and lands in `__getattr__`, which
-    no other read of an account reaches."""
+    """A registered account: its id, its credentials as the
+    `[personal, business, evidence]` entry that `CredentialSet.blocks`
+    writes, and its tier."""
 
     account_id: str
-    credentials: CredentialSet
+    blocks: list
     tier: ProfileTier
 
-    def __getattr__(self, name):
-        if name != "credentials" or "_blocks" not in vars(self):
-            raise AttributeError(name)
-        credentials = self.credentials = CredentialSet(
-            *map(_block, BLOCK_KINDS, self._blocks))
-        del self._blocks
-        return credentials
+    @property
+    def credentials(self) -> CredentialSet:
+        """A new `CredentialSet`, equal to the registered one, built from
+        `blocks` on each read."""
+        return CredentialSet(*map(_block, BLOCK_KINDS, self.blocks))
 
 
 def _block_columns(kind, blocks) -> tuple:
@@ -323,30 +320,45 @@ class Registry:
         except KeyError:
             raise UnknownAccount(f"no account {account_id!r}") from None
 
+    def columns(self) -> dict:
+        """What `restore` reads back into this registry: the blocks'
+        field names once, under `fields`, the account ids in registration
+        order, under `ids`, and each account's `blocks`, under
+        `credentials`.  The entries are the accounts' own lists, not
+        copies, and no `CredentialSet` is built."""
+        accounts = self.accounts
+        return {"fields": BLOCK_FIELDS, "ids": list(accounts),
+                "credentials": [account.blocks
+                                for account in accounts.values()]}
+
     @classmethod
-    def restore(cls, ids, entries) -> "Registry":
-        """The registry that registering `entries` in order builds, when
-        that gives its accounts exactly the ids `ids` lists, in order.
+    def restore(cls, columns) -> "Registry":
+        """The registry that `columns`, laid out as `columns` writes it,
+        holds: the one that registering its entries in order builds, when
+        that gives its accounts exactly the ids it lists, in order.
 
-        Each entry is the list [personal, business, evidence], as
-        `CredentialSet.blocks` writes it: each block None or the list of
-        exactly its fields' values, in the order of `BLOCK_FIELDS`, so a
-        string cannot be spread over a block's fields.  This is the
-        column form of `register`: each of its checks runs as one pass
-        over a column of blocks or fields, with no `register` call and no
-        `CredentialSet` built.  The blocks are shaped and typed as
-        `_block` and the block classes require; no evidence block comes
-        without a business block; every personal block is complete; the
-        non-empty normalized national ids are unique, and so are the
-        bank/card numbers; and the ids are A000001 on, in order.  A
-        check that fails raises as `register` would (DuplicateIdentity,
-        IncompleteCredentials, TypeError), or ValueError for a shape or
-        for ids that differ.
+        Its `fields` must be `BLOCK_FIELDS`, so that a change of the
+        block classes' fields cannot shift a value into another field.
+        Each entry of its `credentials` is the list [personal, business,
+        evidence], as `CredentialSet.blocks` writes it: each block None
+        or the list of exactly its fields' values, in the order of
+        `BLOCK_FIELDS`, so a string cannot be spread over a block's
+        fields.  This is the column form of `register`: each of its
+        checks runs as one pass over a column of blocks or fields, with
+        no `register` call and no `CredentialSet` built.  The blocks are
+        shaped and typed as `_block` and the block classes require; no
+        evidence block comes without a business block; every personal
+        block is complete; the non-empty normalized national ids are
+        unique, and so are the bank/card numbers; and the ids are
+        A000001 on, in order.  A check that fails raises as `register`
+        would (DuplicateIdentity, IncompleteCredentials, TypeError), or
+        ValueError for a shape, for field names or for ids that differ.
 
-        Each account gets its id and tier at once, and keeps its checked
-        entry until its `credentials` are first read; see `Account`.  The
-        entries' lists are kept, not copied.
+        Each account keeps its checked entry as its `blocks`, not copied.
         """
+        if tuple(map(tuple, columns["fields"])) != BLOCK_FIELDS:
+            raise ValueError("the credential blocks' field names differ")
+        ids, entries = columns["ids"], columns["credentials"]
         if type(entries) is not list \
                 or set(map(type, entries)) - {list} \
                 or set(map(len, entries)) - {len(BLOCK_KINDS)}:
@@ -372,21 +384,18 @@ class Registry:
             business["bank_or_card"], names, "bank/card")
         tiers = map(_TIER_BY_COMPLETE.__getitem__,
                     zip(business_complete, evidence_complete))
-        accounts = registry.accounts
-        for account_id, tier, entry in zip(names, tiers, entries):
-            account = accounts[account_id] = object.__new__(Account)
-            account.__dict__ = {"account_id": account_id, "tier": tier,
-                                "_blocks": entry}
+        registry.accounts = dict(zip(names, map(Account, names, entries,
+                                                tiers)))
         return registry
 
     def register(self, credentials: CredentialSet) -> Account:
         """Classify, enforce identity uniqueness, and append a new account.
 
-        The account is its credentials, tier and id; it carries no role,
-        since buyer and seller of a deal each rate the other.
-        Identity strings are indexed even when the business block is
-        incomplete, so a half-filled block cannot smuggle a reused id past
-        the duplicate check.  Rejected requests leave the registry
+        The account is its id, its credentials' blocks and its tier; it
+        carries no role, since buyer and seller of a deal each rate the
+        other.  Identity strings are indexed even when the business block
+        is incomplete, so a half-filled block cannot smuggle a reused id
+        past the duplicate check.  Rejected requests leave the registry
         untouched.  Accounts are never removed, so the registry's size
         numbers the next id.
         """
@@ -403,7 +412,7 @@ class Registry:
                 f"bank/card already registered to {self._by_bank_or_card[bank]}")
         account = Account(
             account_id=_account_id(len(self.accounts) + 1),
-            credentials=credentials,
+            blocks=credentials.blocks(),
             tier=tier,
         )
         self.accounts[account.account_id] = account

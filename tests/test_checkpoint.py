@@ -563,13 +563,14 @@ def test_a_restore_builds_credentials_only_when_read(tmp_path):
                                                    checkpoint_of(log.path))
         assert run(*opinion_args(log.path, "A000002"))[0] == 0
         assert run(*rate_args(log.path, "A000003", "A000001", 1))[0] == 0
+        eventlog._save_checkpoint(tmp_path / "again.ckpt", again, scan,
+                                  prefix)
     assert built == []
     same_state(copy.deepcopy(state), full)
     assert {account_id: account.credentials
             for account_id, account in state.registry.accounts.items()} \
         == {account_id: account.credentials
             for account_id, account in full.registry.accounts.items()}
-    eventlog._save_checkpoint(tmp_path / "again.ckpt", again, scan, prefix)
     assert (tmp_path / "again.ckpt").read_bytes() == saved
 
 
@@ -695,6 +696,29 @@ def test_a_v2_checkpoint_is_replaced(flagged, tmp_path):
     assert hashlib.sha256(flagged.read_bytes()[:data["offset"]]).hexdigest() \
         == data["sha256"]
     assert_replaced_after_a_full_replay(flagged, tmp_path)
+
+
+def test_a_v3_checkpoint_restores_and_saves_its_own_bytes(flagged, tmp_path):
+    # written over the same lines 1-6 by the version 3 save of the code
+    # before accounts kept their blocks, so it pins the layout across that
+    # change
+    fixture = DATA / "role_flags.v3.ckpt.json"
+    shutil.copyfile(fixture, checkpoint_of(flagged))
+    data = json.loads(fixture.read_text())
+    assert data["version"] == eventlog.CHECKPOINT_VERSION == 3
+    assert data["lines"] == 6
+    assert hashlib.sha256(flagged.read_bytes()[:data["offset"]]).hexdigest() \
+        == data["sha256"]
+    with counted_parse() as parsed:
+        state = EventLog(flagged).read_state()
+    assert parsed == [7, 8]
+    same_state(state, replay(flagged))
+    with open(flagged, "rb") as handle:          # lines 1-6 and no tail
+        state, prefix, lines = eventlog._restore(handle,
+                                                 checkpoint_of(flagged))
+        scan = eventlog._Scan(handle, lines, state.last_seq)
+    eventlog._save_checkpoint(tmp_path / "again.ckpt", state, scan, prefix)
+    assert (tmp_path / "again.ckpt").read_bytes() == fixture.read_bytes()
 
 
 def assert_replaced_after_a_full_replay(flagged, tmp_path):

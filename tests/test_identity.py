@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from trustmarket.errors import (DuplicateIdentity, IncompleteCredentials,
                                 TrustMarketError, UnknownAccount)
-from trustmarket.identity import (BLOCK_KINDS, DEFAULT_POLICY,
+from trustmarket.identity import (BLOCK_FIELDS, BLOCK_KINDS, DEFAULT_POLICY,
                                   BusinessDetails, CredentialSet,
                                   EvidenceDetails, PersonalDetails,
                                   PolicyConfig, ProfileTier, Registry, _block,
@@ -293,21 +293,37 @@ def test_restore_rebuilds_what_register_built(requests, hostile, reverse):
             registry.register(credentials)
         except TrustMarketError:
             pass
-    entries = [account.credentials.blocks()
-               for account in registry.accounts.values()]
+    assert Registry.restore(json.loads(json.dumps(registry.columns()))) \
+        .columns() == registry.columns()
+    entries = registry.columns()["credentials"]
     for at, entry in hostile:
         entries.insert(at, entry)
     entries = json.loads(json.dumps(entries))
     ids = [f"A{number:06d}" for number in range(1, len(entries) + 1)]
     if reverse:
         ids.reverse()
+    columns = {"fields": BLOCK_FIELDS, "ids": ids, "credentials": entries}
     try:
         reference = register_one_by_one(entries)
     except (TrustMarketError, TypeError, ValueError):
         reference = None
     if reference is None or list(reference.accounts) != ids:
         with pytest.raises((TrustMarketError, TypeError, ValueError)):
-            Registry.restore(ids, entries)
+            Registry.restore(columns)
     else:
-        restored = Registry.restore(ids, entries)
-        assert vars(restored) == vars(reference)  # ids, tiers, credentials, index
+        restored = Registry.restore(columns)
+        assert vars(restored) == vars(reference)  # ids, tiers, blocks, index
+
+
+@pytest.mark.parametrize("edit", ["one block's names reversed",
+                                  "one name missing"])
+def test_restore_refuses_other_field_names(edit):
+    registry = Registry()
+    registry.register(credentials_for("a", "high"))
+    columns = json.loads(json.dumps(registry.columns()))
+    if edit == "one name missing":
+        columns["fields"][1].pop()
+    else:
+        columns["fields"][0].reverse()
+    with pytest.raises(ValueError, match="field names"):
+        Registry.restore(columns)
