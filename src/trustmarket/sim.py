@@ -10,11 +10,12 @@ disabled, or a plain net-score baseline with no newcomer fallback.
 All randomness is counter-based: every draw hashes (seed, purpose,
 round, agent), so the same scenario under a different variant sees the
 same random stream wherever the same question is asked.  A comparison
-computes each such shared draw once: its worlds share one dict of draws,
-which lives as long as the comparison and holds each round's buyers in
-arrival order as one entry.  A single run drops a round's draws after the
-round, since no later key names it.  Prices are integers, so money sums
-are exact.
+steps its worlds round by round in lockstep, and they share one dict of
+draws, so each shared draw is hashed once.  It holds each round's buyers
+in arrival order, and each seller's listing terms, as one entry each.
+Every key names its round, so a run, single or compared, empties the dict
+after each round: draws live one round, always.  Prices are integers, so
+money sums are exact.
 
 Every state change a run makes, each registration attempt and both
 ratings of each deal, is an `eventlog.EventRecord`, numbered from the
@@ -550,9 +551,9 @@ class World:
     the first read until `_record_deal` drops it.  `_record_deal` is the
     run's only writer of ratings, and it drops each view its two ratings
     may change; so a test that writes to the store directly must do so
-    before the first `step`.  `scopes` and `credentials` are built once,
-    and `draws` live one round in a single run, and a whole comparison in
-    `compare_variants`.
+    before the first `step`.  `scopes` and `credentials` are built once.
+    `draws` live one round: the run loop empties them after each round,
+    which in a comparison is a round of every world.
     """
 
     scenario: Scenario
@@ -571,7 +572,8 @@ class World:
     fraud_gain: int = 0       # the price of each failed deal, summed
     honest_revenue: int = 0   # and of each other deal: together, the spend
     first_sale: dict = field(default_factory=dict)
-    # (seed, *key) -> unit draw, or a round's buyers in arrival order
+    # (seed, *key) -> unit draw, a round's buyers in arrival order, or a
+    # seller's listing terms for a round
     draws: dict = field(default_factory=dict)
     sink: object = None       # None, or a callable given each EventRecord
 
@@ -580,10 +582,11 @@ def build_world(scenario: Scenario, draws: dict | None = None,
                 sink=None) -> World:
     """A world at round 0, its roster registered with credentials built
     once per entry.  `draws` caches the world's unit draws by (seed, *key),
-    and each round's buyers in arrival order; a new dict when not given,
-    and one the worlds of a comparison, which share the scenario's buyer
-    objects, share.  `sink`, if given, is called with each event the
-    world writes, the roster's first."""
+    each round's buyers in arrival order and each seller's listing terms;
+    a new dict when not given, and one the worlds of a comparison, which
+    share the scenario's buyer objects and step in lockstep, share.  The
+    run loop empties it after each round.  `sink`, if given, is called
+    with each event the world writes, the roster's first."""
     config = scenario.engine
     if scenario.variant == VARIANT_UNWEIGHTED:
         config = replace(config, use_weights=False)
@@ -662,26 +665,41 @@ def _arrival(world: World) -> tuple:
     return order
 
 
+def _terms(world: World, spec: SellerSpec) -> tuple:
+    """The (price, scope, delivery days) of `spec`'s listing this round,
+    kept in the world's `draws` under one key, so only the first of a
+    comparison's worlds to post the listing hashes its draws.  An honest
+    seller draws all three; any other lists in the first scope at the
+    shortest delivery, at a drawn price or, under `ValueImbalance`, None."""
+    scenario = world.scenario
+    key = (scenario.seed, "terms", world.round, spec.name)
+    terms = world.draws.get(key)
+    if terms is None:
+        seed, _, round_, name = key
+        strategy = spec.strategy
+        price = None if isinstance(strategy, ValueImbalance) else _in_range(
+            unit_draw(seed, "price", round_, name), *scenario.price_range)
+        scope, delivery_days = scenario.scopes[0], scenario.delivery_range[0]
+        if isinstance(strategy, Honest):
+            scope = scenario.scopes[int(unit_draw(seed, "scope", round_, name)
+                                        * len(scenario.scopes))]
+            delivery_days = _in_range(
+                unit_draw(seed, "delivery", round_, name),
+                *scenario.delivery_range)
+        terms = world.draws[key] = (price, scope, delivery_days)
+    return terms
+
+
 def _post_listing(world: World, state: _SellerState) -> _Listing:
     """The seller's listing this round, read from no view: an eBay
     listing is never late, an engine one by the delivery rule alone."""
     scenario = world.scenario
     spec = state.spec
     strategy = spec.strategy
+    price, scope, delivery_days = _terms(world, spec)
     if isinstance(strategy, ValueImbalance):
         price = (strategy.low_cost if state.deals_done < strategy.honest_phase
                  else strategy.defect_cost)
-    else:
-        price = _in_range(_draw(world, "price", world.round, spec.name),
-                          *scenario.price_range)
-    if isinstance(strategy, Honest):
-        scope = scenario.scopes[int(_draw(world, "scope", world.round,
-                                          spec.name) * len(scenario.scopes))]
-        delivery_days = _in_range(
-            _draw(world, "delivery", world.round, spec.name),
-            *scenario.delivery_range)
-    else:
-        scope, delivery_days = scenario.scopes[0], scenario.delivery_range[0]
     return _Listing(seller=spec.name, scope=scope, price=price,
                     delivery_days=delivery_days,
                     key=(world.accounts[spec.name], world.scopes[scope]),
@@ -734,7 +752,7 @@ def score_view(world: World, seller_name: str, scope: str) -> float:
     return _view(world, seller_name, scope)[0]
 
 
-def _choose(world: World, buyer: BuyerSpec, listings: list, best: dict):
+def _choose(world: World, buyer: BuyerSpec, listings: list, rankings: dict):
     """Index of the unsold listing `buyer` buys, or None to pass.
 
     A colluder buys its partner's unsold listing outright.  Otherwise the
@@ -744,9 +762,11 @@ def _choose(world: World, buyer: BuyerSpec, listings: list, best: dict):
     a buyer that refuses the delivery advisory scores no late listing; so
     it reads the buyer only through those two policy fields.  A listing's
     view is its key's entry in `world.views`, or `_view`'s where there is
-    none.  `best` keeps, per (refuse, discount), the (effective, index)
-    of the best unsold listing, or None where there is none; the caller
-    clears it after each deal.
+    none.  `rankings` keeps, per (refuse, discount), the eligible listings
+    as (effective, -index) in ascending order, so the best is last.  A
+    ranking is built on its first need and kept across deals: a sold
+    listing is popped when it reaches the top, and the caller drops every
+    ranking when a deal moves the buyer's rater weight.
     """
     if buyer.colludes_with is not None:
         for index, listing in enumerate(listings):
@@ -754,10 +774,11 @@ def _choose(world: World, buyer: BuyerSpec, listings: list, best: dict):
                 return index
     policy = buyer.policy
     key = (policy.refuse_on_avoid_delivery, policy.new_seller_discount)
-    if key not in best:
+    ranking = rankings.get(key)
+    if ranking is None:
         refuse, discount = key
         views = world.views
-        top = None
+        ranking = rankings[key] = []
         for index, listing in enumerate(listings):
             if listing.sold or refuse and listing.late:
                 continue
@@ -765,14 +786,13 @@ def _choose(world: World, buyer: BuyerSpec, listings: list, best: dict):
             if view is None:
                 view = _view(world, listing.seller, listing.scope)
             unit, newcomer = view
-            effective = unit - discount if newcomer else unit
-            if top is None or effective > top[0]:
-                top = (effective, index)
-        best[key] = top
-    top = best[key]
-    if top is None or top[0] < policy.threshold:
+            ranking.append((unit - discount if newcomer else unit, -index))
+        ranking.sort()
+    while ranking and listings[-ranking[-1][1]].sold:
+        ranking.pop()
+    if not ranking or ranking[-1][0] < policy.threshold:
         return None
-    return top[1]
+    return -ranking[-1][1]
 
 
 def _deal_outcome(world: World, state: _SellerState, buyer_name: str) -> str:
@@ -799,13 +819,14 @@ _BUYER_RATING = {OUTCOME_SUCCESS: 1, OUTCOME_MARGINAL: 0, OUTCOME_FAILURE: -1}
 
 
 def _record_deal(world: World, buyer: BuyerSpec, listing: _Listing,
-                 outcome: str) -> None:
+                 outcome: str) -> bool:
     """Write the deal's two ratings and the buyer's eBay feedback, then
     drop each view in `world.views` they may change: the sold seller's in
     the listing's scope, all of the seller's at its first rating, where
     new-seller turns new-in-scope, and, if the ratings moved the buyer's
     rater weight, each view whose bucket holds a rating by the buyer;
-    `step` says why that suffices."""
+    `step` says why that suffices.  Whether the buyer's weight moved,
+    the one case that drops the view of an unsold listing."""
     store, registry, views = (world.state.store, world.state.registry,
                               world.views)
     buyer_id = world.accounts[buyer.name]
@@ -823,10 +844,12 @@ def _record_deal(world: World, buyer: BuyerSpec, listing: _Listing,
     if first:
         for key in [key for key in views if key[0] == seller_id]:
             del views[key]
-    if rater_weight(buyer_id, store, registry, world.config) != before:
+    moved = rater_weight(buyer_id, store, registry, world.config) != before
+    if moved:
         for key in [key for key in views
                     if store.latest(buyer_id, *key) is not None]:
             del views[key]
+    return moved
 
 
 def _rate(world: World, rater: str, ratee: str, listing: _Listing,
@@ -857,14 +880,16 @@ def step(world: World) -> World:
     # drops the sold seller's view in the scope, all of the seller's views
     # at its first rating, and, if the buyer's weight moved, each view
     # whose bucket the buyer has rated; every other view stays exact, from
-    # round to round.  Between deals nothing a view reads changes, so the
-    # best listing of each buyer policy in `best` holds until the next deal.
-    best = {}
+    # round to round.  Each seller posts one listing a round, so a deal
+    # that leaves the buyer's weight alone changes the view of no unsold
+    # listing, and each buyer policy's ranking in `rankings` holds but for
+    # the sold listing, which `_choose` pops; a deal that moves it drops
+    # them all.
+    rankings = {}
     for buyer in _arrival(world):
-        index = _choose(world, buyer, listings, best)
+        index = _choose(world, buyer, listings, rankings)
         if index is None:
             continue
-        best.clear()
         listing = listings[index]
         listing.sold = True
         state = world.sellers[listing.seller]
@@ -878,7 +903,8 @@ def step(world: World) -> World:
             world.honest_revenue += listing.price
         state.deals_done += 1
         world.first_sale.setdefault(listing.seller, world.round)
-        _record_deal(world, buyer, listing, outcome)
+        if _record_deal(world, buyer, listing, outcome):
+            rankings.clear()
 
     for name in world.sellers:
         world.trajectories[name].append(
@@ -907,16 +933,23 @@ def _spearman(xs, ys) -> float | None:
         return None            # zero variance on one side
 
 
-def run_scenario(scenario: Scenario, draws: dict | None = None,
-                 sink=None) -> SimReport:
+def _run(*worlds: World) -> None:
+    """Step `worlds`, which share one `draws`, in lockstep to their
+    horizon: each round steps every world, then empties the draws, since
+    every draw key names its round and no later round reads it."""
+    draws = worlds[0].draws
+    for _ in range(worlds[0].scenario.horizon):
+        for world in worlds:
+            step(world)
+        draws.clear()
+
+
+def run_scenario(scenario: Scenario, sink=None) -> SimReport:
     """Run to the horizon and report; deterministic in (scenario, seed).
-    `draws` and `sink` are passed to `build_world`; given none, a round's
-    draws are dropped after it, as every draw key names its round."""
-    world = build_world(scenario, draws, sink)
-    for _ in range(scenario.horizon):
-        step(world)
-        if draws is None:
-            world.draws.clear()
+    `sink` is passed to `build_world`, and the world's draws live one
+    round."""
+    world = build_world(scenario, sink=sink)
+    _run(world)
     return world_report(world)
 
 
@@ -946,19 +979,24 @@ def world_report(world: World) -> SimReport:
 
 
 def compare_variants(scenario: Scenario, variants=VARIANTS) -> ComparisonReport:
-    """Run the same seeded scenario under each variant and diff metrics."""
+    """Run the same seeded scenario under each variant and diff metrics.
+
+    The variants' worlds are built up front and stepped in lockstep by the
+    loop `run_scenario` uses, sharing one round's draws: each common random
+    number, listing terms included, is hashed once, and none outlives its
+    round."""
     variants = tuple(variants)
     if not variants:
         raise InvalidScenario("need at least one variant to compare")
     for variant in variants:
         if variant not in VARIANTS:
             raise InvalidScenario(f"unknown variant {variant!r}")
-    reports = {}
     draws = {}      # the variants' common random numbers, each hashed once
-    for variant in variants:
-        if variant not in reports:
-            reports[variant] = run_scenario(
-                replace(scenario, variant=variant), draws)
+    worlds = {variant: build_world(replace(scenario, variant=variant), draws)
+              for variant in dict.fromkeys(variants)}
+    _run(*worlds.values())
+    reports = {variant: world_report(world)
+               for variant, world in worlds.items()}
     baseline = reports[variants[0]]
     deltas: dict = {}
     for variant in variants:

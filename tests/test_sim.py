@@ -607,6 +607,22 @@ def test_shared_listing_views_equal_fresh_opinions(
             assert shared[variant] == fresh[variant], (seed, variant)
 
 
+def test_rankings_kept_across_deals_choose_as_rankings_built_per_deal(
+        monkeypatch):
+    # with earlier ratings of its own, a buyer's weight moves at each deal
+    # and drops the views of unsold listings it rated, so the rankings
+    # must go too: the run equals one in which every deal reports a moved
+    # weight and so ranks afresh
+    record_deal = sim._record_deal
+    for seed, scopes in itertools.product(range(30), (1, 3)):
+        scenario = _view_scenario(seed, scopes, 5.0)
+        kept = _run_with_history(scenario)
+        with monkeypatch.context() as patched:
+            patched.setattr(sim, "_record_deal",
+                            lambda *args: record_deal(*args) or True)
+            assert _run_with_history(scenario) == kept, (seed, scopes)
+
+
 def _bundled_and_view_scenarios():
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         yield path.stem, Scenario.from_dict(json.loads(path.read_text()))
@@ -696,9 +712,10 @@ def test_a_view_is_computed_again_only_after_a_deal_changed_its_reads(
 
             def recorded(world, *args):
                 before = {key: _reads(world, key) for key in computed}
-                record_deal(world, *args)
+                moved = record_deal(world, *args)
                 changed.update(key for key, reads in before.items()
                                if _reads(world, key) != reads)
+                return moved
             monkeypatch.setattr(sim, "scope_view", counted)
             monkeypatch.setattr(sim, "_record_deal", recorded)
             for _ in range(scenario.horizon):
@@ -845,7 +862,8 @@ def test_a_comparison_hashes_each_shared_draw_once(monkeypatch):
 
 def test_a_single_run_keeps_no_draw_past_its_round(monkeypatch):
     # every draw key, (seed, purpose, round, ...), names its round, so a
-    # run with no shared draws keeps none from an earlier round
+    # run keeps none from an earlier round; nor does a comparison, whose
+    # worlds step in lockstep and share one `draws`
     stepped = sim.step
     kept = []
 
@@ -859,6 +877,9 @@ def test_a_single_run_keeps_no_draw_past_its_round(monkeypatch):
     scenario = _view_scenario(1, 3, 5.0)
     run_scenario(scenario)
     assert len(kept) == scenario.horizon and min(kept) > 0
+    kept.clear()
+    compare_variants(scenario)
+    assert len(kept) == len(VARIANTS) * scenario.horizon and min(kept) > 0
 
 
 def _compared_runs_match_single_runs(scenario, singles):
@@ -1012,6 +1033,22 @@ def _world_with_fresh_credentials(scenario, *args):
     return world
 
 
+def _drawn_terms(world, spec):
+    """`sim._terms` uncached: each world reads a listing's price, scope
+    and delivery days through its own `_draw`s, one key per term."""
+    scenario, key = world.scenario, (world.round, spec.name)
+    price = None
+    if not isinstance(spec.strategy, ValueImbalance):
+        price = sim._in_range(sim._draw(world, "price", *key),
+                              *scenario.price_range)
+    if not isinstance(spec.strategy, Honest):
+        return price, scenario.scopes[0], scenario.delivery_range[0]
+    scope = scenario.scopes[int(sim._draw(world, "scope", *key)
+                                * len(scenario.scopes))]
+    return price, scope, sim._in_range(sim._draw(world, "delivery", *key),
+                                       *scenario.delivery_range)
+
+
 @settings(max_examples=profile_examples(40, 200), deadline=None)
 @given(scenario=scenarios())
 def test_fast_paths_equal_their_references(scenario):
@@ -1021,6 +1058,17 @@ def test_fast_paths_equal_their_references(scenario):
     with pytest.MonkeyPatch.context() as patched:
         patched.setattr(sim, "unit_draw", _reference_unit_draw)
         patched.setattr(sim, "build_world", _world_with_fresh_credentials)
+        assert compare_variants(scenario).to_json() == fast
+    # a deal that reports a moved weight drops every buyer policy's
+    # ranking, so each choice after it ranks the unsold listings afresh
+    record_deal = sim._record_deal
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(sim, "_record_deal",
+                        lambda *args: record_deal(*args) or True)
+        assert compare_variants(scenario).to_json() == fast
+    # each world draws its listings' terms itself
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(sim, "_terms", _drawn_terms)
         assert compare_variants(scenario).to_json() == fast
 
 
