@@ -1,11 +1,13 @@
 """Command-line front end: ledger operations, simulation, statistics.
 
 Ledger subcommands (register, rate, opinion, replay) work against an
-append-only event log; a writing command replays, validates and appends
-under one exclusive lock, and writes nothing unless the operation passed
-every domain check against that state.  simulate and compare
-run scenario files, stats covers the survey arithmetic.  Exit codes:
-0 success, 1 domain error, 2 usage error.
+append-only event log.  register and rate build one event, and under one
+exclusive lock replay the log, apply the event through
+`eventlog.apply_event`, as replay and the simulator write state, and
+append it; a refused event writes nothing and keeps the library's own
+message, since only replay reports a malformed payload as `CorruptLog`.
+simulate and compare run scenario files, stats covers the survey
+arithmetic.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 import argparse
@@ -16,10 +18,11 @@ from dataclasses import asdict, fields, replace
 
 from .engine import DEFAULT_ENGINE, ListingContext, compute_opinion
 from .errors import TrustMarketError
-from .eventlog import (KIND_RATING, KIND_REGISTER, EventLog, replay)
+from .eventlog import (KIND_RATING, KIND_REGISTER, EventLog, apply_event,
+                       next_record, replay)
 from .identity import (BLOCK_KINDS, CredentialSet, PersonalDetails,
                        initial_trust)
-from .ratings import RATING_VALUES, Rating
+from .ratings import RATING_VALUES, normalize_scope
 from .sim import Scenario, VARIANTS, compare_variants, run_scenario
 from .stats import (REPORTED_NEW_SELLER_SUPPORT, SCALE_LABELS, compare_reported,
                     frequency_table, kruskal_wallis, load_likert_csv,
@@ -55,11 +58,12 @@ def _credentials_from_args(args) -> CredentialSet:
 
 
 def cmd_register(args) -> int:
-    credentials = _credentials_from_args(args)
+    payload = {"credentials": _credentials_from_args(args).to_dict()}
     log = EventLog(_log_path(args))
     with log.locked() as state:
-        account = state.registry.register(credentials)
-        log.append(KIND_REGISTER, {"credentials": credentials.to_dict()})
+        account = apply_event(
+            next_record(state.last_seq, KIND_REGISTER, payload), state)
+        log.append(KIND_REGISTER, payload)
     trust = initial_trust(account.tier)
     _emit(args,
           {"account_id": account.account_id, "tier": account.tier.label,
@@ -72,19 +76,17 @@ def cmd_register(args) -> int:
 def cmd_rate(args) -> int:
     log = EventLog(_log_path(args))
     with log.locked() as state:
-        at = state.last_seq + 1
-        rating = Rating(rater=args.rater, ratee=args.ratee, scope=args.scope,
-                        value=args.value, cost=args.cost, at=at)
-        state.store.record(rating, registry=state.registry)
-        log.append(KIND_RATING, {
-            "rater": rating.rater, "ratee": rating.ratee,
-            "scope": rating.scope, "value": rating.value,
-            "cost": rating.cost, "at": at}, at=at)
+        at, scope = state.last_seq + 1, normalize_scope(args.scope)
+        payload = {"rater": args.rater, "ratee": args.ratee, "scope": scope,
+                   "value": args.value, "cost": args.cost, "at": at}
+        apply_event(next_record(state.last_seq, KIND_RATING, payload, at),
+                    state)
+        log.append(KIND_RATING, payload, at=at)
     _emit(args,
-          {"rater": rating.rater, "ratee": rating.ratee,
-           "scope": rating.scope, "value": rating.value, "at": at},
-          [f"recorded {rating.value:+d} from {rating.rater} on "
-           f"{rating.ratee} in {rating.scope}"])
+          {"rater": args.rater, "ratee": args.ratee, "scope": scope,
+           "value": args.value, "at": at},
+          [f"recorded {args.value:+d} from {args.rater} on {args.ratee} "
+           f"in {scope}"])
     return 0
 
 

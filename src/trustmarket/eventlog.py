@@ -4,14 +4,15 @@ One JSON object per line, UTF-8, strictly increasing sequence numbers;
 every line is a registration or a rating, and a line of any other kind
 is damage.  Every command reads the log in one pass: replay takes a
 shared lock, and a writing command holds an exclusive lock
-(`EventLog.locked`) for the whole cycle of replay, validation, append
-and fsync, so its checks and its sequence number come from the state it
-appends to.  Replay feeds each event through `apply_event`, the one way
-state is written: structural damage stops the scan with the offending
-line number, while domain rejections (duplicate identity, stale rating
-and so on) are collected per event exactly as the original writer would
-have seen them.  An unterminated last line is a torn write, for instance from a
-crash mid-append: reads skip and report it, the next write cuts it off.
+(`EventLog.locked`) for the whole cycle of replay, apply, append and
+fsync, so its checks and its sequence number come from the state it
+appends to.  Replay, the simulator and the CLI's `register` and `rate`
+all write state through `apply_event`, and a writer appends the event it
+applied.  Only replay turns a malformed payload into `CorruptLog`: damage
+stops the scan at its line, while domain rejections (duplicate identity,
+stale rating and so on) are collected per event, as the writer saw them.
+An unterminated last line is a torn write, for instance from a crash
+mid-append: reads skip and report it, the next write cuts it off.
 
 Each line is parsed by one call of the C scanner that `json.loads`
 wraps, on the line stripped of JSON whitespace, which skips the Python
@@ -336,30 +337,24 @@ class MarketState:
                 "rejections": list(self.rejections)}
 
 
-def apply_event(record: EventRecord, state: MarketState, line_no: int = 0):
-    """Feed one event into the state; returns the new account on a
-    successful registration, else None.
-
-    Raises domain errors for the caller to collect; a malformed payload
-    or a kind outside `KINDS` counts as structural damage.
-    """
-    try:
-        if record.kind == KIND_REGISTER:
-            return state.registry.register(
-                CredentialSet.from_dict(record.payload["credentials"]))
-        if record.kind == KIND_RATING:
-            payload = record.payload
-            rating = Rating(payload["rater"], payload["ratee"],
-                            payload["scope"], payload["value"],
-                            payload["cost"], payload.get("at", record.at))
-            state.store.record(rating, registry=state.registry)
-            return None
-    except TrustMarketError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptLog(f"malformed {record.kind} payload: {exc}",
-                         line_no) from exc
-    raise CorruptLog(f"unknown kind {record.kind!r}", line_no)
+def apply_event(record: EventRecord, state: MarketState):
+    """Write one event into the state, as replay, the simulator and the
+    CLI's `register` and `rate` do; returns the new account on a
+    successful registration, else None.  Raises domain errors for a
+    refused event, and `KeyError`, `TypeError` or `ValueError` for a
+    malformed payload or a kind outside `KINDS`; only replay reports a
+    malformed payload as `CorruptLog`, at its line."""
+    if record.kind == KIND_REGISTER:
+        return state.registry.register(
+            CredentialSet.from_dict(record.payload["credentials"]))
+    if record.kind == KIND_RATING:
+        payload = record.payload
+        rating = Rating(payload["rater"], payload["ratee"], payload["scope"],
+                        payload["value"], payload["cost"],
+                        payload.get("at", record.at))
+        state.store.record(rating, registry=state.registry)
+        return None
+    raise ValueError(f"unknown event kind {record.kind!r}")
 
 
 def _replay(handle, checkpoint=None):
@@ -378,11 +373,12 @@ def _replay(handle, checkpoint=None):
     scan = _Scan(handle, lines, state.last_seq)
     for line_no, record in scan:
         try:
-            apply_event(record, state, line_no)
-        except CorruptLog:
-            raise
+            apply_event(record, state)
         except TrustMarketError as exc:
             state.rejections.append((line_no, record.seq, str(exc)))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CorruptLog(f"malformed {record.kind} payload: {exc}",
+                             line_no) from exc
     state.last_seq, state.torn_line = scan.last_seq, scan.torn_line
     return state, scan, prefix
 

@@ -19,11 +19,12 @@ money sums are exact.
 
 Every state change a run makes, each registration attempt and both
 ratings of each deal, is an `eventlog.EventRecord`, numbered from the
-state's `last_seq` and written through `eventlog.apply_event`, so the
-run's state is the fold of its event stream.  A world keeps no copy of
-that stream: it hands each record to its `sink`, if it has one, as
-`simulate --trace` does.  A refused registration is kept as a rejection,
-as a replay would.
+state's `last_seq` and written through `eventlog.apply_event`, as replay
+and the CLI's `register` and `rate` write theirs, so the run's state is
+the fold of its event stream.  A world keeps no copy of that stream: it
+hands each record to its `sink`, if it has one, as `simulate --trace`
+does.  A refused registration is kept as a rejection, as a replay
+would; only replay reports a malformed payload as `CorruptLog`.
 
 A world keeps each fact once: a rating's `at` is the store's revision
 plus one, a seller's current account is `accounts[name]`, and a report
@@ -613,7 +614,7 @@ def _apply(world: World, kind: str, payload: dict, at: int | None = None):
     state.last_seq = record.seq
     if world.sink is not None:
         world.sink(record)
-    return apply_event(record, state, record.seq)
+    return apply_event(record, state)
 
 
 def _register(world: World, credentials: CredentialSet):
@@ -766,7 +767,7 @@ def _choose(world: World, buyer: BuyerSpec, listings: list, rankings: dict):
     as (effective, -index) in ascending order, so the best is last.  A
     ranking is built on its first need and kept across deals: a sold
     listing is popped when it reaches the top, and the caller drops every
-    ranking when a deal moves the buyer's rater weight.
+    ranking when a deal drops a view through the buyer's rater weight.
     """
     if buyer.colludes_with is not None:
         for index, listing in enumerate(listings):
@@ -825,8 +826,8 @@ def _record_deal(world: World, buyer: BuyerSpec, listing: _Listing,
     the listing's scope, all of the seller's at its first rating, where
     new-seller turns new-in-scope, and, if the ratings moved the buyer's
     rater weight, each view whose bucket holds a rating by the buyer;
-    `step` says why that suffices.  Whether the buyer's weight moved,
-    the one case that drops the view of an unsold listing."""
+    `step` says why that suffices.  Whether that last case dropped a
+    view, the one way a deal drops the view of an unsold listing."""
     store, registry, views = (world.state.store, world.state.registry,
                               world.views)
     buyer_id = world.accounts[buyer.name]
@@ -844,12 +845,12 @@ def _record_deal(world: World, buyer: BuyerSpec, listing: _Listing,
     if first:
         for key in [key for key in views if key[0] == seller_id]:
             del views[key]
-    moved = rater_weight(buyer_id, store, registry, world.config) != before
-    if moved:
-        for key in [key for key in views
-                    if store.latest(buyer_id, *key) is not None]:
-            del views[key]
-    return moved
+    if rater_weight(buyer_id, store, registry, world.config) == before:
+        return False
+    stale = [key for key in views if store.latest(buyer_id, *key) is not None]
+    for key in stale:
+        del views[key]
+    return bool(stale)
 
 
 def _rate(world: World, rater: str, ratee: str, listing: _Listing,
@@ -881,10 +882,12 @@ def step(world: World) -> World:
     # at its first rating, and, if the buyer's weight moved, each view
     # whose bucket the buyer has rated; every other view stays exact, from
     # round to round.  Each seller posts one listing a round, so a deal
-    # that leaves the buyer's weight alone changes the view of no unsold
-    # listing, and each buyer policy's ranking in `rankings` holds but for
-    # the sold listing, which `_choose` pops; a deal that moves it drops
-    # them all.
+    # that drops no view through the buyer's weight changes the view of no
+    # unsold listing, and each buyer policy's ranking in `rankings` holds
+    # but for the sold listing, which `_choose` pops; a deal that does
+    # drops them all.  A deal drops none on `ebay`, whose scores are not
+    # kept views, nor when its buyer has rated no other kept view's
+    # bucket, as at its first deal.
     rankings = {}
     for buyer in _arrival(world):
         index = _choose(world, buyer, listings, rankings)
@@ -988,9 +991,6 @@ def compare_variants(scenario: Scenario, variants=VARIANTS) -> ComparisonReport:
     variants = tuple(variants)
     if not variants:
         raise InvalidScenario("need at least one variant to compare")
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise InvalidScenario(f"unknown variant {variant!r}")
     draws = {}      # the variants' common random numbers, each hashed once
     worlds = {variant: build_world(replace(scenario, variant=variant), draws)
               for variant in dict.fromkeys(variants)}

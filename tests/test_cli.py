@@ -87,7 +87,7 @@ def test_duplicate_register_writes_nothing(capsys, log):
     run(capsys, *register_args(log, "a"))
     code, _, err = run(capsys, *register_args(log, "a"))
     assert code == 1
-    assert "error:" in err
+    assert err == "error: national id already registered to A000001\n"
     assert len(log.read_text().splitlines()) == 1
 
 
@@ -215,7 +215,7 @@ def test_failed_rate_writes_nothing(capsys, log):
                        "--rater", "A000009", "--ratee", "A000001",
                        "--scope", "laptops", "--value", "1")
     assert code == 1
-    assert "error:" in err
+    assert err == "error: no account 'A000009'\n"
     assert log.read_text() == before
 
 
@@ -227,8 +227,54 @@ def test_rate_with_nan_cost_writes_nothing(capsys, log):
                        "--rater", "A000002", "--ratee", "A000001",
                        "--scope", "laptops", "--value", "1", "--cost", "nan")
     assert code == 1
-    assert "error:" in err
+    assert err == "error: cost must lie in [0, inf), got nan\n"
     assert log.stat().st_size == size
+
+
+# Each refusal keeps the library's own message: `apply_event` raises it.
+# A blank scope is named before a bad cost, since the command normalises
+# the scope as it builds the event.
+REFUSED_RATES = {
+    "negative cost": (["--cost", "-1"],
+                      "cost must lie in [0, inf), got -1.0"),
+    "blank scope": (["--scope", " "],
+                    "scope must be a non-empty category name"),
+    "blank scope, nan cost": (["--scope", "", "--cost", "nan"],
+                              "scope must be a non-empty category name"),
+    "unknown ratee": (["--ratee", "A000007"], "no account 'A000007'"),
+    "self-rating": (["--rater", "A000001"], "A000001 cannot rate itself"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(REFUSED_RATES))
+def test_a_refused_rate_names_its_fault(capsys, log, fault):
+    run(capsys, *register_args(log, "seller"))
+    run(capsys, *register_args(log, "buyer"))
+    before = log.read_bytes()
+    extra, message = REFUSED_RATES[fault]
+    argv = rate_args(log, *extra)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert log.read_bytes() == before
+
+
+REFUSED_REGISTRATIONS = {
+    "national id written differently": (
+        ["--national-id", "NID-A"],
+        "national id already registered to A000001"),
+    "blank personal field": (
+        ["--city", " "],
+        "a complete personal-details block is the minimum to register"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(REFUSED_REGISTRATIONS))
+def test_a_refused_register_names_its_fault(capsys, log, fault):
+    run(capsys, *register_args(log, "a"))
+    before = log.read_bytes()
+    extra, message = REFUSED_REGISTRATIONS[fault]
+    argv = register_args(log, "b", *extra)
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+    assert log.read_bytes() == before
 
 
 def test_avoid_delivery_advisory(capsys, log):
@@ -749,10 +795,12 @@ def test_compare_selected_variants(capsys):
 
 
 def test_compare_unknown_variant_is_exit_1(capsys):
-    code, _, err = run(capsys, "compare", str(ONBOARDING),
-                       "--variants", "integrated,bogus")
-    assert code == 1
-    assert "error:" in err
+    for variants, name in (("foo", "'foo'"), ("integrated,bogus", "'bogus'")):
+        code, out, err = run(capsys, "compare", str(ONBOARDING),
+                             "--variants", variants)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
 
 
 # ------------------------------------------------------------------

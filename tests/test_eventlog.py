@@ -353,6 +353,36 @@ def test_describe_flattens_keys(tmp_path):
     assert description["revision"] == 1
 
 
+REGISTRATIONS = [EventRecord(seq, KIND_REGISTER, seq, register_payload(tag))
+                 for seq, tag in ((1, "a"), (2, "b"))]
+
+
+def replayed_line_3(tmp_path, record):
+    """The CorruptLog that `replay` raises for a log of two registrations
+    with `record` as line 3."""
+    path = write_lines(tmp_path / "m.jsonl",
+                       [line.to_json() for line in (*REGISTRATIONS, record)])
+    with pytest.raises(CorruptLog) as replayed:
+        replay(path)
+    return replayed.value
+
+
+def replayed_damage(tmp_path, kind, payload):
+    """(replay's error, apply_event's error) for an event of `kind` with
+    `payload` written as line 3, after two registrations; the direct
+    apply, on the state of those two, must write nothing."""
+    record = EventRecord(3, kind, 3, payload)
+    replayed = replayed_line_3(tmp_path, record)
+    state = MarketState()
+    for registration in REGISTRATIONS:
+        apply_event(registration, state)
+    before = state.describe()
+    with pytest.raises((KeyError, TypeError, ValueError)) as applied:
+        apply_event(record, state)
+    assert state.describe() == before
+    return replayed, applied.value
+
+
 @pytest.mark.parametrize("payload", [
     {},                                        # no credentials at all
     {"credentials": {"personal": "nope"}},     # wrong shape
@@ -361,19 +391,16 @@ def test_describe_flattens_keys(tmp_path):
     {"credentials": []},                       # not an object
 ])
 def test_malformed_register_payload(tmp_path, payload):
-    state = MarketState()
-    record = EventRecord(seq=1, kind=KIND_REGISTER, at=1, payload=payload)
-    with pytest.raises(CorruptLog) as caught:
-        apply_event(record, state, line_no=4)
-    assert caught.value.line_no == 4
-    assert len(state.registry) == 0
+    replayed, applied = replayed_damage(tmp_path, KIND_REGISTER, payload)
+    assert replayed.line_no == 3
+    assert str(replayed) == f"line 3: malformed register payload: {applied}"
 
 
-def test_malformed_rating_payload():
-    record = EventRecord(seq=1, kind=KIND_RATING, at=1,
-                         payload={"rater": "A000001"})
-    with pytest.raises(CorruptLog):
-        apply_event(record, MarketState(), line_no=2)
+def test_malformed_rating_payload(tmp_path):
+    replayed, applied = replayed_damage(tmp_path, KIND_RATING,
+                                        {"rater": "A000001"})
+    assert type(applied) is KeyError
+    assert str(replayed) == "line 3: malformed rating payload: 'ratee'"
 
 
 @pytest.mark.parametrize("fields", ['"value":1,"cost":NaN',
@@ -447,10 +474,17 @@ def test_apply_event_refuses_other_kinds():
     state = MarketState()
     for kind in ("listing", "deal", "gossip"):
         record = EventRecord(seq=1, kind=kind, at=1, payload={"anything": 1})
-        with pytest.raises(CorruptLog) as excinfo:
-            apply_event(record, state, line_no=6)
-        assert str(excinfo.value) == f"line 6: unknown kind {kind!r}"
+        with pytest.raises(ValueError) as excinfo:
+            apply_event(record, state)
+        assert str(excinfo.value) == f"unknown event kind {kind!r}"
     assert state.describe() == MarketState().describe()
+
+
+@pytest.mark.parametrize("kind", ["listing", "deal", "gossip"])
+def test_replay_refuses_other_kinds_at_their_line(tmp_path, kind):
+    replayed = replayed_line_3(tmp_path, EventRecord(3, kind, 3, {"x": 1}))
+    assert replayed.line_no == 3
+    assert str(replayed) == f"line 3: unknown kind {kind!r}"
 
 
 # ------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Every name a trustmarket module or a test module imports is used or
-exported.
+exported, and only `eventlog` writes market state.
 
 A stdlib `ast` check over `src/trustmarket/*.py` (the package's
 `__init__.py`, which imports to re-export, is left out), `tests/*.py` and
@@ -8,6 +8,10 @@ An imported name passes when the module references it or lists it in
 `__all__`; an import statement with a `# noqa` comment on any of its
 lines is skipped.  Every name in a module's `__all__`, the package's
 included, must exist in that module.
+
+State is written one way, through `eventlog.apply_event`: no other module
+of the package calls a method named `register` or `record`, the writers
+of `Registry` and `RatingStore`.
 """
 
 import ast
@@ -75,3 +79,28 @@ def test_every_exported_name_exists(path):
     module = importlib.import_module(name)
     assert [export for export in getattr(module, "__all__", ())
             if not hasattr(module, export)] == []
+
+
+def state_writes(source: str) -> list:
+    """(line, name) of each call of a method named `register` or
+    `record`."""
+    return [(node.lineno, node.func.attr)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("register", "record")]
+
+
+@pytest.mark.parametrize("path", [path for path in MODULES
+                                  if path.name != "eventlog.py"],
+                         ids=lambda path: path.name)
+def test_only_eventlog_writes_state(path):
+    assert state_writes(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_state_write():
+    source = ("state.registry.register(credentials)\n"
+              "store.record(rating, registry=registry)\n"
+              "register(credentials)\n"
+              "log.records\n")
+    assert state_writes(source) == [(1, "register"), (2, "record")]

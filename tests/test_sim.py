@@ -623,6 +623,45 @@ def test_rankings_kept_across_deals_choose_as_rankings_built_per_deal(
             assert _run_with_history(scenario) == kept, (seed, scopes)
 
 
+def test_a_ranking_is_built_again_only_after_a_deal_dropped_a_view(
+        monkeypatch):
+    # within a round, a buyer policy's ranking lasts until a deal drops a
+    # kept view other than those of the sold seller; a deal that only
+    # moves the buyer's weight, as its first deal does, keeps it
+    choose, record_deal = sim._choose, sim._record_deal
+    again = 0
+    for name, scenario in _bundled_and_view_scenarios():
+        for start, variant in itertools.product(
+                (build_world, _world_with_history), VARIANTS):
+            world = start(replace(scenario, variant=variant))
+            ranked = {}     # round -> policies ranked since the last drop
+
+            def counted(world, buyer, listings, rankings):
+                known = set(rankings)
+                index = choose(world, buyer, listings, rankings)
+                policies = ranked.setdefault(world.round, set())
+                for policy in rankings.keys() - known:
+                    assert policy not in policies, (name, variant, policy)
+                    policies.add(policy)
+                return index
+
+            def recorded(world, buyer, listing, outcome):
+                nonlocal again
+                seller = listing.key[0]
+                first = seller not in world.state.store.received
+                kept = {key for key in world.views if key[0] != seller
+                        or not first and key != listing.key}
+                result = record_deal(world, buyer, listing, outcome)
+                if kept - world.views.keys():
+                    again += bool(ranked.pop(world.round, None))
+                return result
+            monkeypatch.setattr(sim, "_choose", counted)
+            monkeypatch.setattr(sim, "_record_deal", recorded)
+            for _ in range(scenario.horizon):
+                step(world)
+    assert again
+
+
 def _bundled_and_view_scenarios():
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         yield path.stem, Scenario.from_dict(json.loads(path.read_text()))
@@ -903,7 +942,7 @@ def _fold(events):
     folded = MarketState()
     for record in events:
         try:
-            apply_event(record, folded, record.seq)
+            apply_event(record, folded)
         except DuplicateIdentity as exc:
             folded.rejections.append((record.seq, record.seq, str(exc)))
     return folded
