@@ -164,16 +164,16 @@ def rater_weight(rater: str, store, registry,
                  config: EngineConfig = DEFAULT_ENGINE) -> float:
     """Credibility of a rater, in [epsilon, 1].
 
-    Derived from the mean of the ratings the rater has itself received,
-    mapped from [-1, 1] onto [0, 1].  A rater nobody has rated yet is
-    weighted by its tier's initial trust so fresh markets can bootstrap.
+    The store's credibility of the rater: its received mean, mapped from
+    [-1, 1] onto [0, 1].  A rater nobody has rated yet is weighted by its
+    tier's initial trust so fresh markets can bootstrap.
     """
     account = registry.get(rater)
     received = store.received.get(rater)
     if received is None:
         credibility = initial_trust(account.tier, config.policy)
     else:
-        credibility = (received.total / received.count + 1.0) / 2.0
+        credibility = received.credibility
     floor = config.epsilon
     return credibility if credibility > floor else floor
 
@@ -186,9 +186,9 @@ def weighted_reputation(seller: str, scope: str, store, registry,
     `rater_weight(rater) * cost_weight(cost)`; None when the seller has no
     ratings in the scope (a newcomer there).  Those two functions define
     the weights.  The loop inlines them, in the same conditional form, with
-    each config field read once and no call per rating: a rater's totals
-    are one lookup in `store.received`.  It sums in rater order, so it
-    equals the sum over the two functions bit for bit.
+    each config field read once and no call per rating: a rater's
+    credibility is the store's, one lookup in `store.received`.  It sums in
+    rater order, so it equals the sum over the two functions bit for bit.
     """
     registry.get(seller)   # raises UnknownAccount
     ratings = store.latest_ratings_for(seller, scope)
@@ -199,18 +199,18 @@ def weighted_reputation(seller: str, scope: str, store, registry,
     epsilon, w_min, c_half = config.epsilon, config.w_min, config.c_half
     trust = config.policy.initial_trust
     accounts = registry.accounts
-    totals_of = store.received.get
+    received_of = store.received.get
     numerator = 0.0
     denominator = 0.0
     for rating in ratings:
         rater = rating.rater
         if rater not in accounts:
             registry.get(rater)   # raises UnknownAccount
-        totals = totals_of(rater)
-        if totals is None:
+        received = received_of(rater)
+        if received is None:
             credibility = trust[accounts[rater].tier]
         else:
-            credibility = (totals.total / totals.count + 1.0) / 2.0
+            credibility = received.credibility
         cost = rating.cost
         share = cost / (cost + c_half)
         weight = ((credibility if credibility > epsilon else epsilon)

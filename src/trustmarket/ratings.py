@@ -82,8 +82,9 @@ _COLUMN_SET = frozenset(_COLUMNS)
 
 
 class _Received:
-    """One ratee's latest ratings, {scope: {rater: Rating}}, and the running
-    sum and count of their values, so rater weights need no scan.
+    """One ratee's latest ratings, {scope: {rater: Rating}}, the running
+    sum and count of their values, and the `credibility` they give it as a
+    rater, set with them, so rater weights need no scan and no arithmetic.
 
     `orders` holds {scope: the bucket's raters, sorted}, so that repeated
     reads of a bucket do not sort it again.  For a recorded ratee it is
@@ -105,12 +106,14 @@ class _Received:
     ratee.
     """
 
-    __slots__ = ("scopes", "total", "count", "rows", "columns", "orders")
+    __slots__ = ("scopes", "total", "count", "credibility", "rows",
+                 "columns", "orders")
 
     def __init__(self):
         self.scopes: dict[str, dict[str, Rating]] = {}
         self.total = 0
         self.count = 0
+        self.credibility = None
         self.rows = None
         self.columns = None
         self.orders = None
@@ -149,11 +152,11 @@ class RatingStore:
 
     `received` maps each ratee to its `_Received` record, and is the one
     way to read a ratee's totals: its `total`, the sum of the values of
-    its latest ratings, and its `count`, how many there are.  A ratee is
-    in it exactly when its count is at least 1.  Both are exact from
-    `restore` on, also for a ratee whose `Rating` objects are not built
-    yet.  It is read-only outside the store: readers touch `total` and
-    `count` and nothing else.
+    its latest ratings, its `count`, how many there are, and its
+    `credibility` as a rater.  A ratee is in it exactly when its count is
+    at least 1.  All three are exact from `restore` on, also for a ratee
+    whose `Rating` objects are not built yet.  It is read-only outside the
+    store: readers touch those three and nothing else.
     """
 
     def __init__(self):
@@ -254,6 +257,8 @@ class RatingStore:
             received.total += sums[end] - sums[start]
             received.count += end - start
             start = end
+        for totals in received_of.values():
+            totals.credibility = (totals.total / totals.count + 1.0) / 2.0
         store._size = store.revision = len(raters)
         return store
 
@@ -299,9 +304,10 @@ class RatingStore:
             raise SelfRating(f"{rating.rater} cannot rate itself")
         if registry is not None:
             accounts = registry.accounts
-            for account_id in (rating.rater, rating.ratee):
-                if account_id not in accounts:
-                    raise UnknownAccount(f"no account {account_id!r}")
+            if rating.rater not in accounts:
+                raise UnknownAccount(f"no account {rating.rater!r}")
+            if rating.ratee not in accounts:
+                raise UnknownAccount(f"no account {rating.ratee!r}")
         received = self.received.get(rating.ratee)
         if received is None:
             received = self.received[rating.ratee] = _Received()
@@ -319,6 +325,7 @@ class RatingStore:
         else:
             received.total -= prior.value
         received.total += rating.value
+        received.credibility = (received.total / received.count + 1.0) / 2.0
         bucket[rating.rater] = rating
         self.revision += 1
 

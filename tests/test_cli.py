@@ -208,6 +208,106 @@ def test_commands_in_separate_processes(log):
     assert json.loads(restored)["recommended_source"] == "ratings"
 
 
+# A writer process: it waits for the file named by its first argument, then
+# runs each argv of the JSON list in the file named by its second through
+# `cli.main`, and prints [exit code, stdout, stderr] for each.
+WRITER = """
+import contextlib, io, json, os, pathlib, sys, time
+from trustmarket.cli import main
+go, commands = sys.argv[1], json.loads(pathlib.Path(sys.argv[2]).read_text())
+while not os.path.exists(go):
+    time.sleep(0.001)
+results = []
+for argv in commands:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def writer_commands(log, writer):
+    """(argv, refusal, marker) for each command of one writer: ratings and
+    registrations, a few refused with the message `refusal`.  A rating's
+    cost and a registration's full name are unique to the command, so that
+    a line names it."""
+    ids = ["A000001", "A000002", "A000003", "A000004"]
+    commands = []
+    for k in range(12):
+        cost = float(1000 * writer + k)
+        rater, ratee, refusal = ids[1 + (writer + k) % 3], ids[0], None
+        if k == 3:
+            ratee, refusal = "A999999", "no account 'A999999'"
+        elif k == 9:
+            rater, refusal = ratee, "A000001 cannot rate itself"
+        tag = f"w{writer}-{k}"
+        if k % 6 == 0:
+            commands.append((register_args(log, tag, "--format", "json"),
+                             None, f"{tag} holder"))
+        elif k % 6 == 5:        # the seller's national id, written again
+            commands.append((register_args(log, tag, "--national-id",
+                                           "nid-seller"),
+                             "national id already registered to A000001",
+                             f"{tag} holder"))
+        else:
+            commands.append((["rate", "--log", str(log), "--rater", rater,
+                              "--ratee", ratee, "--scope", "laptops",
+                              "--value", str((writer + k) % 3 - 1),
+                              "--cost", str(cost), "--format", "json"],
+                             refusal, cost))
+    return commands
+
+
+def test_four_writers_share_one_ledger(capsys, log, tmp_path):
+    """Four processes `rate` and `register` on one ledger at once: the lock
+    numbers every line, keeps every accepted command's line and no refused
+    one's, and the checkpoint they save reads as a full replay."""
+    for tag in ("seller", "b1", "b2", "b3"):
+        assert run(capsys, *register_args(log, tag))[0] == 0
+    path = os.pathsep.join(filter(None, [str(SRC_DIR),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    go = tmp_path / "go"
+    plans, children = [], []
+    for writer in range(4):
+        plan = writer_commands(log, writer)
+        commands = tmp_path / f"writer-{writer}.json"
+        commands.write_text(json.dumps([argv for argv, _, _ in plan]))
+        plans.append(plan)
+        children.append(subprocess.Popen(
+            [sys.executable, "-W", "error::ResourceWarning", "-c", WRITER,
+             str(go), str(commands)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True))
+    go.touch()
+    outcomes = []
+    for child in children:
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        outcomes.append(json.loads(out))
+
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [line["seq"] for line in lines] == list(range(1, len(lines) + 1))
+    costs = [line["payload"]["cost"] for line in lines
+             if line["kind"] == "rating"]
+    names = [line["payload"]["credentials"]["personal"]["full_name"]
+             for line in lines if line["kind"] == KIND_REGISTER]
+    accepted = 4
+    for plan, results in zip(plans, outcomes):
+        for (_, refusal, marker), (code, out, err) in zip(plan, results):
+            written = costs if isinstance(marker, float) else names
+            if refusal is not None:
+                assert (code, out, err) == (1, "", f"error: {refusal}\n")
+                assert marker not in written
+            else:
+                assert (code, err) == (0, "")
+                assert written.count(marker) == 1
+                accepted += 1
+    assert len(lines) == accepted
+    assert EventLog(log).read_state().describe() == replay(log).describe()
+
+
 def test_failed_rate_writes_nothing(capsys, log):
     run(capsys, *register_args(log, "seller"))
     before = log.read_text()
@@ -511,6 +611,19 @@ TRACE_DIGESTS = {
 }
 
 
+# sha256 of `replay --format json` stdout over the `simulate --trace` file
+# of each bundled scenario: the state a full replay rebuilds, as
+# `describe()` writes it with sorted keys, so under any string hash seed.
+REPLAY_DIGESTS = {
+    "onboarding":
+        "23913f0a5c6341c3a2051553f8ed40b42d843011af708b8b35db5afd9eaf64df",
+    "value_imbalance":
+        "552d9c8f06dd765f05069a8a65f005db2d80f574a72af9f0b295b253013d044d",
+    "whitewash":
+        "41d543fe1d3a44d414ae7d2ed21ac730ef3637e23fb319b4a4be123d21cdb8c8",
+}
+
+
 @pytest.mark.parametrize("name", sorted(COMPARE_DIGESTS))
 def test_bundled_compare_output_is_pinned(capsys, name):
     code, out, _ = run(capsys, "compare",
@@ -531,6 +644,19 @@ def test_bundled_trace_is_pinned(capsys, tmp_path, name):
     data = trace.read_bytes()
     assert (hashlib.sha256(data).hexdigest(), data.count(b"\n")) \
         == TRACE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_DIGESTS))
+def test_bundled_replay_is_pinned(capsys, tmp_path, name):
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run(capsys, "simulate",
+                     str(DATA_DIR / "scenarios" / f"{name}.json"),
+                     "--trace", str(trace))
+    assert code == 0
+    code, out, err = run(capsys, "replay", str(trace), "--format", "json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() \
+        == REPLAY_DIGESTS[name]
 
 
 def test_simulate_text_output(capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -429,14 +430,13 @@ oracle_events = st.lists(
     max_size=30)
 
 
-def max_rater_weight(rater, snapshot, config):
+def max_rater_weight(rater, snapshot, config, registry=ORACLE_REGISTRY):
     """rater_weight written with max(), from a store snapshot."""
     received = [r.value for r in snapshot.values() if r.ratee == rater]
     if received:
         credibility = (sum(received) / len(received) + 1.0) / 2.0
     else:
-        credibility = config.policy.initial_trust[
-            ORACLE_REGISTRY.get(rater).tier]
+        credibility = config.policy.initial_trust[registry.get(rater).tier]
     return max(config.epsilon, credibility)
 
 
@@ -561,3 +561,70 @@ def test_a_restored_store_weighs_raters_as_a_recorded_one(events, cut,
     for stranger in (Rating("A999999", seller, "laptops", 1, 100.0, at + 4),
                      Rating(rater, "A999999", "laptops", 1, 100.0, at + 4)):
         write(stranger, UnknownAccount)
+
+
+# ------------------------------------------------------------------
+# the same, at the fan-in the dense-opinions benchmark times
+# ------------------------------------------------------------------
+
+FANIN_TIERS = ("high", "low", "medium")
+FANIN_REGISTRY = Registry()
+FANIN_IDS = [FANIN_REGISTRY.register(credentials_for(f"fan{i}", tier))
+             .account_id for i, tier in enumerate(FANIN_TIERS * 334)]
+FANIN_CONFIGS = [
+    DEFAULT_ENGINE,
+    # floors that tie: epsilon with a mean of 0, w_min with a cost of c_half
+    EngineConfig(epsilon=0.5, w_min=0.5),
+    # int tier trust values
+    EngineConfig(policy=PolicyConfig({ProfileTier.LOW: 0,
+                                      ProfileTier.MEDIUM: 0.5,
+                                      ProfileTier.HIGH: 1}), epsilon=0.15)]
+
+
+def fanin_store(raters, seed):
+    """A seller whose "laptops" bucket holds one rating from each of
+    `raters` raters, recorded in a shuffled order with some replaced, and
+    nine raters in ten rated themselves, in other scopes."""
+    draw = random.Random(seed)
+    seller, *pool = FANIN_IDS[:raters + 1]
+    ratings = []
+    for ratee in pool:
+        if draw.random() < 0.9:
+            for rater in draw.sample([seller, *pool], draw.randint(1, 4)):
+                if rater != ratee:
+                    ratings.append((rater, ratee, draw.choice(["cars",
+                                                               "books"])))
+    ratings += [(rater, seller, "laptops") for rater in pool]
+    ratings += draw.sample(ratings, len(ratings) // 10)     # replacements
+    draw.shuffle(ratings)
+    store = RatingStore()
+    for at, (rater, ratee, scope) in enumerate(ratings, start=1):
+        cost = draw.choice([0, 100, 100.0, draw.randint(0, 2_000),
+                            draw.uniform(0.0, 2_000.0)])
+        store.record(Rating(rater, ratee, scope, draw.choice([1, 0, -1]),
+                            cost, at), registry=FANIN_REGISTRY)
+    return seller, pool, store
+
+
+@pytest.mark.parametrize("raters, seed", [(200, 1), (500, 2), (1_000, 3)])
+def test_reputation_at_bench_fan_in_equals_the_weight_functions(raters,
+                                                                 seed):
+    seller, pool, store = fanin_store(raters, seed)
+    snapshot = store.snapshot()
+    unrated = [rater for rater in pool if rater not in store.received]
+    assert 0 < len(unrated) < raters // 5      # some take the tier fallback
+    bucket = sorted((r for r in snapshot.values()
+                     if r.ratee == seller and r.scope == "laptops"),
+                    key=lambda r: r.rater)
+    assert len(bucket) == raters
+    for config in FANIN_CONFIGS:
+        numerator = denominator = 0.0
+        for rating in bucket:
+            weight = (max_rater_weight(rating.rater, snapshot, config,
+                                       FANIN_REGISTRY)
+                      * max_cost_weight(rating.cost, config))
+            numerator += weight * rating.value
+            denominator += weight
+        got = weighted_reputation(seller, "laptops", store, FANIN_REGISTRY,
+                                  config)
+        assert got == numerator / denominator and type(got) is float

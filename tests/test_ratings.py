@@ -581,3 +581,87 @@ def test_restored_scope_reads_a_rater_that_joins_it(rows, pick, value):
                          registry=RESTORE_REGISTRY)
         assert restored.latest_ratings_for(ratee, scope) == scanned()
     assert_same_store(restored, expected)
+
+
+# ------------------------------------------------------------------
+# each ratee's credibility follows its totals through every write
+# ------------------------------------------------------------------
+
+STRANGER = "A000099"
+# (rater, ratee, scope, value, at), or a cut: save the store to columns and
+# restore it, so that the records after it land in pending buckets
+credibility_steps = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from([*RESTORE_IDS, STRANGER]),
+                  st.sampled_from([*RESTORE_IDS, STRANGER]),
+                  st.sampled_from(["books", "garden"]),
+                  st.sampled_from(RATING_VALUES), st.integers(1, 12)),
+        st.just("cut")),
+    max_size=40)
+
+
+def credibilities(store):
+    return {ratee: received.credibility
+            for ratee, received in store.received.items()}
+
+
+def credibilities_of(snapshot):
+    """{ratee: credibility} computed from a key -> rating map."""
+    received = {}
+    for rating in snapshot.values():
+        received.setdefault(rating.ratee, []).append(rating.value)
+    return {ratee: (sum(values) / len(values) + 1.0) / 2.0
+            for ratee, values in received.items()}
+
+
+def refusal_of(rating, oracle):
+    """The error `record` must raise for `rating`, or None."""
+    if rating.rater == rating.ratee:
+        return SelfRating
+    if STRANGER in (rating.rater, rating.ratee):
+        return UnknownAccount
+    prior = oracle.get((rating.rater, rating.ratee, rating.scope))
+    if prior is not None and prior.at >= rating.at:
+        return StaleTimestamp
+    return None
+
+
+@settings(max_examples=300)
+@given(credibility_steps)
+@example([(RESTORE_IDS[0], RESTORE_IDS[1], "books", 1, 1),
+          (RESTORE_IDS[2], RESTORE_IDS[1], "books", -1, 2),
+          "cut",
+          (RESTORE_IDS[0], RESTORE_IDS[1], "books", -1, 3),    # replacement
+          (RESTORE_IDS[0], RESTORE_IDS[1], "books", 1, 3),     # stale
+          (RESTORE_IDS[1], RESTORE_IDS[1], "garden", 1, 4),    # self
+          (STRANGER, RESTORE_IDS[1], "garden", 1, 4)])         # unknown
+def test_credibility_follows_every_record_and_restore(steps):
+    store, recorded, oracle = RatingStore(), RatingStore(), {}
+    for step in steps:
+        if step == "cut":
+            store = RatingStore.restore(store.columns(), RESTORE_REGISTRY)
+            assert all(received.rows is not None
+                       for received in store.received.values())
+        else:
+            rating = Rating(*step[:3], step[3], 10.0, step[4])
+            refusal = refusal_of(rating, oracle)
+            kept = credibilities(store)
+            for target in (store, recorded):
+                if refusal is None:
+                    target.record(rating, registry=RESTORE_REGISTRY)
+                else:
+                    with pytest.raises(refusal):
+                        target.record(rating, registry=RESTORE_REGISTRY)
+            if refusal is None:
+                oracle[key_of(step)] = rating
+            else:
+                assert credibilities(store) == kept
+        # the store under test builds no bucket here: its expected values
+        # come from a twin that recorded every rating and was never cut
+        expected = credibilities_of(recorded.snapshot())
+        assert credibilities_of(oracle) == expected
+        for target in (store, recorded):
+            assert credibilities(target) == expected
+            for received in target.received.values():
+                assert received.credibility == (
+                    received.total / received.count + 1.0) / 2.0
