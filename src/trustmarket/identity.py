@@ -7,13 +7,14 @@ three is High.  Business identity strings (national id, bank/card number)
 are normalized and held unique across all live accounts, so the same
 person cannot operate parallel identities, and a verified tier earns a
 configurable initial trust score that gives brand-new sellers a non-zero
-starting point.  The one field type rule, `check_field_types`, is here.
+starting point.  The one field type rule, `check_field_types`, and the one
+completeness rule, at `_TEXT_FIELDS`, for `register` and restore, are here.
 """
 
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 from functools import cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import gt, is_not
 import re
 
@@ -69,10 +70,6 @@ class PersonalDetails:
 
     __post_init__ = check_field_types
 
-    def complete(self) -> bool:
-        return all(map(str.strip, (self.full_name, self.address, self.phone,
-                                   self.city, self.country)))
-
 
 @dataclass(frozen=True)
 class BusinessDetails:
@@ -83,10 +80,6 @@ class BusinessDetails:
 
     __post_init__ = check_field_types
 
-    def complete(self) -> bool:
-        return all(map(str.strip, (self.national_id, self.bank_or_card,
-                                   self.business_phone, self.business_address)))
-
 
 @dataclass(frozen=True)
 class EvidenceDetails:
@@ -96,11 +89,6 @@ class EvidenceDetails:
     signed_declaration: bool = False    # "no" is truthy: a bool only
 
     __post_init__ = check_field_types
-
-    def complete(self) -> bool:
-        return (all(map(str.strip, (self.reference_account, self.id_document,
-                                    self.registration_document)))
-                and self.signed_declaration)
 
 
 # The credential blocks, in the cumulative order of the tiers.
@@ -172,24 +160,48 @@ def normalize_identity(value: str) -> str:
     return _NOT_ALNUM.sub("", str.strip(value).casefold())
 
 
-def classify_profile(credentials: CredentialSet) -> ProfileTier:
-    """Map a credential set to its profile tier.
+# The one completeness rule: a block is complete when each of its fields
+# counts, a text field when `strip()` leaves something and a flag when it
+# is true; a None block is not.  This marks each block class's fields, in
+# order, by type: True for a text field, False for a flag.
+_TEXT_FIELDS = {kind: tuple(spec.type is str for spec in fields(kind))
+                for kind in BLOCK_KINDS}
 
-    The tier is the longest complete prefix of (personal, business,
-    evidence).  An incomplete or missing block ends the prefix; anything
-    short of a complete personal block is rejected outright, since that
-    block is the minimum needed to operate at all.
-    """
-    personal = credentials.personal
-    if personal is None or not personal.complete():
+
+def _complete(block) -> bool:
+    """Whether `block`, a credential block or None, is complete: its text
+    fields, stripped, and then all its fields are true."""
+    if block is None:
+        return False
+    values = block.__dict__.values()
+    return all(map(str.strip, compress(values, _TEXT_FIELDS[type(block)]))) \
+        and all(values)
+
+
+class _TierTable(dict):
+    """A dict whose missing key is a refused registration."""
+
+    def __missing__(self, complete):
         raise IncompleteCredentials(
             "a complete personal-details block is the minimum to register")
-    tier = ProfileTier.LOW
-    if credentials.business is not None and credentials.business.complete():
-        tier = ProfileTier.MEDIUM
-        if credentials.evidence is not None and credentials.evidence.complete():
-            tier = ProfileTier.HIGH
-    return tier
+
+
+# An account's tier, the longest complete prefix of its blocks, by whether
+# its personal, business and evidence blocks are complete.  There is none
+# without a complete personal block, the minimum needed to operate at all.
+_TIER_BY_COMPLETE = _TierTable({(True, False, False): ProfileTier.LOW,
+                                (True, False, True): ProfileTier.LOW,
+                                (True, True, False): ProfileTier.MEDIUM,
+                                (True, True, True): ProfileTier.HIGH})
+
+
+def classify_profile(credentials: CredentialSet) -> ProfileTier:
+    """Map a credential set to its profile tier, as `_TIER_BY_COMPLETE`
+    says: the longest complete prefix of (personal, business, evidence),
+    and IncompleteCredentials without a complete personal block."""
+    return _TIER_BY_COMPLETE[_complete(credentials.personal),
+                             _complete(credentials.business),
+                             _complete(credentials.evidence)]
 
 
 def _default_initial_trust() -> dict:
@@ -246,14 +258,12 @@ class Account:
 def _block_columns(kind, blocks) -> tuple:
     """(present, values, complete) of `blocks`, each account's `kind`
     block: which blocks are not None, {field name: the blocks' values of
-    that field}, and which blocks are complete, a None block reading as
-    a blank one.
+    that field}, and which blocks are complete by the rule at
+    `_TEXT_FIELDS`, a None block reading as a blank one.
 
     Checks of each block what `_block` and `kind` check, with one pass
     per field: it is None or the list of its field values, each of a
-    type that `field_type_table` admits.  A block is complete when its
-    text fields are not blank and its flags are true, as the `complete`
-    methods of the blocks say."""
+    type that `field_type_table` admits."""
     width = len(kind.__dataclass_fields__)
     present = list(map(is_not, blocks, repeat(None)))
     blank = list(vars(kind()).values())
@@ -261,16 +271,17 @@ def _block_columns(kind, blocks) -> tuple:
     if set(map(type, blocks)) != {list} or set(map(len, blocks)) != {width}:
         raise ValueError(f"a {kind.__name__} block is the list of its "
                          f"{width} field values")
-    values = dict(zip(kind.__dataclass_fields__, zip(*blocks)))
-    filled = []
+    columns = list(zip(*blocks))
+    values = dict(zip(kind.__dataclass_fields__, columns))
     for name, admitted, noun in field_type_table(kind):
         column = values[name]
         if not set(map(type, column)).issubset(admitted):
             wrong = next(value for value in column
                          if type(value) not in admitted)
             raise TypeError(f"{name} must be {noun}, got {wrong!r}")
-        filled.append(map(str.strip, column) if str in admitted else column)
-    return present, values, list(map(all, zip(*filled)))
+    counted = [map(str.strip, column) if text else column
+               for text, column in zip(_TEXT_FIELDS[kind], columns)]
+    return present, values, list(map(all, zip(*counted)))
 
 
 def _identity_index(values, ids, noun) -> dict:
@@ -287,15 +298,6 @@ def _identity_index(values, ids, noun) -> dict:
 # The id of the n-th account registered.
 _account_id = "A{:06d}".format
 
-# An account's tier, the longest complete prefix of its blocks as
-# `classify_profile` finds it, by whether its business and evidence
-# blocks are complete.
-_TIER_BY_COMPLETE = {(False, False): ProfileTier.LOW,
-                     (False, True): ProfileTier.LOW,
-                     (True, False): ProfileTier.MEDIUM,
-                     (True, True): ProfileTier.HIGH}
-
-
 class Registry:
     """Account registry with uniqueness indexes over identity strings.
 
@@ -307,9 +309,6 @@ class Registry:
         self.accounts: dict[str, Account] = {}
         self._by_national_id: dict[str, str] = {}
         self._by_bank_or_card: dict[str, str] = {}
-
-    def __contains__(self, account_id: str) -> bool:
-        return account_id in self.accounts
 
     def __len__(self) -> int:
         return len(self.accounts)
@@ -348,10 +347,13 @@ class Registry:
         no `register` call and no `CredentialSet` built.  The blocks are
         shaped and typed as `_block` and the block classes require; no
         evidence block comes without a business block; every personal
-        block is complete; the non-empty normalized national ids are
-        unique, and so are the bank/card numbers; and the ids are
-        A000001 on, in order.  A check that fails raises as `register`
-        would (DuplicateIdentity, IncompleteCredentials, TypeError), or
+        block is complete, by the one rule at `_TEXT_FIELDS`, and each
+        account's tier is read from `_TIER_BY_COMPLETE`; the non-empty
+        normalized national ids are unique, and so are the bank/card
+        numbers; and the ids are A000001 on, in order.  A check that
+        fails raises an error `register` raises (DuplicateIdentity,
+        IncompleteCredentials, TypeError), though with several faults
+        not always the one that registering in order meets first, or
         ValueError for a shape, for field names or for ids that differ.
 
         Each account keeps its checked entry as its `blocks`, not copied.
@@ -375,15 +377,13 @@ class Registry:
             _block_columns, BLOCK_KINDS, zip(*entries))
         if any(map(gt, has_evidence, has_business)):     # True > False
             raise ValueError("evidence block requires a business block")
-        if not all(personal_complete):
-            raise IncompleteCredentials(
-                "a personal-details block is missing or incomplete")
+        tiers = list(map(_TIER_BY_COMPLETE.__getitem__,
+                         zip(personal_complete, business_complete,
+                             evidence_complete)))
         registry._by_national_id = _identity_index(
             business["national_id"], names, "national id")
         registry._by_bank_or_card = _identity_index(
             business["bank_or_card"], names, "bank/card")
-        tiers = map(_TIER_BY_COMPLETE.__getitem__,
-                    zip(business_complete, evidence_complete))
         registry.accounts = dict(zip(names, map(Account, names, entries,
                                                 tiers)))
         return registry

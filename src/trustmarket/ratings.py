@@ -87,10 +87,9 @@ class _Received:
     rater, set with them, so rater weights need no scan and no arithmetic.
 
     `orders` holds {scope: the bucket's raters, sorted}, so that repeated
-    reads of a bucket do not sort it again.  For a recorded ratee it is
-    None until the first `latest_ratings_for`, which fills the scope's
-    list; a restored ratee has it from `restore` on, and `build` fills a
-    bucket's list from the restored raters, which are sorted already.  A
+    reads of a bucket do not sort it again.  For a recorded bucket the
+    first `latest_ratings_for` fills the scope's list; for a restored one
+    `build` fills it from the restored raters, which are sorted already.  A
     bucket never loses a rater, so its list is stale exactly when it is
     shorter than the bucket: when a new rater has entered the scope.  The
     next read then sorts it again; a rating that only replaces an older
@@ -116,7 +115,7 @@ class _Received:
         self.credibility = None
         self.rows = None
         self.columns = None
-        self.orders = None
+        self.orders = {}
 
     def build(self, ratee: str, scope: str) -> None:
         """Turn the pending bucket of `scope` into ratings, as recording
@@ -252,7 +251,6 @@ class RatingStore:
             if received is None:
                 received = received_of[ratee] = _Received()
                 received.rows, received.columns = {}, shared
-                received.orders = {}
             received.rows[scope] = start, end
             received.total += sums[end] - sums[start]
             received.count += end - start
@@ -346,8 +344,6 @@ class RatingStore:
         if bucket is None:
             return []
         orders = received.orders
-        if orders is None:
-            orders = received.orders = {}
         order = orders.get(scope)
         if order is None or len(order) != len(bucket):
             order = orders[scope] = sorted(bucket)

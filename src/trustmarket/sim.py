@@ -282,6 +282,9 @@ class Scenario:
         if self.variant not in VARIANTS:
             raise InvalidScenario(
                 f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if not self.engine.use_weights:
+            raise InvalidScenario('use_weights is false: weights are '
+                                  'turned off by variant "unweighted" alone')
         if not self.scopes:
             raise InvalidScenario("need at least one scope")
         for scope in self.scopes:

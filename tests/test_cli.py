@@ -894,6 +894,21 @@ def test_hostile_scenario_file_is_exit_1(capsys, tmp_path, edit, named):
                 == existing
 
 
+def test_an_engine_without_weights_is_refused(capsys, tmp_path):
+    # the variant is a scenario's one weighting switch: an engine with
+    # weights off would run `integrated` as `unweighted`, and `compare`
+    # would print the two as one report with every delta 0
+    scenario = tmp_path / "unweighted.json"
+    data = json.loads((DATA_DIR / "scenarios" / "value_imbalance.json")
+                      .read_text())
+    scenario.write_text(json.dumps({**data,
+                                    "engine": {"use_weights": False}}))
+    code, out, err = run(capsys, "compare", str(scenario))
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line.startswith("error:") and 'variant "unweighted"' in line
+
+
 def test_largest_prices_run_to_a_report(capsys, tmp_path):
     # a price range up to the largest float loads, and the totals of a run,
     # beyond the float range, are reported exactly

@@ -12,11 +12,15 @@ included, must exist in that module.
 State is written one way, through `eventlog.apply_event`: no other module
 of the package calls a method named `register` or `record`, the writers
 of `Registry` and `RatingStore`.
+
+The package has no runtime dependencies: every absolute import in
+`src/trustmarket/*.py` names a module of the standard library.
 """
 
 import ast
 import importlib
 from pathlib import Path
+import sys
 
 import pytest
 
@@ -104,3 +108,36 @@ def test_the_check_sees_a_state_write():
               "register(credentials)\n"
               "log.records\n")
     assert state_writes(source) == [(1, "register"), (2, "record")]
+
+
+def third_party_imports(source: str) -> list:
+    """(line, module) of each absolute import of a module whose top-level
+    package is not in the standard library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        found += [(node.lineno, module) for module in modules
+                  if module.split(".")[0] not in sys.stdlib_module_names]
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_the_package_imports_only_the_standard_library(path):
+    assert third_party_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_third_party_import():
+    source = ("import json, hypothesis.strategies\n"
+              "from os.path import join\n"
+              "from . import errors\n"
+              "from .identity import Registry\n"
+              "def load():\n"
+              "    from numpy import array\n")
+    assert third_party_imports(source) == [(1, "hypothesis.strategies"),
+                                           (6, "numpy")]

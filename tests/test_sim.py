@@ -1021,7 +1021,7 @@ def scenarios(draw):
         for name in names if name not in taken)
     engine = draw(st.fixed_dictionaries({}, optional={
         "epsilon": OPEN_UNIT, "c_half": st.floats(1, 500), "w_min": OPEN_UNIT,
-        "max_delivery_days": st.floats(0, 20), "use_weights": st.booleans()})
+        "max_delivery_days": st.floats(0, 20)})
         .filter(lambda e: e.get("epsilon", DEFAULT_ENGINE.epsilon)
                 * e.get("w_min", DEFAULT_ENGINE.w_min) > 0.0))
     labels = draw(st.none() | st.lists(UNIT, min_size=2, max_size=2,
