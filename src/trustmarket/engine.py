@@ -11,8 +11,8 @@ lets a verified newcomer sell at all.
 serves the opinion it cached for a query until `invalidate` drops it.
 """
 
-import math
 from dataclasses import dataclass, field
+from typing import Annotated
 
 from .errors import SelfQuery
 from .identity import (DEFAULT_POLICY, PolicyConfig, ProfileTier,
@@ -47,37 +47,25 @@ class EngineConfig:
     """
 
     policy: PolicyConfig = field(default_factory=lambda: DEFAULT_POLICY)
-    epsilon: float = 0.1
-    c_half: float = 100.0
-    w_min: float = 0.1
-    low_max: float = 0.15
-    med_max: float = 0.5
-    max_delivery_days: float = 14.0
+    epsilon: Annotated[float, "(0, 1)"] = 0.1
+    c_half: Annotated[float, "(0, inf)"] = 100.0
+    w_min: Annotated[float, "(0, 1)"] = 0.1
+    low_max: Annotated[float, "[0, 1]"] = 0.15
+    med_max: Annotated[float, "[0, 1]"] = 0.5
+    max_delivery_days: Annotated[float, "[0, inf)"] = 14.0
     use_weights: bool = True
 
     def __post_init__(self):
         check_field_types(self)
-        if not isinstance(self.policy, PolicyConfig):
-            raise TypeError(
-                f"policy must be a PolicyConfig, got {self.policy!r}")
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if not 0.0 < self.c_half < math.inf:
-            raise ValueError(f"c_half must lie in (0, inf), got {self.c_half}")
-        if not 0.0 < self.w_min < 1.0:
-            raise ValueError(f"w_min must lie in (0, 1), got {self.w_min}")
         # every weight is at least this product, so a reputation's
         # denominator stays positive only while it does not round to 0
         if self.epsilon * self.w_min == 0.0:
             raise ValueError(
                 f"epsilon * w_min must not round to 0, got "
                 f"{self.epsilon} * {self.w_min}")
-        if not 0.0 <= self.low_max < self.med_max <= 1.0:
+        if not self.low_max < self.med_max:
             raise ValueError(
-                f"need 0 <= low_max < med_max <= 1, got "
-                f"{self.low_max}, {self.med_max}")
-        if not 0.0 <= self.max_delivery_days < math.inf:
-            raise ValueError("max_delivery_days must lie in [0, inf)")
+                f"need low_max < med_max, got {self.low_max}, {self.med_max}")
 
 
 DEFAULT_ENGINE = EngineConfig()
@@ -88,16 +76,12 @@ class ListingContext:
     """The listing a buyer is weighing up: scope, price, delivery terms."""
 
     scope: str
-    price: float
-    delivery_days: float = 0.0
+    price: Annotated[float, "[0, inf)"]
+    delivery_days: Annotated[float, "[0, inf)"] = 0.0
     deliverable: bool = True
 
     def __post_init__(self):
         check_field_types(self)
-        if not 0.0 <= self.price < math.inf:
-            raise ValueError(f"price must lie in [0, inf), got {self.price}")
-        if not 0.0 <= self.delivery_days < math.inf:
-            raise ValueError("delivery_days must lie in [0, inf)")
         object.__setattr__(self, "scope", normalize_scope(self.scope))
 
 

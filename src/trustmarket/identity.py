@@ -7,7 +7,8 @@ three is High.  Business identity strings (national id, bank/card number)
 are normalized and held unique across all live accounts, so the same
 person cannot operate parallel identities, and a verified tier earns a
 configurable initial trust score that gives brand-new sellers a non-zero
-starting point.  The one field type rule, `check_field_types`, and the one
+starting point.  The one field rule, `check_field_types`, which reads
+each field's type and range from its annotation, and the one
 completeness rule, at `_TEXT_FIELDS`, for `register` and restore, are here.
 """
 
@@ -17,6 +18,8 @@ from functools import cache
 from itertools import compress, repeat
 from operator import gt, is_not
 import re
+from types import UnionType
+from typing import Annotated, get_args, get_origin
 
 from .errors import DuplicateIdentity, IncompleteCredentials, UnknownAccount
 
@@ -42,22 +45,58 @@ class ProfileTier(IntEnum):
 
 # type(), not isinstance(): a bool is an int, and would pass as a number
 _TYPE_RULES = {float: ((int, float), "a number"), int: ((int,), "an int"),
-               bool: ((bool,), "true or false"), str: ((str,), "a string")}
+               bool: ((bool,), "true or false"), str: ((str,), "a string"),
+               type(None): ((type(None),), "None")}
+
+
+def _field_rule(hint) -> tuple:
+    """(admitted types, noun, interval or None) of annotation `hint`: a
+    class, which admits itself alone but as `_TYPE_RULES` says; a union
+    of classes, `X | Y`; or a number class `Annotated` with an interval,
+    as `Annotated[float, "[0, 1]"]` or `"(0, inf)"`, read as (low, high,
+    open ends, text).  A number lies in it when low <= it <= high and it
+    is no open end, so NaN lies in none."""
+    if get_origin(hint) is Annotated:
+        base, text = get_args(hint)
+        low, high = map(float, text[1:-1].split(","))
+        open_ends = (low,) * (text[0] == "(") + (high,) * (text[-1] == ")")
+        return *_TYPE_RULES[base], (low, high, open_ends, text)
+    if type(hint) is UnionType:
+        admitted, nouns, _ = zip(*map(_field_rule, get_args(hint)))
+        return sum(admitted, ()), " or ".join(nouns), None
+    if not isinstance(hint, type):
+        raise TypeError(f"no field rule reads the annotation {hint!r}")
+    if hint not in _TYPE_RULES:
+        article = "an" if hint.__name__[0] in "AEIOU" else "a"
+        return (hint,), f"{article} {hint.__name__}", None
+    return *_TYPE_RULES[hint], None
 
 
 @cache
 def field_type_table(cls) -> tuple:
-    """(name, admitted types, noun) of each ruled field of dataclass `cls`."""
-    return tuple((spec.name, *_TYPE_RULES[spec.type])
-                 for spec in fields(cls) if spec.type in _TYPE_RULES)
+    """(name, admitted types, noun, interval or None) of each field of
+    dataclass `cls`, as `_field_rule` reads its annotation."""
+    return tuple((spec.name, *_field_rule(spec.type)) for spec in fields(cls))
+
+
+def _check_value(name: str, value, admitted, noun, interval) -> None:
+    """Raise TypeError if `value`, called `name`, is of a type not
+    admitted, or ValueError if it lies outside the interval."""
+    if type(value) not in admitted:
+        raise TypeError(f"{name} must be {noun}, got {value!r}")
+    if interval is not None:
+        low, high, open_ends, text = interval
+        if not low <= value <= high or value in open_ends:
+            raise ValueError(f"{name} must lie in {text}, got {value!r}")
 
 
 def check_field_types(obj) -> None:
-    """Raise TypeError at a field of dataclass `obj` of a type not admitted."""
-    for name, admitted, noun in field_type_table(type(obj)):
+    """Raise TypeError at a field of dataclass `obj` of a type its
+    annotation does not admit, or ValueError at one outside its interval."""
+    for name, admitted, noun, interval in field_type_table(type(obj)):
         value = getattr(obj, name)
-        if type(value) not in admitted:
-            raise TypeError(f"{name} must be {noun}, got {value!r}")
+        if type(value) not in admitted or interval is not None:
+            _check_value(name, value, admitted, noun, interval)
 
 
 @dataclass(frozen=True)
@@ -208,6 +247,10 @@ def _default_initial_trust() -> dict:
     return {ProfileTier.LOW: 0.0, ProfileTier.MEDIUM: 0.15, ProfileTier.HIGH: 0.30}
 
 
+# The rule of each initial trust value: a number in [0, 1].
+_TRUST_RULE = _field_rule(Annotated[float, "[0, 1]"])
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     """Initial trust granted per tier; must be monotone in the tier order."""
@@ -219,12 +262,8 @@ class PolicyConfig:
         for tier in ProfileTier:
             if tier not in table:
                 raise ValueError(f"initial_trust missing tier {tier.label}")
-            score = table[tier]
-            if type(score) not in _TYPE_RULES[float][0]:
-                raise TypeError(f"initial_trust[{tier.label}] must be a "
-                                f"number, got {score!r}")
-            if not 0.0 <= score <= 1.0:
-                raise ValueError(f"initial_trust[{tier.label}] out of [0,1]: {score}")
+            _check_value(f"initial_trust[{tier.label}]", table[tier],
+                         *_TRUST_RULE)
         if not (table[ProfileTier.LOW] <= table[ProfileTier.MEDIUM]
                 <= table[ProfileTier.HIGH]):
             raise ValueError("initial_trust must be monotone Low <= Medium <= High")
@@ -273,7 +312,7 @@ def _block_columns(kind, blocks) -> tuple:
                          f"{width} field values")
     columns = list(zip(*blocks))
     values = dict(zip(kind.__dataclass_fields__, columns))
-    for name, admitted, noun in field_type_table(kind):
+    for name, admitted, noun, _ in field_type_table(kind):
         column = values[name]
         if not set(map(type, column)).issubset(admitted):
             wrong = next(value for value in column

@@ -45,6 +45,7 @@ import json
 import statistics
 import struct
 from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Annotated
 
 from .engine import (DEFAULT_ENGINE, EngineConfig, avoids_delivery,
                      rater_weight, scope_view)
@@ -106,25 +107,11 @@ def _in_range(unit: float, low: int, high: int) -> int:
 # strategies and rosters
 # ------------------------------------------------------------------
 
-def _check_counts(**counts) -> None:
-    for name, value in counts.items():
-        if value < 0:
-            raise ValueError(f"{name} must be an int >= 0, got {value!r}")
-
-
-def _check_unit(obj, *names) -> None:
-    """Refuse a field of `obj` named in `names` that lies outside [0, 1]."""
-    for name in names:
-        if not 0.0 <= getattr(obj, name) <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1]")
-
-
-def _check_costs(**costs) -> None:
-    """Refuse a price outside [0, MAX_COST], which no rating could carry."""
-    for name, value in costs.items():
-        if not 0 <= value <= MAX_COST:
-            raise ValueError(f"{name} must be an int in [0, {MAX_COST!r}], "
-                             f"got {value!r}")
+# A share, a count and a price, as field annotations.  A price above the
+# float range would stop the run where it meets a float.
+_UNIT = Annotated[float, "[0, 1]"]
+_COUNT = Annotated[int, "[0, inf)"]
+_PRICE = Annotated[int, f"[0, {MAX_COST!r}]"]
 
 
 def _expect(value, kind, what: str):
@@ -141,12 +128,10 @@ class Honest:
     """Delivers with probability `quality`; a delivered deal is merely
     marginal (neutral rating) with probability `marginal_rate`."""
 
-    quality: float = 0.95
-    marginal_rate: float = 0.0
+    quality: _UNIT = 0.95
+    marginal_rate: _UNIT = 0.0
 
-    def __post_init__(self):
-        check_field_types(self)
-        _check_unit(self, "quality", "marginal_rate")
+    __post_init__ = check_field_types
 
 
 @dataclass(frozen=True)
@@ -154,14 +139,11 @@ class ValueImbalance:
     """Builds reputation on cheap flawless deals, then lists at the
     high price and stops delivering."""
 
-    honest_phase: int = 10
-    low_cost: int = 20
-    defect_cost: int = 500
+    honest_phase: _COUNT = 10
+    low_cost: _PRICE = 20
+    defect_cost: _PRICE = 500
 
-    def __post_init__(self):
-        check_field_types(self)
-        _check_counts(honest_phase=self.honest_phase)
-        _check_costs(low_cost=self.low_cost, defect_cost=self.defect_cost)
+    __post_init__ = check_field_types
 
 
 @dataclass(frozen=True)
@@ -173,12 +155,10 @@ class IdentityReset:
     whitewash succeeds and the new identity starts with no history.
     """
 
-    defect_after: int = 5
+    defect_after: _COUNT = 5
     fresh_ids: bool = False
 
-    def __post_init__(self):
-        check_field_types(self)
-        _check_counts(defect_after=self.defect_after)
+    __post_init__ = check_field_types
 
 
 @dataclass(frozen=True)
@@ -187,13 +167,10 @@ class BallotStuffing:
     identities from its own credentials (all rejected); any actual
     inflation has to come from a colluding buyer."""
 
-    fake_raters: int = 5
-    quality: float = 0.5
+    fake_raters: _COUNT = 5
+    quality: _UNIT = 0.5
 
-    def __post_init__(self):
-        check_field_types(self)
-        _check_counts(fake_raters=self.fake_raters)
-        _check_unit(self, "quality")
+    __post_init__ = check_field_types
 
 
 STRATEGY_KINDS = {
@@ -212,13 +189,11 @@ class BuyerPolicy:
     marginal delivery, -1 on failure.
     """
 
-    threshold: float = 0.2
+    threshold: _UNIT = 0.2
     refuse_on_avoid_delivery: bool = True
-    new_seller_discount: float = 0.0
+    new_seller_discount: _UNIT = 0.0
 
-    def __post_init__(self):
-        check_field_types(self)
-        _check_unit(self, "threshold", "new_seller_discount")
+    __post_init__ = check_field_types
 
 
 def _check_entry(spec) -> None:
@@ -238,7 +213,8 @@ def _check_entry(spec) -> None:
 @dataclass(frozen=True)
 class SellerSpec:
     name: str
-    strategy: object = field(default_factory=Honest)
+    strategy: Honest | ValueImbalance | IdentityReset | BallotStuffing = \
+        field(default_factory=Honest)
     tier: str = "high"
 
     __post_init__ = _check_entry
@@ -261,7 +237,7 @@ class BuyerSpec:
 @dataclass(frozen=True)
 class Scenario:
     seed: int
-    horizon: int
+    horizon: Annotated[int, "[1, inf)"]
     sellers: tuple
     buyers: tuple = ()
     scopes: tuple = ("general",)
@@ -273,10 +249,8 @@ class Scenario:
     def __post_init__(self):
         try:
             check_field_types(self)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise InvalidScenario(str(exc)) from None
-        if self.horizon < 1:
-            raise InvalidScenario(f"horizon must be >= 1, got {self.horizon}")
         if not self.sellers:
             raise InvalidScenario("roster needs at least one seller")
         if self.variant not in VARIANTS:
@@ -294,9 +268,8 @@ class Scenario:
         names = [s.name for s in self.sellers] + [b.name for b in self.buyers]
         if len(set(names)) != len(names):
             raise InvalidScenario("roster names must be unique")
-        targets = (None, *(s.name for s in self.sellers))
+        targets = {None, *(s.name for s in self.sellers)}
         for buyer in self.buyers:
-            # a tuple, not a set, so an unhashable value reads as unknown
             if buyer.colludes_with not in targets:
                 raise InvalidScenario(
                     f"buyer {buyer.name!r} colludes with unknown seller "

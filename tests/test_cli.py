@@ -775,7 +775,7 @@ def _first(entries, **edit):
     (lambda d: {**d, "engine": [["epsilon", 0.2]]},
      "engine must be a JSON object"),
     (lambda d: {**d, "buyers": [{**d["buyers"][0], "colludes_with": ["x"]}]},
-     "colludes with"),
+     "buyers[0]: colludes_with must be a string or None, got ['x']"),
     (lambda d: {**d, "sellers": [{**d["sellers"][0], "name": ["x"]}]},
      "sellers[0]: name must be a string"),
     (lambda d: {**d, "sellers": _first(d["sellers"], name="\ud800")},
@@ -843,10 +843,12 @@ def _first(entries, **edit):
     (lambda d: {**d, "delivery_range": [1, 10 ** 400]}, "bad delivery_range"),
     (lambda d: {**d, "sellers": _first(d["sellers"], strategy={
         "kind": "value-imbalance", "low_cost": 10 ** 400})},
-     "sellers[0].strategy: low_cost must be an int in [0, "),
+     "sellers[0].strategy: low_cost must lie in [0, 1.7976931348623157e+308]"
+     ", got 1000"),
     (lambda d: {**d, "sellers": _first(d["sellers"], strategy={
         "kind": "value-imbalance", "defect_cost": 10 ** 400})},
-     "sellers[0].strategy: defect_cost must be an int in [0, "),
+     "sellers[0].strategy: defect_cost must lie in [0, "
+     "1.7976931348623157e+308], got 1000"),
     (lambda d: {**d, "sellers": _first(d["sellers"], strategy={
         "kind": "ballot-stuffing", "quality": 1.5})},
      "sellers[0].strategy: quality must lie in [0, 1]"),

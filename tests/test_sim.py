@@ -125,6 +125,27 @@ def test_duplicate_roster_names_rejected():
         basic_scenario(buyers=(buyer("s1"),))
 
 
+def test_a_class_typed_field_refuses_another_value():
+    # each ran into an AttributeError, the two specs mid-run
+    with pytest.raises(InvalidScenario,
+                       match="^engine must be an EngineConfig, got None$"):
+        basic_scenario(engine=None)
+    with pytest.raises(TypeError,
+                       match="^policy must be a BuyerPolicy, got None$"):
+        BuyerSpec("b", policy=None)
+    with pytest.raises(TypeError, match="^strategy must be a Honest or "):
+        SellerSpec("s", strategy="honest")
+
+
+@pytest.mark.parametrize("name", ["sellers", "buyers", "scopes",
+                                  "price_range", "delivery_range"])
+def test_a_list_in_a_tuple_field_is_refused(name):
+    # `from_dict` makes each list a tuple; a Scenario built in code must
+    value = list(getattr(basic_scenario(), name))
+    with pytest.raises(InvalidScenario, match=f"^{name} must be a tuple, "):
+        basic_scenario(**{name: value})
+
+
 def test_collusion_target_must_exist():
     bad = BuyerSpec(name="shill", policy=BuyerPolicy(),
                     colludes_with="nobody")

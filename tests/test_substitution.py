@@ -7,17 +7,23 @@ value.  The reader either refuses the document with one `error:` line
 and exit 1, or accepts it with every field's type kept: no bool in a
 number field, and a scenario that writes back to itself.  It never gives
 a traceback.
-Besides: the one type rule covers every annotated field of each checked
-class, and distinct roster names never share a synthetic identity.
+Besides: the one field rule covers every field of each checked class,
+its type and its range, and distinct roster names never share a
+synthetic identity.
 """
 
 import csv
+import importlib
 import io
 import json
+import math
+import pkgutil
+import re
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import is_dataclass
 from pathlib import Path
-from typing import get_type_hints
+from types import UnionType
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,13 +31,15 @@ from hypothesis import strategies as st
 
 from conftest import credentials_for, profile_examples
 from test_sim import scenarios
+import trustmarket
 from trustmarket import cli
 from trustmarket.cli import main
 from trustmarket.engine import EngineConfig, ListingContext
+from trustmarket.errors import InvalidScenario
 from trustmarket.eventlog import KIND_RATING, KIND_REGISTER, replay
 from trustmarket.identity import (BusinessDetails, CredentialSet,
                                   EvidenceDetails, PersonalDetails,
-                                  field_type_table)
+                                  check_field_types, field_type_table)
 from trustmarket.sim import (BallotStuffing, BuyerPolicy, BuyerSpec, Honest,
                              IdentityReset, Scenario, SellerSpec,
                              ValueImbalance, build_world, step, world_report)
@@ -47,8 +55,19 @@ REFERENCE = json.loads(
 HOSTILE = ("true", "false", "null", "1e999", "NaN", "1" + "0" * 400, "-0.0",
            '""', '"1"', "[]", "{}")
 
-# The annotations the type rule covers.
-RULED = (float, int, bool, str)
+
+def _admitted(hint):
+    """The types a field annotated `hint` admits, or None where the type
+    rule reads no such annotation: a class admits itself, and a float an
+    int too; a union, `X | Y`, each of its classes; and an `Annotated`
+    number its base."""
+    if get_origin(hint) is Annotated:
+        hint = get_args(hint)[0]
+    members = get_args(hint) if type(hint) is UnionType else (hint,)
+    if not all(isinstance(member, type) for member in members):
+        return None
+    return tuple(kind for member in members
+                 for kind in ((int, float) if member is float else (member,)))
 
 
 def _leaves(doc, path=()):
@@ -86,18 +105,16 @@ def substituted(draw, docs):
 
 def _assert_typed(value, hint=None):
     """No bool outside a bool field, and each ruled field of each
-    dataclass within `value` of its annotation's type."""
+    dataclass within `value` of a type its annotation admits."""
+    admitted = _admitted(hint) or ()
+    assert type(value) is not bool or bool in admitted, (hint, value)
+    assert type(value) in admitted or not admitted, (hint, value)
     if is_dataclass(value):
-        for name, field_hint in get_type_hints(type(value)).items():
+        for name, field_hint in _hints(type(value)).items():
             _assert_typed(getattr(value, name), field_hint)
     elif isinstance(value, (tuple, list, dict)):
         for item in (value.values() if isinstance(value, dict) else value):
             _assert_typed(item)
-    else:
-        assert type(value) is not bool or hint is bool, (hint, value)
-        if hint in RULED:
-            assert type(value) in ((int, float) if hint is float
-                                   else (hint,)), (hint, value)
 
 
 def _main(*argv):
@@ -228,7 +245,7 @@ def test_a_substituted_csv_row_is_refused_or_read(scratch, rows):
 
 
 # ------------------------------------------------------------------
-# the one type rule
+# the one field rule
 # ------------------------------------------------------------------
 
 CHECKED = (PersonalDetails, BusinessDetails, EvidenceDetails, Honest,
@@ -237,21 +254,28 @@ CHECKED = (PersonalDetails, BusinessDetails, EvidenceDetails, Honest,
 
 # The fields a checked class needs, each given a valid value.
 REQUIRED = {ListingContext: {"scope": "books", "price": 0.0},
-            SellerSpec: {"name": "s"}, BuyerSpec: {"name": "b"}}
+            SellerSpec: {"name": "s"}, BuyerSpec: {"name": "b"},
+            Scenario: {"seed": 1, "horizon": 1, "sellers": (SellerSpec("s"),)}}
+
+
+def _hints(cls) -> dict:
+    return get_type_hints(cls, include_extras=True)
 
 
 def _ruled_fields(cls) -> dict:
-    return {name: hint for name, hint in get_type_hints(cls).items()
-            if hint in RULED}
+    return {name: hint for name, hint in _hints(cls).items()
+            if _admitted(hint) is not None}
 
 
 @pytest.mark.parametrize("cls", (*CHECKED, Scenario),
                          ids=lambda cls: cls.__name__)
 def test_the_type_table_lists_every_ruled_field(cls):
     # spec.type is a string under `from __future__ import annotations`,
-    # which would leave the table empty and every field unchecked
-    assert [name for name, *_ in field_type_table(cls)] \
-        == list(_ruled_fields(cls))
+    # which the rule does not read
+    assert [(name, set(admitted))
+            for name, admitted, *_ in field_type_table(cls)] \
+        == [(name, set(_admitted(hint)))
+            for name, hint in _ruled_fields(cls).items()]
 
 
 @pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
@@ -261,6 +285,89 @@ def test_each_ruled_field_refuses_another_type(cls):
         hostile = {name: 1 if hint is bool else True}
         with pytest.raises(TypeError, match=f"^{name} must be "):
             cls(**{**REQUIRED.get(cls, {}), **hostile})
+
+
+def test_every_self_checking_class_is_fuzzed():
+    # a dataclass whose __post_init__ is, or calls, the rule is a config,
+    # scenario or credential class: its fields take part in the tests above
+    found = set()
+    for info in pkgutil.iter_modules(trustmarket.__path__):
+        module = importlib.import_module(f"trustmarket.{info.name}")
+        for obj in vars(module).values():
+            post = getattr(obj, "__post_init__", None)
+            if isinstance(obj, type) and is_dataclass(obj) \
+                    and obj.__module__ == module.__name__ \
+                    and post is not None \
+                    and (post is check_field_types
+                         or "check_field_types" in post.__code__.co_names):
+                found.add(obj)
+    assert found == {*CHECKED, Scenario}
+
+
+# (class, name, admitted types, interval) of each field of each checked
+# class that its table bounds.
+BOUNDED = [(cls, name, admitted, interval)
+           for cls in (*CHECKED, Scenario)
+           for name, admitted, _, interval in field_type_table(cls)
+           if interval is not None]
+
+
+def _ends(admitted, interval) -> tuple:
+    """([value], [value]): a value just outside each finite end of
+    `interval`, and each closed end or the nearest value inside each open
+    one, for a field that admits `admitted`.  A float steps to its
+    `math.nextafter` neighbour, an int by 1."""
+    low, high, open_ends, _ = interval
+    outside, inside = [], []
+    for end, outward in ((low, -1), (high, 1)):
+        if math.isinf(end):
+            continue
+        if float in admitted:
+            beyond = math.nextafter(end, outward * math.inf)
+            within = math.nextafter(end, -outward * math.inf)
+        else:
+            end = int(end)
+            beyond, within = end + outward, end - outward
+        if end in open_ends:
+            outside.append(end)
+            inside.append(within)
+        else:
+            outside.append(beyond)
+            inside.append(end)
+    return outside, inside
+
+
+@pytest.mark.parametrize(
+    "cls, name, admitted, interval", BOUNDED,
+    ids=[f"{cls.__name__}.{name}" for cls, name, *_ in BOUNDED])
+def test_each_bounded_field_refuses_values_past_its_ends(cls, name, admitted,
+                                                          interval):
+    low, high, open_ends, text = interval
+    outside, inside = _ends(admitted, interval)
+    assert outside, "a bounded field has a finite end"
+    ranged = ValueError if cls is not Scenario else InvalidScenario
+    for value in outside:
+        with pytest.raises(ranged, match=re.escape(
+                f"{name} must lie in {text}, got {value!r}")):
+            cls(**{**REQUIRED.get(cls, {}), name: value})
+    # an int field refuses a float by its type; NaN lies in no interval
+    infinite_closed = {end for end in (low, high)
+                       if math.isinf(end) and end not in open_ends}
+    for value in (math.nan, math.inf, -math.inf):
+        if value in infinite_closed:
+            inside.append(value)
+            continue
+        refused = f"must lie in {text}" if float in admitted \
+            else "must be an int"
+        with pytest.raises((TypeError, ValueError, InvalidScenario),
+                           match=f"^{name} {re.escape(refused)}, got "):
+            cls(**{**REQUIRED.get(cls, {}), name: value})
+    # the rule admits each value inside, though a test across fields, as
+    # of EngineConfig's low_max < med_max, may refuse one in a whole object
+    checked = cls(**REQUIRED.get(cls, {}))
+    for value in inside:
+        object.__setattr__(checked, name, value)
+        check_field_types(checked)
 
 
 # ------------------------------------------------------------------
