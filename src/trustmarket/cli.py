@@ -133,16 +133,15 @@ def cmd_replay(args) -> int:
     if state.torn_line is not None:
         print(f"warning: line {state.torn_line} is an unterminated (torn) "
               f"write and was skipped", file=sys.stderr)
-    described = state.describe()
     lines = [
-        f"accounts: {len(described['accounts'])}",
-        f"ratings: {len(described['ratings'])} "
-        f"(store revision {described['revision']})",
+        f"accounts: {len(state.registry)}",
+        f"ratings: {len(state.store)} (store revision {state.store.revision})",
         f"rejections: {len(state.rejections)}",
     ]
     for line_no, seq, message in state.rejections:
         lines.append(f"  line {line_no} seq {seq}: {message}")
-    _emit(args, described, lines)
+    # the text names three counts: only JSON needs the whole description
+    _emit(args, state.describe() if args.format == "json" else None, lines)
     return 0
 
 

@@ -162,13 +162,41 @@ class CredentialSet:
     @classmethod
     def from_dict(cls, data: dict) -> "CredentialSet":
         """The set that `to_dict` wrote as `data`: an object keyed by
-        block names only, so a misspelt block is refused, not dropped."""
+        block names only, so a misspelt block is refused, not dropped.
+        Equal to `cls(*(kind(**data[name]) ...))`, and raises as it does,
+        but fills the set and each block as `_filled` does."""
         names = cls.__dataclass_fields__
         if type(data) is not dict or not data.keys() <= names.keys():
             raise ValueError(f"credentials are an object keyed by some of "
                              f"{', '.join(names)}")
-        return cls(*(kind(**data[name]) if name in data else None
-                     for name, kind in zip(names, BLOCK_KINDS)))
+        return _filled(cls, {name: _filled(kind, data[name])
+                             for name, kind in zip(names, BLOCK_KINDS)
+                             if name in data})
+
+
+# {field name: default} of each class that `_filled` fills, in field order.
+_DEFAULTS = {kind: {spec.name: spec.default for spec in fields(kind)}
+             for kind in (*BLOCK_KINDS, CredentialSet)}
+
+
+def _filled(kind, values):
+    """What `kind(**values)` builds, for a frozen dataclass `kind` whose
+    fields all have defaults: its `__dict__` is the defaults updated
+    from `values`, a dict of field names, so the fields come in field
+    order, and then its `__post_init__` runs, for a block the one field
+    rule, `check_field_types`.  This skips the frozen `__init__`'s call
+    per field.  Any other `values`, one not a dict or holding a name
+    that is no field, goes to `kind(**values)`, so that it raises the
+    dataclass's own error."""
+    defaults = _DEFAULTS[kind]
+    if type(values) is dict:
+        filled = {**defaults, **values}
+        if len(filled) == len(defaults):
+            made = object.__new__(kind)
+            object.__setattr__(made, "__dict__", filled)
+            made.__post_init__()
+            return made
+    return kind(**values)
 
 
 # Each credential block's field names, in order: a block kept as a list,

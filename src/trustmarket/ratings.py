@@ -197,8 +197,8 @@ class RatingStore:
         per bucket, but its `Rating` objects are built a bucket at a time,
         when a read first needs the bucket: `record`, `latest_ratings_for`
         and `latest` build the bucket they touch, `ratings_between` each of
-        the ratee's that holds the rater, and `snapshot` every one;
-        `columns` builds none.
+        the ratee's that holds the rater, and iterating the store (so
+        `snapshot`) every one; `columns` builds none.
         """
         if type(columns) is not dict or columns.keys() != _COLUMN_SET:
             raise ValueError(f"rating columns are keyed {_COLUMNS}")
@@ -378,15 +378,20 @@ class RatingStore:
         bucket = received.scopes.get(scope)
         return None if bucket is None else bucket.get(rater)
 
-    def snapshot(self) -> dict:
-        """Copy of the key -> rating map, for comparison and replay checks."""
+    def __iter__(self):
+        """Every latest rating, bucket by bucket; builds every pending
+        bucket first."""
         for ratee, received in self.received.items():
             if received.rows is not None:
                 received.build_all(ratee)
-        return {(rater, ratee, scope): rating
-                for ratee, received in self.received.items()
-                for scope, bucket in received.scopes.items()
-                for rater, rating in bucket.items()}
+        return chain.from_iterable(bucket.values()
+                                   for received in self.received.values()
+                                   for bucket in received.scopes.values())
+
+    def snapshot(self) -> dict:
+        """Copy of the key -> rating map, for comparison and replay checks."""
+        return {(rating.rater, rating.ratee, rating.scope): rating
+                for rating in self}
 
 
 __all__ = ["MAX_COST", "RATING_VALUES", "Rating", "RatingStore",

@@ -659,6 +659,50 @@ def test_bundled_replay_is_pinned(capsys, tmp_path, name):
         == REPLAY_DIGESTS[name]
 
 
+def assert_replay_text_agrees_with_json(capsys, path):
+    """`replay`'s text counts are those of its JSON description."""
+    code, out, _ = run(capsys, "replay", str(path))
+    assert code == 0
+    code, text, _ = run(capsys, "replay", str(path), "--format", "json")
+    assert code == 0
+    described = json.loads(text)
+    expected = [f"accounts: {len(described['accounts'])}",
+                f"ratings: {len(described['ratings'])} "
+                f"(store revision {described['revision']})",
+                f"rejections: {len(described['rejections'])}"]
+    expected += [f"  line {line_no} seq {seq}: {message}"
+                 for line_no, seq, message in described["rejections"]]
+    assert out.splitlines() == expected
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_DIGESTS))
+def test_replay_text_counts_agree_with_json_on_a_trace(capsys, tmp_path,
+                                                       name):
+    trace = tmp_path / "trace.jsonl"
+    code, _, _ = run(capsys, "simulate",
+                     str(DATA_DIR / "scenarios" / f"{name}.json"),
+                     "--trace", str(trace))
+    assert code == 0
+    assert_replay_text_agrees_with_json(capsys, trace)
+
+
+def test_replay_text_counts_agree_with_json_past_damage(capsys, log):
+    run(capsys, *register_args(log, "seller"))
+    run(capsys, *register_args(log, "buyer"))
+    for _ in range(2):
+        run(capsys, *rate_args(log))
+    run(capsys, *register_args(log, "seller"))     # a duplicate: refused
+    with open(log, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"seq": 6, "kind": "rating", "at": 1,
+                                 "payload": {"rater": "A000002",
+                                             "ratee": "A000001",
+                                             "scope": "laptops", "value": 1,
+                                             "cost": 0, "at": 1}}) + "\n")
+        handle.write('{"seq":7,"kind":"rat')        # a torn tail
+    assert len(replay(log).rejections) == 1
+    assert_replay_text_agrees_with_json(capsys, log)
+
+
 def test_simulate_text_output(capsys):
     code, out, _ = run(capsys, "simulate", str(ONBOARDING))
     assert code == 0

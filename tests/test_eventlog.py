@@ -1,4 +1,5 @@
 import copy
+import io
 import json
 import pickle
 
@@ -6,14 +7,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import credentials_for, evidence_block
-from trustmarket import eventlog
+from conftest import credentials_for, evidence_block, profile_examples
+from trustmarket import eventlog, ratings
 from trustmarket.cli import main
 from trustmarket.errors import CorruptLog, UnknownAccount
 from trustmarket.eventlog import (KIND_RATING, KIND_REGISTER, KINDS, EventLog,
                                   EventRecord, MarketState, apply_event,
                                   replay)
-from trustmarket.ratings import Rating
+from trustmarket.identity import Registry
+from trustmarket.ratings import Rating, RatingStore
 
 
 def register_payload(tag, tier="high"):
@@ -283,6 +285,95 @@ def test_valid_lines_never_reach_json_loads(tmp_path, monkeypatch):
     assert replay(path).last_seq == 2
 
 
+def scan_reference(data, lines, last_seq, start):
+    """What a scan of `data`, a log's bytes from byte `start` on, after
+    `lines` lines ending in `last_seq`, yields and ends with, read from
+    `bytes.split` and `json.loads`: ((line_no, record) pairs, (lines,
+    last_seq, end, torn_line), (message, line) of the CorruptLog or
+    None)."""
+    *complete, rest = data.split(b"\n")
+    pairs, end = [], start
+    for line_no, raw in enumerate(complete, lines + 1):
+        try:
+            try:
+                line = (raw + b"\n").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorruptLog("not valid UTF-8", line_no) from None
+            if not line.strip():
+                raise CorruptLog("blank line", line_no)
+            record = _oracle_parse_line(line, line_no)
+            if record.seq <= last_seq:
+                raise CorruptLog(f"sequence {record.seq} not greater than "
+                                 f"previous {last_seq}", line_no)
+        except CorruptLog as exc:
+            return pairs, (lines, last_seq, end, None), (str(exc), line_no)
+        pairs.append((line_no, record))
+        lines, last_seq, end = line_no, record.seq, end + len(raw) + 1
+    return pairs, (lines, last_seq, end, lines + 1 if rest else None), None
+
+
+def scanned(data, lines, last_seq, start):
+    """The same, from `_Scan` over a handle on `data` at byte `start`."""
+    handle = io.BytesIO(data)
+    handle.seek(start)
+    scan = eventlog._Scan(handle, lines, last_seq)
+    pairs, error = [], None
+    try:
+        for pair in scan:
+            pairs.append(pair)
+    except CorruptLog as exc:
+        error = str(exc), exc.line_no
+    return (pairs, (scan.lines, scan.last_seq, scan.end, scan.torn_line),
+            error)
+
+
+# Text with characters of one, two and three UTF-8 bytes and the two that
+# JSON escapes, so that a line's length in bytes is not its length in
+# characters.
+SCAN_TEXT = st.text(alphabet='a é日"\\', max_size=6)
+SCAN_DAMAGES = st.sampled_from([
+    lambda raw, seq: b"\n", lambda raw, seq: b" \t\r\n",
+    lambda raw, seq: "\u3000\n".encode(), lambda raw, seq: b"\xff\n",
+    lambda raw, seq: raw[:len(raw) // 2] + b"\n",
+    lambda raw, seq: raw.replace(b'"seq":%d' % seq, b'"seq":%d' % (seq - 1)),
+    lambda raw, seq: raw.replace(b'"seq":%d' % seq, b'"seq":0')])
+SCAN_TAILS = st.sampled_from([b"", b'{"seq":99,"kind":"rat', "é".encode(),
+                              b"\xe6\x97"])
+
+
+@st.composite
+def scan_logs(draw):
+    """(log bytes, line count and last seq before the scan, its start):
+    lines of rising seq, each ending in LF or CR LF, maybe one damaged at
+    a drawn position, maybe a torn last line, scanned from a drawn line
+    on."""
+    seqs = sorted(draw(st.sets(st.integers(1, 60), max_size=8)))
+    raws = [json.dumps({"seq": seq, "kind": draw(st.sampled_from(KINDS)),
+                        "at": seq, "payload": {"note": draw(SCAN_TEXT)}},
+                       ensure_ascii=False, separators=(",", ":"))
+            .encode("utf-8")
+            + draw(st.sampled_from([b"\n", b"\r\n"])) for seq in seqs]
+    if raws and draw(st.booleans()):
+        at = draw(st.integers(0, len(raws) - 1))
+        raws[at] = draw(SCAN_DAMAGES)(raws[at], seqs[at])
+    skip = draw(st.integers(0, len(raws)))
+    last_seq = seqs[skip - 1] if skip else 0
+    return (b"".join(raws) + draw(SCAN_TAILS), skip, last_seq,
+            len(b"".join(raws[:skip])))
+
+
+@settings(max_examples=profile_examples(300, 1200), deadline=None)
+@given(scan_logs())
+# one valid line holding characters of two and three bytes
+@example((json.dumps({"seq": 1, "kind": "rating", "at": 1,
+                      "payload": {"note": "é日"}}, ensure_ascii=False)
+          .encode("utf-8") + b"\n", 0, 0, 0))
+def test_scan_bookkeeping_agrees_with_a_split_reference(log):
+    data, lines, last_seq, start = log
+    assert scanned(data, lines, last_seq, start) \
+        == scan_reference(data[start:], lines, last_seq, start)
+
+
 # ------------------------------------------------------------------
 # replay
 # ------------------------------------------------------------------
@@ -342,6 +433,39 @@ def test_replay_matches_live_state(tmp_path):
         apply_event(record, live)
 
     assert replay(log.path).describe() == live.describe()
+
+
+def test_replay_writes_every_line_through_the_patched_probes(tmp_path,
+                                                              monkeypatch):
+    # The tracer and the benchmark's checks count these calls; a fast path
+    # that went around one would hide events from both.
+    log = build_log(tmp_path)
+    register(log, "seller")                       # a duplicate identity
+    for at in (1, 2, 2):                          # the last one is stale
+        log.append(KIND_RATING, rating_payload("A000002", "A000001", at=at))
+    log.append(KIND_RATING, rating_payload("A000002", "A000009", at=3))
+    kinds = [record.kind for record in logged(log.path)]
+    calls = {}
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def count(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, count)
+
+    counted(eventlog, "_parse_line")
+    counted(eventlog, "apply_event")
+    counted(Registry, "register")
+    counted(RatingStore, "record")
+    counted(ratings, "_set_rater")
+    state = replay(log.path)
+    assert len(state.rejections) == 3
+    assert calls == {"_parse_line": len(kinds), "apply_event": len(kinds),
+                     "register": kinds.count(KIND_REGISTER),
+                     "record": kinds.count(KIND_RATING),
+                     "_set_rater": kinds.count(KIND_RATING)}
 
 
 def test_describe_flattens_keys(tmp_path):

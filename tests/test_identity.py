@@ -1,7 +1,9 @@
+from collections import OrderedDict
+import copy
 import json
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustmarket.errors import (DuplicateIdentity, IncompleteCredentials,
@@ -14,7 +16,7 @@ from trustmarket.identity import (BLOCK_FIELDS, BLOCK_KINDS, DEFAULT_POLICY,
                                   normalize_identity)
 
 from conftest import (business_block, credentials_for, evidence_block,
-                      personal_block)
+                      personal_block, profile_examples)
 
 
 # ------------------------------------------------------------------
@@ -331,3 +333,92 @@ def test_restore_refuses_other_field_names(edit):
         columns["fields"][0].reverse()
     with pytest.raises(ValueError, match="field names"):
         Registry.restore(columns)
+
+
+def from_dict_reference(data):
+    """The reference for `CredentialSet.from_dict`: each block built by
+    its dataclass `__init__`."""
+    names = CredentialSet.__dataclass_fields__
+    if type(data) is not dict or not data.keys() <= names.keys():
+        raise ValueError(f"credentials are an object keyed by some of "
+                         f"{', '.join(names)}")
+    return CredentialSet(*(kind(**data[name]) if name in data else None
+                           for name, kind in zip(names, BLOCK_KINDS)))
+
+
+def credential_outcome(build, data):
+    """What `build(data)` gives, and what registering it gives: the set,
+    its field order, blocks and dict, and the account's tier, or the
+    exception's type and message."""
+    try:
+        credentials = build(copy.deepcopy(data))
+    except Exception as exc:
+        return type(exc), str(exc)
+    order = [list(vars(credentials))] + [
+        list(vars(block)) for block in vars(credentials).values()
+        if block is not None]
+    try:
+        tier = Registry().register(credentials).tier
+    except TrustMarketError as exc:
+        tier = type(exc), str(exc)
+    return (credentials, order, credentials.blocks(), credentials.to_dict(),
+            tier)
+
+
+BLOCK_NAMES = CredentialSet.__dataclass_fields__
+
+
+def hostile_payload(tag, tier, edits):
+    """The `to_dict` of a well-formed set, edited in turn by each of
+    `edits`, (edit, block name, field index, value)."""
+    data = credentials_for(tag, tier).to_dict()
+    for edit, name, index, value in edits:
+        block = data.get(name)
+        if edit == "null":
+            data[name] = None
+        elif edit == "no business":
+            data.pop("business", None)
+            data["evidence"] = dict(vars(evidence_block(tag)))
+        elif edit == "unknown block":
+            data[name.upper()] = {}
+        elif type(block) is not dict:
+            data[name] = value if edit == "not a dict" else {}
+        elif edit == "not a dict":
+            data[name] = list(block.items())
+        elif edit == "mapping":
+            data[name] = OrderedDict(reversed(block.items()))
+        elif edit == "missing" and block:
+            del block[list(block)[index % len(block)]]
+        elif edit == "unknown":
+            block[value if type(value) is str else index] = value
+        else:
+            fields = BLOCK_FIELDS[list(BLOCK_NAMES).index(name)]
+            block[fields[index % len(fields)]] = value
+    return data
+
+
+@settings(max_examples=profile_examples(300, 1200), deadline=None)
+@given(st.sampled_from("ab"), st.sampled_from(["low", "medium", "high"]),
+       st.lists(st.tuples(
+           st.sampled_from(["field", "field", "field", "missing", "unknown",
+                            "null", "not a dict", "mapping", "no business",
+                            "unknown block"]),
+           st.sampled_from(sorted(BLOCK_NAMES)), st.integers(0, 4),
+           hostile_values), max_size=3))
+@example("a", "high", [("not a dict", "personal", 0, 5)])
+@example("a", "low", [("no business", "personal", 0, "")])
+@example("a", "high", [("unknown", "evidence", 1, None)])
+def test_from_dict_builds_and_refuses_as_the_dataclasses_do(tag, tier,
+                                                           edits):
+    data = hostile_payload(tag, tier, edits)
+    assert credential_outcome(CredentialSet.from_dict, data) \
+        == credential_outcome(from_dict_reference, data)
+
+
+@pytest.mark.parametrize("data", [None, [], "personal", {"personal": None},
+                                  {"personal": ["Ada"]}, {1: {}}])
+def test_from_dict_refuses_what_is_not_a_set(data):
+    assert credential_outcome(CredentialSet.from_dict, data) \
+        == credential_outcome(from_dict_reference, data)
+    with pytest.raises((TypeError, ValueError)):
+        CredentialSet.from_dict(data)
